@@ -14,7 +14,14 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import ScoredSampleSet, estimate_mc, estimate_with_cv, split_samples
+from .core import (
+    SPLIT_POLICIES,
+    ScoredSampleSet,
+    _check_config_keys,
+    estimate_mc,
+    estimate_with_cv,
+    split_samples,
+)
 from .ensemble import EnsembleFamily, build_multi_kernel_params, fit_semi_exact
 from .kernels import BaseKernelParams, KernelFamily, fit_control_functional, median_heuristic
 from .mlp import MlpControlFunction
@@ -33,17 +40,6 @@ __all__ = [
     "report_to_dict",
     "report_from_dict",
 ]
-
-METHODS = (
-    "mc",
-    "poly_sgd",
-    "poly_exact",
-    "kernel_sgd",
-    "kernel_exact",
-    "nn_sgd",
-    "ensemble_sgd",
-    "ensemble_exact",
-)
 
 CSV_COLUMNS = "method,problem,d,n,m,rep,estimate,abs_error,train_seconds"
 
@@ -81,31 +77,32 @@ class BenchmarkConfig:
             raise ValueError("repetitions must be >= 1")
         if not 1 <= self.m <= self.n:
             raise ValueError("need 1 <= m <= n")
+        if self.split not in SPLIT_POLICIES:
+            raise ValueError(f"unknown split {self.split!r}; choose from {SPLIT_POLICIES}")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["train"] = self.train.to_dict()
-        return out
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "BenchmarkConfig":
+        _check_config_keys(cls, obj)
         obj = dict(obj)
         if isinstance(obj.get("train"), dict):
             obj["train"] = TrainConfig.from_dict(obj["train"])
-        elif "train" not in obj:
-            obj["train"] = TrainConfig()
         return cls(**obj)
 
 
 @dataclass
 class RepetitionResult:
     rep: int
-    estimate: Optional[float]
-    abs_error: Optional[float]
-    train_seconds: float
-    estimate_seconds: float
-    n_eval: int
-    same_set: bool
+    estimate: Optional[float] = None
+    abs_error: Optional[float] = None
+    train_seconds: float = 0.0
+    estimate_seconds: float = 0.0
+    n_eval: int = 0
+    same_set: bool = False
     offset: float = 0.0
     residual_variance: float = 0.0
     error: Optional[str] = None
@@ -186,53 +183,79 @@ def _materialize(config: BenchmarkConfig, rep: int):
     raise ValueError(f"unknown problem kind: {name!r}")
 
 
+def _multi_indices(config: BenchmarkConfig, train: ScoredSampleSet):
+    return enumerate_multi_indices(train.d, config.degree)
+
+
 def _kernel_params(config: BenchmarkConfig, train: ScoredSampleSet) -> BaseKernelParams:
-    alpha2 = config.alpha2
-    if alpha2 is None:
-        alpha2 = median_heuristic(train.states)
+    alpha2 = median_heuristic(train.states) if config.alpha2 is None else config.alpha2
     return BaseKernelParams(config.alpha1, float(alpha2))
+
+
+def _linear_sgd(family, train: ScoredSampleSet, train_cfg: TrainConfig):
+    report = sgd_train(family, train, train_cfg)
+    return family.build_cv(report.theta, report.offset), report.offset
+
+
+# Each fit takes (config, train, train_cfg) and returns (model, offset).
+def _fit_poly_sgd(config, train, train_cfg):
+    return _linear_sgd(PolynomialFamily(_multi_indices(config, train)), train, train_cfg)
+
+
+def _fit_poly_exact(config, train, train_cfg):
+    cv = fit_poly_exact(train, _multi_indices(config, train), config.ridge)
+    return cv, cv.offset
+
+
+def _fit_kernel_sgd(config, train, train_cfg):
+    return _linear_sgd(KernelFamily(_kernel_params(config, train), train), train, train_cfg)
+
+
+def _fit_kernel_exact(config, train, train_cfg):
+    cv = fit_control_functional(train, _kernel_params(config, train), config.jitter)
+    return cv, cv.offset
+
+
+def _fit_nn_sgd(config, train, train_cfg):
+    widths = config.nn_widths or [train.d, 20, 20, 20, 20, 20, 20, 1]
+    net = MlpControlFunction.initialize(list(widths), seed=train_cfg.seed)
+    report = sgd_train(net, train, train_cfg)
+    net.set_params(report.theta)
+    return net, report.offset
+
+
+def _fit_ensemble_sgd(config, train, train_cfg):
+    if config.multi_kernel:
+        params = build_multi_kernel_params(train.states, config.alpha1)
+    else:
+        params = (_kernel_params(config, train),)
+    family = EnsembleFamily(_multi_indices(config, train), params, train)
+    return _linear_sgd(family, train, train_cfg)
+
+
+def _fit_ensemble_exact(config, train, train_cfg):
+    mi = _multi_indices(config, train)
+    cv = fit_semi_exact(train, mi, _kernel_params(config, train), config.jitter)
+    return cv, cv.offset
+
+
+_FITS = {
+    "poly_sgd": _fit_poly_sgd,
+    "poly_exact": _fit_poly_exact,
+    "kernel_sgd": _fit_kernel_sgd,
+    "kernel_exact": _fit_kernel_exact,
+    "nn_sgd": _fit_nn_sgd,
+    "ensemble_sgd": _fit_ensemble_sgd,
+    "ensemble_exact": _fit_ensemble_exact,
+}
+# "mc" is the no-CV baseline: it fits nothing and averages every sample
+METHODS = ("mc", *_FITS)
 
 
 def _fit_model(config: BenchmarkConfig, train: ScoredSampleSet, rep: int):
     """Train or exact-solve the configured control variate; returns (model, offset)."""
-    method = config.method
-    d = train.d
     train_cfg = dataclasses.replace(config.train, seed=_derived_seed(config.train.seed + rep, 2))
-    if method == "poly_exact":
-        mi = enumerate_multi_indices(d, config.degree)
-        cv = fit_poly_exact(train, mi, config.ridge)
-        return cv, cv.offset
-    if method == "poly_sgd":
-        family = PolynomialFamily(enumerate_multi_indices(d, config.degree))
-        report = sgd_train(family, train, train_cfg)
-        return family.build_cv(report.theta, report.offset), report.offset
-    if method == "kernel_exact":
-        cv = fit_control_functional(train, _kernel_params(config, train), config.jitter)
-        return cv, cv.offset
-    if method == "kernel_sgd":
-        family = KernelFamily(_kernel_params(config, train), train)
-        report = sgd_train(family, train, train_cfg)
-        return family.build_cv(report.theta, report.offset), report.offset
-    if method == "ensemble_exact":
-        mi = enumerate_multi_indices(d, config.degree)
-        cv = fit_semi_exact(train, mi, _kernel_params(config, train), config.jitter)
-        return cv, cv.offset
-    if method == "ensemble_sgd":
-        mi = enumerate_multi_indices(d, config.degree)
-        if config.multi_kernel:
-            params = build_multi_kernel_params(train.states, config.alpha1)
-        else:
-            params = (_kernel_params(config, train),)
-        family = EnsembleFamily(mi, params, train)
-        report = sgd_train(family, train, train_cfg)
-        return family.build_cv(report.theta, report.offset), report.offset
-    if method == "nn_sgd":
-        widths = config.nn_widths or [d, 20, 20, 20, 20, 20, 20, 1]
-        net = MlpControlFunction.initialize(list(widths), seed=train_cfg.seed)
-        report = sgd_train(net, train, train_cfg)
-        net.set_params(report.theta)
-        return net, report.offset
-    raise ValueError(f"unknown method {method!r}")
+    return _FITS[config.method](config, train, train_cfg)
 
 
 def run_repetition(config: BenchmarkConfig, rep: int) -> RepetitionResult:
@@ -272,16 +295,7 @@ def run_repetition(config: BenchmarkConfig, rep: int) -> RepetitionResult:
             model=model,
         )
     except Exception as exc:  # noqa: BLE001 - failures are recorded, run continues
-        return RepetitionResult(
-            rep=rep,
-            estimate=None,
-            abs_error=None,
-            train_seconds=0.0,
-            estimate_seconds=0.0,
-            n_eval=0,
-            same_set=False,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return RepetitionResult(rep=rep, error=f"{type(exc).__name__}: {exc}")
 
 
 def _rep_worker(config_dict: dict, rep: int) -> RepetitionResult:
@@ -340,17 +354,12 @@ def report_to_dict(report: BenchmarkReport) -> dict:
 
 
 def report_from_dict(obj: dict) -> BenchmarkReport:
-    results = [RepetitionResult(**item) for item in obj["results"]]
     return BenchmarkReport(
-        config=BenchmarkConfig.from_dict(obj["config"]),
-        results=results,
-        mae=obj["mae"],
-        mean_estimate=obj["mean_estimate"],
-        mean_train_seconds=obj["mean_train_seconds"],
-        n_failures=obj["n_failures"],
-        problem_label=obj["problem_label"],
-        d=obj["d"],
-        version=obj["version"],
+        **dict(
+            obj,
+            config=BenchmarkConfig.from_dict(obj["config"]),
+            results=[RepetitionResult(**item) for item in obj["results"]],
+        )
     )
 
 

@@ -10,7 +10,8 @@ import json
 import sys
 
 from .bench import BenchmarkConfig, BenchmarkReport, METHODS, emit_report, run_benchmark
-from .training import TrainConfig
+from .core import SPLIT_POLICIES
+from .training import OBJECTIVES, REGULARIZERS, TrainConfig
 
 
 def _load_json_arg(value: str):
@@ -23,10 +24,8 @@ def _load_json_arg(value: str):
 
 
 def _add_train_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--objective", default="least_squares",
-                        choices=("least_squares", "variance"))
-    parser.add_argument("--regularizer", default="l2_theta",
-                        choices=("l2_theta", "mean_g_squared"))
+    parser.add_argument("--objective", default="least_squares", choices=OBJECTIVES)
+    parser.add_argument("--regularizer", default="l2_theta", choices=REGULARIZERS)
     parser.add_argument("--lam", type=float, default=0.0, help="regularization strength")
     parser.add_argument("--batch-size", type=int, default=8)
     parser.add_argument("--epochs", type=int, default=25)
@@ -54,7 +53,7 @@ def _add_method_args(parser: argparse.ArgumentParser, m_default=500, reps_defaul
     parser.add_argument("--n", type=int, default=1000)
     parser.add_argument("--m", type=int, default=m_default,
                         help="training-set size (ingest default: half the file)")
-    parser.add_argument("--split", default="first_m", choices=("first_m", "random", "same_set"))
+    parser.add_argument("--split", default="first_m", choices=SPLIT_POLICIES)
     parser.add_argument("--reps", type=int, default=reps_default)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--degree", type=int, default=2, help="polynomial total degree")
@@ -92,41 +91,15 @@ def _emit_and_summarize(report: BenchmarkReport, out, fmt) -> int:
 
 def _cmd_bench(args) -> int:
     config = BenchmarkConfig.from_dict(_load_json_arg(args.config))
-    report = run_benchmark(config)
-    return _emit_and_summarize(report, args.out or getattr(config, "out", None), args.format)
+    return _emit_and_summarize(run_benchmark(config), args.out, args.format)
 
 
-def _cmd_run(args) -> int:
-    config = BenchmarkConfig(
-        problem=_load_json_arg(args.problem),
+def _benchmark_config(args, problem: dict, n: int, m: int) -> BenchmarkConfig:
+    """The config of `run` and `ingest` from their shared method and training flags."""
+    return BenchmarkConfig(
+        problem=problem,
         method=args.method,
-        n=args.n,
-        m=args.m,
-        split=args.split,
-        train=_train_config(args),
-        repetitions=args.reps,
-        base_seed=args.seed,
-        degree=args.degree,
-        alpha1=args.alpha1,
-        alpha2=args.alpha2,
-        ridge=args.ridge,
-        jitter=args.jitter,
-        multi_kernel=args.multi_kernel,
-        workers=args.workers,
-    )
-    report = run_benchmark(config)
-    return _emit_and_summarize(report, args.out, args.format)
-
-
-def _cmd_ingest(args) -> int:
-    from .targets import load_scored_samples
-
-    samples = load_scored_samples(args.samples, f_column=True)
-    m = args.m if args.m is not None else samples.n // 2
-    config = BenchmarkConfig(
-        problem={"problem": "ingest", "path": args.samples},
-        method=args.method,
-        n=samples.n,
+        n=n,
         m=m,
         split=args.split,
         train=_train_config(args),
@@ -140,8 +113,20 @@ def _cmd_ingest(args) -> int:
         multi_kernel=args.multi_kernel,
         workers=args.workers,
     )
-    report = run_benchmark(config)
-    return _emit_and_summarize(report, args.out, args.format)
+
+
+def _cmd_run(args) -> int:
+    config = _benchmark_config(args, _load_json_arg(args.problem), args.n, args.m)
+    return _emit_and_summarize(run_benchmark(config), args.out, args.format)
+
+
+def _cmd_ingest(args) -> int:
+    from .targets import load_scored_samples
+
+    samples = load_scored_samples(args.samples, f_column=True)
+    m = args.m if args.m is not None else samples.n // 2
+    config = _benchmark_config(args, {"problem": "ingest", "path": args.samples}, samples.n, m)
+    return _emit_and_summarize(run_benchmark(config), args.out, args.format)
 
 
 def build_parser() -> argparse.ArgumentParser:

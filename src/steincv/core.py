@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -12,11 +12,15 @@ __all__ = [
     "SplitIndex",
     "Estimate",
     "ProblemInstance",
+    "SPLIT_POLICIES",
     "estimate_mc",
     "estimate_with_cv",
     "split_samples",
     "mean_absolute_error",
 ]
+
+
+SPLIT_POLICIES = ("first_m", "random", "same_set")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -27,6 +31,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _check_finite(a: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
+
+
+def _check_config_keys(cls, obj: dict) -> None:
+    """Reject keys of ``obj`` that are not fields of the config dataclass ``cls``."""
+    valid = [f.name for f in fields(cls)]
+    unknown = sorted(set(obj) - set(valid))
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} field(s) {unknown}; valid fields: {valid}")
 
 
 @dataclass(frozen=True)
@@ -186,7 +198,7 @@ def split_samples(
         full = np.arange(n)
         return SplitIndex(full, full.copy(), same_set=True)
     else:
-        raise ValueError(f"unknown split policy: {policy!r}")
+        raise ValueError(f"unknown split policy: {policy!r}; choose from {SPLIT_POLICIES}")
     return SplitIndex(order[:m], order[m:], same_set=False)
 
 

@@ -8,13 +8,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import linalg
 
 from .core import ScoredSampleSet
 from .kernels import (
     BaseKernelParams,
     KernelCV,
-    default_jitter,
+    _solve_interpolant,
     median_heuristic,
     stein_kernel_gram,
 )
@@ -74,20 +73,14 @@ class EnsembleFamily:
             )
         return np.concatenate(blocks, axis=1)
 
-    def batch_feature_fn(self, train: ScoredSampleSet):
-        def rows(idx: np.ndarray) -> np.ndarray:
-            return self.feature_matrix(train.states[idx], train.scores[idx])
-
-        return rows
-
     def build_cv(self, theta: np.ndarray, offset: float) -> EnsembleCV:
         p = self.multi_indices.p
         m = self.centers.n
-        poly = PolynomialCV(self.multi_indices, theta[:p])
-        parts = []
-        for i, params in enumerate(self.kernel_params):
-            parts.append(KernelCV(params, self.centers, theta[p + i * m : p + (i + 1) * m]))
-        return EnsembleCV(poly, tuple(parts), offset)
+        parts = [
+            KernelCV(params, self.centers, theta[p + i * m : p + (i + 1) * m])
+            for i, params in enumerate(self.kernel_params)
+        ]
+        return EnsembleCV(PolynomialCV(self.multi_indices, theta[:p]), parts, offset)
 
 
 def _check_full_rank(b_mat: np.ndarray) -> None:
@@ -95,7 +88,7 @@ def _check_full_rank(b_mat: np.ndarray) -> None:
     if svals[-1] > 1e-10 * svals[0]:
         return
     # identify which basis columns load on the (near) null space
-    _, _, vt = np.linalg.svd(b_mat)
+    _, _, vt = np.linalg.svd(b_mat, full_matrices=False)
     null = vt[svals <= 1e-10 * svals[0]]
     loaded = sorted(set(np.where(np.abs(null) > 0.3)[1].tolist()))
     names = ["constant" if j == 0 else f"b_{j}" for j in loaded]
@@ -120,6 +113,9 @@ def fit_semi_exact(
     leading ones column followed by the polynomial basis columns. The solution
     interpolates f at every training point and reproduces f exactly whenever f
     lies in the span of {1, b_1, ..., b_p}; beta[0] is the constant offset.
+    It is the Cholesky-Schur solve shared with ``fit_control_functional``:
+    one Cholesky factorization of K + eps*I, then a (p+1, p+1) Schur system
+    for beta.
     """
     if train.f_values is None:
         raise ValueError("training set must carry f_values")
@@ -130,25 +126,10 @@ def fit_semi_exact(
     basis = stein_poly_basis(train.states, train.scores, mi)
     b_mat = np.concatenate([np.ones((m, 1)), basis], axis=1)
     _check_full_rank(b_mat)
-    gram = stein_kernel_gram(train.states, train.scores, train.states, train.scores, params)
-    eps = default_jitter(gram) if jitter is None else float(jitter)
-    size = m + p + 1
-    sys = np.zeros((size, size))
-    sys[:m, :m] = gram + eps * np.eye(m)
-    sys[:m, m:] = b_mat
-    sys[m:, :m] = b_mat.T
-    rhs = np.zeros(size)
-    rhs[:m] = train.f_values
-    lu, piv = linalg.lu_factor(sys)
-    sol = linalg.lu_solve((lu, piv), rhs)
-    # one round of iterative refinement keeps the exactness constraints tight
-    sol += linalg.lu_solve((lu, piv), rhs - sys @ sol)
-    theta_k = sol[:m]
-    offset = float(sol[m])
-    theta_p = sol[m + 1 :]
-    poly = PolynomialCV(mi, theta_p)
+    theta_k, beta = _solve_interpolant(train, params, b_mat, jitter)
+    poly = PolynomialCV(mi, beta[1:])
     kernel = KernelCV(params, ScoredSampleSet(train.states, train.scores), theta_k)
-    return EnsembleCV(poly, (kernel,), offset)
+    return EnsembleCV(poly, (kernel,), float(beta[0]))
 
 
 def build_multi_kernel_params(

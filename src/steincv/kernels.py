@@ -190,9 +190,9 @@ class KernelCV:
 class KernelFamily:
     """Linear-in-theta view of the kernel family for SGD training.
 
-    Feature rows are kernel evaluations against the stored centers, computed on
-    the fly per batch so one SGD step costs O(batch * centers) and no quadratic
-    Gram matrix is ever materialized.
+    Feature rows are kernel evaluations against the stored centers. When the
+    centers are as many as the training points, SGD computes them per batch
+    (see ``training.LinearFeatureModel``), so one step costs O(batch * centers).
     """
 
     def __init__(self, params: BaseKernelParams, centers: ScoredSampleSet):
@@ -205,25 +205,43 @@ class KernelFamily:
             states, scores, self.centers.states, self.centers.scores, self.params
         )
 
-    def batch_feature_fn(self, train: ScoredSampleSet):
-        def rows(idx: np.ndarray) -> np.ndarray:
-            return stein_kernel_gram(
-                train.states[idx],
-                train.scores[idx],
-                self.centers.states,
-                self.centers.scores,
-                self.params,
-            )
-
-        return rows
-
     def build_cv(self, theta: np.ndarray, offset: float) -> KernelCV:
         return KernelCV(self.params, self.centers, theta, offset)
 
 
-def default_jitter(gram: np.ndarray) -> float:
-    """Scale-aware stabilization: 1e-10 times the mean diagonal."""
-    return 1e-10 * float(np.mean(np.diag(gram)))
+def _solve_interpolant(train: ScoredSampleSet, params: BaseKernelParams, b_mat, jitter):
+    """(theta, beta) solving the saddle-point system of ``fit_semi_exact`` for
+    an (m, q) basis block B, with eps defaulting to 1e-10 times the mean
+    diagonal of K. K + eps*I is factored once by Cholesky; the (q, q) Schur
+    system (B^T K^{-1} B) beta = B^T K^{-1} f gives beta, then
+    theta = K^{-1}(f - B beta). One round of iterative refinement on the block
+    system keeps the interpolation and exactness constraints tight.
+    """
+    m = train.n
+    if m > 20_000:
+        raise ValueError(
+            "closed-form solve is quadratic in memory; use SGD training beyond m = 20000"
+        )
+    gram = stein_kernel_gram(train.states, train.scores, train.states, train.scores, params)
+    eps = 1e-10 * float(np.mean(np.diag(gram))) if jitter is None else float(jitter)
+    gram.flat[:: m + 1] += eps
+    try:
+        factor = linalg.cho_factor(gram, lower=True)
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            f"kernel matrix factorization failed at jitter={eps:g}; increase the jitter"
+        ) from None
+    k_inv_b = linalg.cho_solve(factor, b_mat)
+    schur = b_mat.T @ k_inv_b
+
+    def solve(top, bottom):
+        beta = np.linalg.solve(schur, k_inv_b.T @ top - bottom)
+        return linalg.cho_solve(factor, top - b_mat @ beta), beta
+
+    f = train.f_values
+    theta, beta = solve(f, np.zeros(b_mat.shape[1]))
+    d_theta, d_beta = solve(f - gram @ theta - b_mat @ beta, -(b_mat.T @ theta))
+    return theta + d_theta, beta + d_beta
 
 
 def fit_control_functional(
@@ -233,34 +251,14 @@ def fit_control_functional(
 ) -> KernelCV:
     """Closed-form kernel interpolant control variate.
 
-    Solves K theta = f - c 1 with c = (1^T K^{-1} f) / (1^T K^{-1} 1), where K is
-    the zero-mean kernel matrix over the training points with ``jitter * I``
-    added before the Cholesky factorization (default 1e-10 times the mean
-    diagonal).
+    Solves K theta = f - c 1 subject to 1^T theta = 0, which gives
+    c = (1^T K^{-1} f) / (1^T K^{-1} 1): the semi-exact saddle-point solve
+    (``_solve_interpolant``) with B the ones column. ``jitter * I`` is added to
+    K before the Cholesky factorization (default 1e-10 times the mean diagonal).
     """
     if train.f_values is None:
         raise ValueError("training set must carry f_values")
     if train.n < 2:
         raise ValueError("control functional needs at least 2 training samples")
-    if train.n > 20_000:
-        raise ValueError(
-            "closed-form solve is quadratic in memory; use SGD training beyond m = 20000"
-        )
-    gram = stein_kernel_gram(
-        train.states, train.scores, train.states, train.scores, params
-    )
-    eps = default_jitter(gram) if jitter is None else float(jitter)
-    try:
-        factor = linalg.cho_factor(gram + eps * np.eye(train.n), lower=True)
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            f"kernel matrix factorization failed at jitter={eps:g}; "
-            "increase the jitter"
-        ) from None
-    f = train.f_values
-    ones = np.ones(train.n)
-    k_inv_f = linalg.cho_solve(factor, f)
-    k_inv_1 = linalg.cho_solve(factor, ones)
-    c = float(ones @ k_inv_f) / float(ones @ k_inv_1)
-    theta = k_inv_f - c * k_inv_1
-    return KernelCV(params, ScoredSampleSet(train.states, train.scores), theta, c)
+    theta, beta = _solve_interpolant(train, params, np.ones((train.n, 1)), jitter)
+    return KernelCV(params, ScoredSampleSet(train.states, train.scores), theta, float(beta[0]))

@@ -14,7 +14,13 @@ import numpy as np
 from scipy import special
 
 from .core import ProblemInstance
-from .targets import GaussianTarget, MixtureTarget, mixture_from_json, random_mixture
+from .targets import (
+    GaussianTarget,
+    MixtureTarget,
+    _gaussian_logpdf,
+    mixture_from_json,
+    random_mixture,
+)
 
 __all__ = [
     "GENZ_KINDS",
@@ -236,11 +242,7 @@ def _sq_dists(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
 
 
 def _mvn_pdf(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    d = mean.shape[0]
-    chol = np.linalg.cholesky(cov)
-    y = np.linalg.solve(chol, (np.atleast_2d(points) - mean).T)
-    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-    return np.exp(-0.5 * (d * np.log(2.0 * np.pi) + log_det + np.sum(y * y, axis=0)))
+    return np.exp(_gaussian_logpdf(np.atleast_2d(points) - mean, np.linalg.cholesky(cov)))
 
 
 def gp_mean_embedding(

@@ -25,6 +25,14 @@ __all__ = [
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+def _gaussian_logpdf(centered: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """log N(x | mu, L L^T) for each row x - mu of ``centered``, given the lower
+    Cholesky factor L."""
+    y = linalg.solve_triangular(chol, centered.T, lower=True)
+    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+    return -0.5 * (centered.shape[1] * _LOG_2PI + log_det + np.sum(y * y, axis=0))
+
+
 def _spd_cholesky(cov: np.ndarray, what: str) -> np.ndarray:
     try:
         return np.linalg.cholesky(cov)
@@ -78,10 +86,7 @@ class GaussianTarget:
     def log_density(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        y = linalg.solve_triangular(self._chol, (pts - self.mean).T, lower=True)
-        log_det = 2.0 * np.sum(np.log(np.diag(self._chol)))
-        out = -0.5 * (self.dim * _LOG_2PI + log_det + np.sum(y * y, axis=0))
+        out = _gaussian_logpdf(np.atleast_2d(x) - self.mean, self._chol)
         return out[0] if single else out
 
     def sample(self, count: int, seed: int) -> np.ndarray:
@@ -153,9 +158,7 @@ class MixtureTarget:
         for l in range(L):
             chol = self._chols[l]
             centered = pts - self.means[l]
-            y = linalg.solve_triangular(chol, centered.T, lower=True)
-            log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-            logpdf[:, l] = -0.5 * (self.dim * _LOG_2PI + log_det + np.sum(y * y, axis=0))
+            logpdf[:, l] = _gaussian_logpdf(centered, chol)
             pulls[l] = linalg.cho_solve((chol, True), centered.T).T
         return logpdf, pulls
 

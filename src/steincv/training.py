@@ -11,7 +11,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import ScoredSampleSet
+from .core import ScoredSampleSet, _check_config_keys
+from .mlp import MlpControlFunction, cv_param_vjp, cv_values_with_cache
 
 __all__ = [
     "TrainConfig",
@@ -77,6 +78,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
+        _check_config_keys(cls, obj)
         return cls(**obj)
 
 
@@ -151,25 +153,37 @@ def design_matrix_spectrum(train: ScoredSampleSet, family) -> SpectrumDiagnostic
 class LinearFeatureModel:
     """Adapter giving linear CV families a common SGD surface.
 
-    A linear family exposes ``feature_matrix(states, scores) -> (n, p)`` and may
-    expose ``batch_feature_fn(train)`` returning an index-based row getter when
-    precomputing the full feature matrix would be wasteful.
+    A linear family exposes ``n_params`` and ``feature_matrix(states, scores)
+    -> (n, n_params)``. When n_params + 1 <= m (the rule ``_resolve_beta`` uses
+    for the full spectrum), the (m, n_params) training feature matrix is
+    smaller than an m x m Gram, so it is computed once and indexed per step
+    (polynomials, kernels on a few fixed centers). Otherwise the family grows
+    with m (kernel translates on the training points, ensembles) and rows are
+    computed per batch: a step costs O(batch * n_params) and never forms the
+    m x m Gram.
     """
 
     def __init__(self, family, train: ScoredSampleSet):
         self.family = family
         self.n_params = family.n_params
-        if hasattr(family, "batch_feature_fn"):
-            self._rows = family.batch_feature_fn(train)
-        else:
-            full = family.feature_matrix(train.states, train.scores)
-            self._rows = lambda idx: full[idx]
+        self._train = train
+        self._full = (
+            family.feature_matrix(train.states, train.scores)
+            if family.n_params + 1 <= train.n
+            else None
+        )
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """Feature rows of the training points ``idx``."""
+        if self._full is not None:
+            return self._full[idx]
+        return self.family.feature_matrix(self._train.states[idx], self._train.scores[idx])
 
     def initial_params(self) -> np.ndarray:
         return np.zeros(self.n_params)
 
     def batch_eval(self, theta: np.ndarray, idx: np.ndarray):
-        feats = self._rows(idx)
+        feats = self.rows(idx)
         g = feats @ theta
 
         def vjp(upstream: np.ndarray) -> np.ndarray:
@@ -181,36 +195,28 @@ class LinearFeatureModel:
 class MlpModel:
     """SGD surface for a network control function (parameters owned here)."""
 
-    def __init__(self, net, train: ScoredSampleSet):
-        from . import mlp as _mlp
-
-        self._mlp = _mlp
+    def __init__(self, net: MlpControlFunction, train: ScoredSampleSet):
         self.net = net
         self.n_params = net.n_params
-        self._states = train.states
-        self._scores = train.scores
+        self._train = train
 
     def initial_params(self) -> np.ndarray:
         return self.net.get_params()
 
     def batch_eval(self, theta: np.ndarray, idx: np.ndarray):
         self.net.set_params(theta)
-        g, cache = self._mlp.cv_values_with_cache(
-            self.net, self._states[idx], self._scores[idx]
-        )
+        g, cache = cv_values_with_cache(self.net, self._train.states[idx], self._train.scores[idx])
 
         def vjp(upstream: np.ndarray) -> np.ndarray:
-            return self._mlp.cv_param_vjp(self.net, cache, upstream)
+            return cv_param_vjp(self.net, cache, upstream)
 
         return g, vjp
 
 
 def wrap_model(model, train: ScoredSampleSet):
-    if hasattr(model, "feature_matrix"):
-        return LinearFeatureModel(model, train)
-    if hasattr(model, "get_params"):
+    if isinstance(model, MlpControlFunction):
         return MlpModel(model, train)
-    raise TypeError(f"cannot train object of type {type(model).__name__}")
+    return LinearFeatureModel(model, train)
 
 
 def batch_objective_and_gradient(
@@ -244,7 +250,8 @@ def batch_objective_and_gradient(
 def _resolve_beta(model, train: ScoredSampleSet, config: TrainConfig, wrapped) -> float:
     if config.beta is not None:
         return config.beta
-    if hasattr(model, "feature_matrix") and model.n_params + 1 <= train.n:
+    is_net = isinstance(model, MlpControlFunction)
+    if not is_net and model.n_params + 1 <= train.n:
         try:
             return design_matrix_spectrum(train, model).suggested_beta
         except ValueError:
@@ -256,9 +263,9 @@ def _resolve_beta(model, train: ScoredSampleSet, config: TrainConfig, wrapped) -
     # eigenvalues of (1/s) R R^T match those of the subsampled moment matrix,
     # so only an s x s Gram is ever formed and the cost stays O(s * n_params).
     rng = np.random.default_rng(config.seed ^ 0x5EED)
-    if hasattr(model, "feature_matrix"):
+    if not is_net:
         probe = rng.choice(train.n, size=min(256, train.n), replace=False)
-        rows = wrapped._rows(probe)
+        rows = wrapped.rows(probe)
     else:
         # tangent features: per-sample parameter gradient of g at the init
         probe = rng.choice(train.n, size=min(64, train.n), replace=False)

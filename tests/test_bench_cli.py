@@ -13,7 +13,7 @@ from steincv.bench import (
     run_repetition,
 )
 from steincv.cli import main
-from steincv.core import estimate_with_cv, split_samples
+from steincv.core import SPLIT_POLICIES, estimate_with_cv, split_samples
 from steincv.targets import GaussianTarget, sample_target, save_scored_samples
 from steincv.training import TrainConfig
 
@@ -123,6 +123,39 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             BenchmarkConfig(problem=GENZ1, method="mc", repetitions=0)
 
+    def test_bad_split_and_workers_fail_at_construction(self):
+        with pytest.raises(ValueError, match="bogus.*first_m"):
+            BenchmarkConfig(problem=GENZ1, method="mc", split="bogus")
+        with pytest.raises(ValueError, match="workers"):
+            BenchmarkConfig(problem=GENZ1, method="mc", workers=0)
+        for policy in SPLIT_POLICIES:
+            assert BenchmarkConfig(problem=GENZ1, method="mc", split=policy).split == policy
+
+    def test_unknown_keys_named_with_valid_fields(self):
+        obj = _small_config("mc").to_dict()
+        obj["out"] = "report.json"
+        with pytest.raises(ValueError, match="unknown BenchmarkConfig field.*out.*valid fields:.*split"):
+            BenchmarkConfig.from_dict(obj)
+        obj = _small_config("mc").to_dict()
+        obj["train"]["epoch"] = 3
+        with pytest.raises(ValueError, match="unknown TrainConfig field.*'epoch'.*valid fields.*'epochs'"):
+            BenchmarkConfig.from_dict(obj)
+        with pytest.raises(ValueError, match="unknown TrainConfig field.*lr"):
+            TrainConfig.from_dict({"lr": 0.1})
+
+    def test_method_order_is_stable(self):
+        # CLI choices and per-method reports follow this order
+        assert METHODS == (
+            "mc",
+            "poly_sgd",
+            "poly_exact",
+            "kernel_sgd",
+            "kernel_exact",
+            "nn_sgd",
+            "ensemble_sgd",
+            "ensemble_exact",
+        )
+
 
 class TestReports:
     def test_csv_layout(self, tmp_path):
@@ -225,6 +258,24 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg.to_dict()))
         assert main(["bench", "--config", str(cfg_path)]) == 2
         assert "failed" in capsys.readouterr().err
+
+    def test_split_choices_are_the_policies(self, capsys):
+        for policy in SPLIT_POLICIES:
+            code = main(
+                ["run", "--problem", json.dumps(GENZ1), "--method", "mc", "--n", "20",
+                 "--m", "10", "--reps", "1", "--split", policy]
+            )
+            assert code == 0
+        with pytest.raises(SystemExit):
+            main(["run", "--problem", json.dumps(GENZ1), "--method", "mc", "--split", "bogus"])
+
+    def test_bench_config_with_unknown_key_fails_on_load(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        obj = _small_config("mc", repetitions=1).to_dict()
+        obj["out"] = str(tmp_path / "ignored.csv")
+        cfg_path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match="out"):
+            main(["bench", "--config", str(cfg_path)])
 
     def test_inline_problem_json_or_file(self, tmp_path):
         spec_path = tmp_path / "p.json"

@@ -148,6 +148,21 @@ class TestSemiExactSolve:
         with pytest.raises(ValueError, match="p \\+ 2"):
             fit_semi_exact(train, enumerate_multi_indices(2, 2), BaseKernelParams(0.1, 1.0))
 
+    def test_rejects_large_m_before_any_quadratic_allocation(self):
+        import tracemalloc
+
+        m = 20_001
+        train = _train_set(1, m, 18, lambda x: x.sum(axis=1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="m = 20000"):
+                fit_semi_exact(train, enumerate_multi_indices(1, 2), BaseKernelParams(0.1, 1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one m x m float64 array would be 3.2 GB; the basis and its SVD are O(m)
+        assert peak < m * m * 8 // 100
+
 
 class TestMultiKernelParams:
     def test_two_point_values(self):

@@ -15,6 +15,7 @@ from steincv.kernels import (
 )
 from steincv.problems import GenzProblem
 from steincv.targets import GaussianTarget, sample_target
+from steincv.training import TrainConfig, wrap_model
 
 
 class TestBaseKernel:
@@ -312,5 +313,47 @@ class TestKernelFamily:
         pts = sample_target(target, 5, seed=14)
         feats = fam.feature_matrix(pts.states, pts.scores)
         assert feats.shape == (5, 12)
-        rows = fam.batch_feature_fn(pts)(np.array([0, 3]))
+        # 12 centers against 5 training points: rows are computed per batch
+        rows = wrap_model(fam, pts).rows(np.array([0, 3]))
         np.testing.assert_array_equal(rows, feats[[0, 3]])
+
+    def test_few_centers_precompute_the_feature_matrix(self):
+        target = GaussianTarget(np.zeros(2), 1.0)
+        fam = KernelFamily(BaseKernelParams(0.1, 1.0), sample_target(target, 3, seed=13))
+        pts = sample_target(target, 5, seed=14)
+        feats = fam.feature_matrix(pts.states, pts.scores)
+        wrapped = wrap_model(fam, pts)
+        fam.feature_matrix = None  # rows must come from the matrix built at wrap time
+        rows = wrapped.rows(np.array([4, 1, 1]))
+        np.testing.assert_array_equal(rows, feats[[4, 1, 1]])
+
+    def test_sgd_steps_never_form_more_than_a_batch_of_gram_rows(self, monkeypatch):
+        from steincv import kernels, training
+
+        target = GaussianTarget(np.zeros(1), 1.0)
+        ss = sample_target(target, 40, seed=16)
+        train = ss.with_f_values(np.cos(ss.states[:, 0]))
+        fam = KernelFamily(BaseKernelParams(0.1, 1.0), train)
+        in_step = [False]
+        step_rows = []
+        gram = kernels.stein_kernel_gram
+        step = training.batch_objective_and_gradient
+
+        def recording_gram(xa, *args, **kwargs):
+            if in_step[0]:
+                step_rows.append(np.atleast_2d(xa).shape[0])
+            return gram(xa, *args, **kwargs)
+
+        def flagged_step(*args, **kwargs):
+            in_step[0] = True
+            try:
+                return step(*args, **kwargs)
+            finally:
+                in_step[0] = False
+
+        monkeypatch.setattr(kernels, "stein_kernel_gram", recording_gram)
+        monkeypatch.setattr(training, "batch_objective_and_gradient", flagged_step)
+        cfg = TrainConfig(batch_size=4, epochs=2, seed=0)
+        report = training.sgd_train(fam, train, cfg)
+        assert len(step_rows) == report.n_steps
+        assert max(step_rows) <= cfg.batch_size
