@@ -51,7 +51,6 @@ from .ensemble import EnsembleCV, EnsembleFamily, build_multi_kernel_params, fit
 from .training import (
     TrainConfig,
     TrainReport,
-    cross_validate,
     design_matrix_spectrum,
     objective_least_squares,
     objective_variance,

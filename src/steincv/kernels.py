@@ -15,7 +15,6 @@ from scipy.spatial.distance import pdist
 from .core import ScoredSampleSet
 
 __all__ = [
-    "ALPHA1_GRID",
     "BaseKernelParams",
     "KernelCV",
     "KernelFamily",
@@ -26,9 +25,6 @@ __all__ = [
     "median_heuristic",
     "fit_control_functional",
 ]
-
-# default cross-validation grid for the prefactor strength alpha1
-ALPHA1_GRID = (1e6, 1e5, 1e4, 1e3, 1e2, 1e1, 1.0, 1e-1, 1e-2)
 
 
 @dataclass(frozen=True)
@@ -104,29 +100,42 @@ def stein_kernel(
     )
 
 
-def _gram_block(xa, sa, xb, sb, params: BaseKernelParams) -> np.ndarray:
+# Entries per sub-block of the elementwise Gram terms: 128 KiB of float64, the
+# size below which glibc malloc recycles arrays from its heap instead of
+# mapping, and page-faulting, fresh memory for each one.
+_SUB_BLOCK_ENTRIES = 16384
+
+
+def _gram_block(xa, sa, xb, sb, params: BaseKernelParams, out: np.ndarray) -> None:
+    """Write the Gram rows of (xa, sa) against (xb, sb) into ``out``. The inner
+    products are taken over the whole block, whose shape fixes their BLAS
+    rounding; the elementwise terms follow in sub-blocks of rows."""
     a1, a2 = params.alpha1, params.alpha2
     inv_a2sq = 1.0 / (a2 * a2)
     d = xa.shape[1]
-    sqa = np.einsum("id,id->i", xa, xa)
     sqb = np.einsum("id,id->i", xb, xb)
-    cross = xa @ xb.T
-    r2 = np.maximum(sqa[:, None] + sqb[None, :] - 2.0 * cross, 0.0)
-    p = 1.0 / (1.0 + a1 * sqa[:, None] + a1 * sqb[None, :])
-    q = np.exp(-0.5 * r2 * inv_a2sq)
-    pq = p * q
-    x_dot_sb = xa @ sb.T
-    y_dot_sa = sa @ xb.T
-    diff_dot_sb = x_dot_sb - np.einsum("id,id->i", xb, sb)[None, :]
-    diff_dot_sa = np.einsum("id,id->i", xa, sa)[:, None] - y_dot_sa
-    div = (
-        8.0 * a1 * a1 * cross * p**3 * q
-        - 2.0 * a1 * p * pq * r2 * inv_a2sq
-        + pq * (d * inv_a2sq - r2 * inv_a2sq * inv_a2sq)
-    )
-    gx_dot_sb = -pq * (2.0 * a1 * p * x_dot_sb + diff_dot_sb * inv_a2sq)
-    gy_dot_sa = -pq * (2.0 * a1 * p * y_dot_sa - diff_dot_sa * inv_a2sq)
-    return div + gx_dot_sb + gy_dot_sa + pq * (sa @ sb.T)
+    yb_dot_sb = np.einsum("id,id->i", xb, sb)
+    products = (xa @ xb.T, xa @ sb.T, sa @ xb.T, sa @ sb.T)
+    step = max(1, _SUB_BLOCK_ENTRIES // xb.shape[0])
+    for lo in range(0, xa.shape[0], step):
+        rows = slice(lo, lo + step)
+        cross, x_dot_sb, y_dot_sa, s_dot_s = [prod[rows] for prod in products]
+        x, s = xa[rows], sa[rows]
+        sqa = np.einsum("id,id->i", x, x)
+        r2 = np.maximum(sqa[:, None] + sqb[None, :] - 2.0 * cross, 0.0)
+        p = 1.0 / (1.0 + a1 * sqa[:, None] + a1 * sqb[None, :])
+        q = np.exp(-0.5 * r2 * inv_a2sq)
+        pq = p * q
+        diff_dot_sb = x_dot_sb - yb_dot_sb[None, :]
+        diff_dot_sa = np.einsum("id,id->i", x, s)[:, None] - y_dot_sa
+        div = (
+            8.0 * a1 * a1 * cross * p**3 * q
+            - 2.0 * a1 * p * pq * r2 * inv_a2sq
+            + pq * (d * inv_a2sq - r2 * inv_a2sq * inv_a2sq)
+        )
+        gx_dot_sb = -pq * (2.0 * a1 * p * x_dot_sb + diff_dot_sb * inv_a2sq)
+        gy_dot_sa = -pq * (2.0 * a1 * p * y_dot_sa - diff_dot_sa * inv_a2sq)
+        out[rows] = div + gx_dot_sb + gy_dot_sa + pq * s_dot_s
 
 
 def stein_kernel_gram(
@@ -147,7 +156,7 @@ def stein_kernel_gram(
     out = np.empty((na, nb))
     for start in range(0, na, row_chunk):
         stop = min(start + row_chunk, na)
-        out[start:stop] = _gram_block(xa[start:stop], sa[start:stop], xb, sb, params)
+        _gram_block(xa[start:stop], sa[start:stop], xb, sb, params, out[start:stop])
     return out
 
 

@@ -1,10 +1,13 @@
 """Multilayer-perceptron control functions.
 
-The forward pass propagates, for every hidden unit, the triple
-(value, input Jacobian, input Laplacian) so that applying the Langevin operator
-to the network output is exact rather than approximated. A matching manual
-reverse pass accumulates gradients of weighted sums of the operator output with
-respect to every weight and bias.
+The forward pass propagates, for every unit, its value, input Jacobian and
+input Laplacian, so that applying the Langevin operator to the network output
+is exact rather than approximated. The three are stacked in one array of shape
+(n, d+2, width): row 0 the values, rows 1..d the partial derivatives, row d+1
+the Laplacian. All rows are linear in the weights, so each affine layer is one
+matrix product over the n(d+2) rows. A matching manual reverse pass carries an
+adjoint of the same layout and accumulates gradients of weighted sums of the
+operator output with respect to every weight and bias.
 """
 
 from __future__ import annotations
@@ -135,110 +138,103 @@ class MlpControlFunction:
         return cv_values(self, states, scores)
 
 
-def _forward(net: MlpControlFunction, states: np.ndarray):
-    """Layer-wise propagation of h (n, w), J = dh/dx (n, w, d), L = lap h (n, w).
+def _forward(net: MlpControlFunction, states: np.ndarray, keep: bool = False):
+    """Layer-wise propagation of z (n, d+2, w): row 0 the units h, rows 1..d
+    dh/dx_k, row d+1 lap h.
 
-    Affine layer:      h' = W h + b,  J' = W J,          L' = W L
-    Activation layer:  h' = s(h),     J' = s'(h) . J,    L' = s''(h) |J|^2_row + s'(h) L
-    Returns the cache of intermediates needed by the reverse pass.
+    Affine layer:      z' = z W^T (one GEMM over the n(d+2) rows), row 0 += b
+    Activation layer:  z' = s'(h) . z, then row 0 = s(h), row d+1 += s''(h) |J|^2
+
+    Returns the output rows (n, d+2) and, with ``keep``, the per-layer
+    (z_in, activation terms) the reverse pass needs.
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     n, d = states.shape
     if d != net.dim:
         raise ValueError(f"input dimension {d} != network dimension {net.dim}")
-    h = states
-    jac = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-    lap = np.zeros((n, d))
-    n_affine = len(net.weights)
-    cache = {"states": states, "layers": []}
+    z = np.zeros((n, d + 2, d))
+    z[:, 0] = states
+    z[:, 1 : d + 1] = np.eye(d)
+    layers = []
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        layer = {"h_in": h, "jac_in": jac, "lap_in": lap}
-        h = h @ w.T + b
-        jac = np.einsum("ow,nwd->nod", w, jac)
-        lap = lap @ w.T
-        if i < n_affine - 1:
-            val, s1, s2, s3 = _activation_derivatives(h, net.activation)
-            rowsq = np.einsum("nwd,nwd->nw", jac, jac)
-            layer["act"] = {
-                "pre": h, "jac_pre": jac, "lap_pre": lap,
-                "s1": s1, "s2": s2, "s3": s3, "rowsq": rowsq,
-            }
-            jac = s1[:, :, None] * jac
-            lap = s2 * rowsq + s1 * lap
-            h = val
-        cache["layers"].append(layer)
-    cache["out"] = (h[:, 0], jac[:, 0, :], lap[:, 0])
-    return cache
+        z_in = z
+        z = (z_in.reshape(-1, w.shape[1]) @ w.T).reshape(n, d + 2, w.shape[0])
+        z[:, 0] += b
+        act = None
+        if i < len(net.weights) - 1:
+            val, s1, s2, s3 = _activation_derivatives(z[:, 0], net.activation)
+            jac = z[:, 1 : d + 1]
+            rowsq = np.einsum("ndw,ndw->nw", jac, jac)
+            act = (z, s1, s2, s3, rowsq)
+            # the reverse pass needs the preactivation rows; evaluation does not
+            z = z * s1[:, None, :] if keep else np.multiply(z, s1[:, None, :], out=z)
+            z[:, 0] = val
+            z[:, d + 1] += s2 * rowsq
+        if keep:
+            layers.append((z_in, act))
+    return z[:, :, 0], layers
+
+
+def _langevin(out: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """lap u + grad u . score from the stacked output rows (n, d+2)."""
+    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    return out[:, -1] + np.einsum("nd,nd->n", out[:, 1:-1], scores)
 
 
 def forward_with_derivatives(
     net: MlpControlFunction, states: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Network value, input gradient and input Laplacian at each sample row."""
-    return _forward(net, states)["out"]
+    out, _ = _forward(net, states)
+    return out[:, 0], out[:, 1:-1], out[:, -1]
 
 
 def cv_values(
     net: MlpControlFunction, states: np.ndarray, scores: np.ndarray
 ) -> np.ndarray:
     """Langevin operator output lap u + grad u . score at each sample row."""
-    _, grad, lap = forward_with_derivatives(net, states)
-    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    return lap + np.einsum("nd,nd->n", grad, scores)
+    return _langevin(_forward(net, states)[0], scores)
 
 
 def cv_values_with_cache(net: MlpControlFunction, states: np.ndarray, scores: np.ndarray):
-    cache = _forward(net, states)
-    _, grad, lap = cache["out"]
     scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    cache["scores"] = scores
-    return lap + np.einsum("nd,nd->n", grad, scores), cache
+    out, layers = _forward(net, states, keep=True)
+    return _langevin(out, scores), (layers, scores)
 
 
 def cv_param_vjp(
-    net: MlpControlFunction, cache: dict, upstream: np.ndarray
+    net: MlpControlFunction, cache: tuple, upstream: np.ndarray
 ) -> np.ndarray:
     """Gradient of sum_i upstream_i * g(x_i) with respect to the flat parameters,
-    accumulated by reversing the extended forward pass."""
+    accumulated by reversing the stacked forward pass: the adjoint z_bar has the
+    layout of z, so each affine layer takes one GEMM for its weight gradient
+    z_bar^T z_in and one for the input adjoint z_bar W."""
+    layers, scores = cache
     upstream = np.asarray(upstream, dtype=np.float64).reshape(-1)
-    scores = cache["scores"]
     n, d = scores.shape
     # g depends on the output only through (grad, lap); the value adjoint is 0
-    h_bar = np.zeros((n, 1))
-    jac_bar = upstream[:, None, None] * scores[:, None, :]
-    lap_bar = upstream[:, None].copy()
-    grads_w = [None] * len(net.weights)
-    grads_b = [None] * len(net.biases)
-    for i in range(len(net.weights) - 1, -1, -1):
-        layer = cache["layers"][i]
-        if "act" in layer:
-            act = layer["act"]
-            s1, s2, s3 = act["s1"], act["s2"], act["s3"]
-            jac_pre, lap_pre, rowsq = act["jac_pre"], act["lap_pre"], act["rowsq"]
-            pre_bar = (
-                h_bar * s1
-                + np.einsum("nwd,nwd->nw", jac_bar, jac_pre) * s2
-                + lap_bar * (s3 * rowsq + s2 * lap_pre)
-            )
-            jac_bar = s1[:, :, None] * jac_bar + 2.0 * (lap_bar * s2)[:, :, None] * jac_pre
-            lap_bar = s1 * lap_bar
-            h_bar = pre_bar
-        w = net.weights[i]
-        h_in, jac_in, lap_in = layer["h_in"], layer["jac_in"], layer["lap_in"]
-        grads_w[i] = (
-            h_bar.T @ h_in
-            + np.einsum("nod,nwd->ow", jac_bar, jac_in)
-            + lap_bar.T @ lap_in
-        )
-        grads_b[i] = h_bar.sum(axis=0)
-        h_bar = h_bar @ w
-        jac_bar = np.einsum("nod,ow->nwd", jac_bar, w)
-        lap_bar = lap_bar @ w
+    z_bar = np.zeros((n, d + 2, 1))
+    z_bar[:, 1 : d + 1, 0] = upstream[:, None] * scores
+    z_bar[:, d + 1, 0] = upstream
     parts = []
-    for gw, gb in zip(grads_w, grads_b):
-        parts.append(gw.ravel())
-        parts.append(gb)
-    flat = np.concatenate(parts)
+    for i in range(len(net.weights) - 1, -1, -1):
+        z_in, act = layers[i]
+        if act is not None:
+            pre, s1, s2, s3, rowsq = act
+            jac_pre, jac_bar, lap_bar = pre[:, 1 : d + 1], z_bar[:, 1 : d + 1], z_bar[:, d + 1]
+            z_bar = z_bar * s1[:, None, :]
+            z_bar[:, 0] += (
+                np.einsum("ndw,ndw->nw", jac_bar, jac_pre) * s2
+                + lap_bar * (s3 * rowsq + s2 * pre[:, d + 1])
+            )
+            z_bar[:, 1 : d + 1] += 2.0 * (lap_bar * s2)[:, None, :] * jac_pre
+        w = net.weights[i]
+        rows_bar = z_bar.reshape(-1, w.shape[0])
+        parts.append(z_bar[:, 0].sum(axis=0))
+        parts.append((rows_bar.T @ z_in.reshape(-1, w.shape[1])).ravel())
+        if i:  # the network input needs no adjoint
+            z_bar = (rows_bar @ w).reshape(n, d + 2, w.shape[1])
+    flat = np.concatenate(parts[::-1])  # W_0, b_0, W_1, ... as in get_params
     if not np.all(np.isfinite(flat)):
         raise ValueError("non-finite parameter gradient (exploding parameters)")
     return flat

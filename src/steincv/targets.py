@@ -149,38 +149,33 @@ class MixtureTarget:
     def n_components(self) -> int:
         return self.weights.shape[0]
 
-    def _component_logpdf_and_pulls(self, pts: np.ndarray):
-        """Per-component log densities (n, L) and Sigma_l^{-1}(x - mu_l) terms (L, n, d)."""
-        n = pts.shape[0]
-        L = self.n_components
-        logpdf = np.empty((n, L))
-        pulls = np.empty((L, n, self.dim))
-        for l in range(L):
-            chol = self._chols[l]
-            centered = pts - self.means[l]
-            logpdf[:, l] = _gaussian_logpdf(centered, chol)
-            pulls[l] = linalg.cho_solve((chol, True), centered.T).T
-        return logpdf, pulls
+    def _component_logpdf(self, pts: np.ndarray) -> np.ndarray:
+        """Per-component log densities (n, L) plus the log mixture weights."""
+        logpdf = np.empty((pts.shape[0], self.n_components))
+        for l in range(self.n_components):
+            logpdf[:, l] = _gaussian_logpdf(pts - self.means[l], self._chols[l])
+        return logpdf + self._log_weights
 
     def score(self, x: np.ndarray) -> np.ndarray:
         """Responsibility-weighted sum of the component scores Sigma_l^{-1}(mu_l - x)."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         pts = np.atleast_2d(x)
-        logpdf, pulls = self._component_logpdf_and_pulls(pts)
-        shifted = logpdf + self._log_weights
+        shifted = self._component_logpdf(pts)
         shifted -= shifted.max(axis=1, keepdims=True)
         resp = np.exp(shifted)
         resp /= resp.sum(axis=1, keepdims=True)
+        pulls = np.stack([
+            linalg.cho_solve((chol, True), (pts - mu).T).T
+            for mu, chol in zip(self.means, self._chols)
+        ])
         out = -np.einsum("nl,lnd->nd", resp, pulls)
         return out[0] if single else out
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        logpdf, _ = self._component_logpdf_and_pulls(pts)
-        shifted = logpdf + self._log_weights
+        shifted = self._component_logpdf(np.atleast_2d(x))
         m = shifted.max(axis=1)
         out = m + np.log(np.sum(np.exp(shifted - m[:, None]), axis=1))
         return out[0] if single else out

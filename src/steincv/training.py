@@ -1,13 +1,12 @@
 """Training machinery: the two empirical objectives, minibatch SGD with an
-inverse-time learning-rate schedule, the design-matrix spectrum diagnostic, and
-k-fold cross-validation for hyperparameters."""
+inverse-time learning-rate schedule, and the design-matrix spectrum diagnostic."""
 
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -24,12 +23,13 @@ __all__ = [
     "wrap_model",
     "batch_objective_and_gradient",
     "design_matrix_spectrum",
-    "cross_validate",
 ]
 
 OBJECTIVES = ("least_squares", "variance")
 REGULARIZERS = ("l2_theta", "mean_g_squared")
 SCHEDULES = ("inverse_time", "constant")
+# rows per block when the full training set is evaluated after the SGD loop
+_EVAL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,10 @@ class TrainConfig:
     """Objective, regularizer, learning-rate schedule and batching for SGD.
 
     ``beta`` left as None selects a data-driven default: 1/sigma_min of the
-    design-matrix second-moment spectrum for linear families small enough to
-    diagonalize, otherwise 0.1 over the mean squared feature norm.
+    design-matrix second-moment spectrum for linear families with
+    n_params + 1 <= m, otherwise 1.5 (gamma + 1) / sigma_max, with sigma_max
+    estimated from 256 probe rows of the features (64 rows of per-sample
+    parameter gradients for a network).
     """
 
     objective: str = "least_squares"
@@ -136,7 +138,11 @@ def design_matrix_spectrum(train: ScoredSampleSet, family) -> SpectrumDiagnostic
     learning-rate scale is 1/sigma_min, which satisfies the stability lower
     bound beta > 1/(2 sigma_min).
     """
-    feats = family.feature_matrix(train.states, train.scores)
+    return _spectrum(family.feature_matrix(train.states, train.scores))
+
+
+def _spectrum(feats: np.ndarray) -> SpectrumDiagnostics:
+    """``design_matrix_spectrum`` of the (m, p) feature matrix ``feats``."""
     m, p = feats.shape
     if p + 1 > m:
         raise ValueError(f"need p+1 = {p + 1} <= m = {m} for a non-singular moment matrix")
@@ -253,7 +259,7 @@ def _resolve_beta(model, train: ScoredSampleSet, config: TrainConfig, wrapped) -
     is_net = isinstance(model, MlpControlFunction)
     if not is_net and model.n_params + 1 <= train.n:
         try:
-            return design_matrix_spectrum(train, model).suggested_beta
+            return _spectrum(wrapped.rows(np.arange(train.n))).suggested_beta
         except ValueError:
             pass
     # Families too large for the full spectrum (kernel translates, ensembles,
@@ -325,7 +331,11 @@ def sgd_train(model, train: ScoredSampleSet, config: TrainConfig) -> TrainReport
             epoch_obj += obj
         trace[epoch] = epoch_obj / steps_per_epoch
     wall = time.perf_counter() - start
-    g_full, _ = wrapped.batch_eval(theta, np.arange(m))
+    # in row blocks: for kernel families the full set at once is the m x m Gram
+    g_full = np.concatenate([
+        wrapped.batch_eval(theta, np.arange(lo, min(lo + _EVAL_BLOCK, m)))[0]
+        for lo in range(0, m, _EVAL_BLOCK)
+    ])
     if is_ls:
         final = objective_least_squares(f - g_full - c)
     else:
@@ -341,51 +351,3 @@ def sgd_train(model, train: ScoredSampleSet, config: TrainConfig) -> TrainReport
         resolved_beta=beta if config.schedule == "inverse_time" else None,
         config=config,
     )
-
-
-def cross_validate(
-    train: ScoredSampleSet,
-    grid: Sequence,
-    fit: Callable[[object, ScoredSampleSet], Callable],
-    folds: int = 5,
-    seed: int = 0,
-    strength: Optional[Callable[[object], tuple]] = None,
-):
-    """Pick the grid point minimizing the mean held-out least-squares objective.
-
-    Folds are contiguous blocks of a seeded shuffle. ``fit(point, subtrain)``
-    must return a fitted model ``g`` with an ``offset`` attribute, callable as
-    ``g(states, scores)``. Ties are broken toward stronger regularization via
-    the ``strength`` key (larger wins); exact duplicates fall back to the first
-    occurrence.
-    """
-    if len(grid) == 0:
-        raise ValueError("empty hyperparameter grid")
-    if train.n < folds:
-        raise ValueError(f"need at least {folds} samples for {folds}-fold cross-validation")
-    if strength is None:
-        def strength(point):
-            if isinstance(point, dict):
-                return (point.get("lam", 0.0), point.get("alpha2", 0.0))
-            return (0.0,)
-    perm = np.random.default_rng(seed).permutation(train.n)
-    bounds = np.linspace(0, train.n, folds + 1).astype(int)
-    scores = np.empty(len(grid))
-    for gi, point in enumerate(grid):
-        fold_scores = []
-        for k in range(folds):
-            held = perm[bounds[k] : bounds[k + 1]]
-            kept = np.concatenate([perm[: bounds[k]], perm[bounds[k + 1] :]])
-            model = fit(point, train.subset(kept))
-            held_set = train.subset(held)
-            g = model(held_set.states, held_set.scores)
-            resid = held_set.f_values - g - getattr(model, "offset", 0.0)
-            fold_scores.append(objective_least_squares(resid))
-        scores[gi] = float(np.mean(fold_scores))
-    best = 0
-    for gi in range(1, len(grid)):
-        if scores[gi] < scores[best]:
-            best = gi
-        elif scores[gi] == scores[best] and strength(grid[gi]) > strength(grid[best]):
-            best = gi
-    return grid[best]

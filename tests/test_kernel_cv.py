@@ -15,7 +15,7 @@ from steincv.kernels import (
 )
 from steincv.problems import GenzProblem
 from steincv.targets import GaussianTarget, sample_target
-from steincv.training import TrainConfig, wrap_model
+from steincv.training import TrainConfig, sgd_train, wrap_model
 
 
 class TestBaseKernel:
@@ -157,6 +157,20 @@ class TestSteinKernel:
         # BLAS blocking differs with the row count, so only bitwise-close
         np.testing.assert_allclose(full, chunked, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("entries", [1, 300, 10**9])
+    def test_gram_sub_blocks_bitwise_identical(self, monkeypatch, entries):
+        # the elementwise terms are computed per entry, so splitting a row
+        # block into sub-blocks (1 row, a few rows, all rows) changes nothing
+        from steincv import kernels
+
+        rng = np.random.default_rng(8)
+        xa, sa = rng.normal(size=(70, 10)), rng.normal(size=(70, 10))
+        xb, sb = rng.normal(size=(40, 10)), rng.normal(size=(40, 10))
+        params = BaseKernelParams(0.2, 1.3)
+        default = stein_kernel_gram(xa, sa, xb, sb, params)
+        monkeypatch.setattr(kernels, "_SUB_BLOCK_ENTRIES", entries)
+        np.testing.assert_array_equal(stein_kernel_gram(xa, sa, xb, sb, params), default)
+
     def test_gram_psd_with_jitter(self):
         rng = np.random.default_rng(7)
         params = BaseKernelParams(0.05, 1.0)
@@ -286,25 +300,6 @@ class TestMedianHeuristic:
             median_heuristic(np.ones((1, 2)))
 
 
-class TestAlpha1Grid:
-    def test_cross_validation_over_default_grid(self):
-        from steincv.kernels import ALPHA1_GRID
-        from steincv.training import cross_validate
-
-        target = GaussianTarget(np.zeros(1), 1.0)
-        ss = sample_target(target, 100, seed=15)
-        train = ss.with_f_values(np.cos(2.0 * ss.states[:, 0]))
-        ell = median_heuristic(train.states)
-
-        def fit(point, sub):
-            return fit_control_functional(sub, BaseKernelParams(point["alpha1"], ell))
-
-        grid = [{"alpha1": a} for a in ALPHA1_GRID]
-        best = cross_validate(train, grid, fit, seed=0)
-        # the huge-prefactor end of the grid cripples the interpolant here
-        assert best["alpha1"] <= 1e2
-
-
 class TestKernelFamily:
     def test_features_match_gram(self):
         target = GaussianTarget(np.zeros(2), 1.0)
@@ -357,3 +352,22 @@ class TestKernelFamily:
         report = training.sgd_train(fam, train, cfg)
         assert len(step_rows) == report.n_steps
         assert max(step_rows) <= cfg.batch_size
+
+    def test_sgd_fit_never_forms_more_than_256_feature_rows(self, monkeypatch):
+        # the final objective over all m training points is evaluated in row
+        # blocks, so no call builds the m x m Gram
+        target = GaussianTarget(np.zeros(1), 1.0)
+        ss = sample_target(target, 1000, seed=17)
+        train = ss.with_f_values(np.cos(ss.states[:, 0]))
+        fam = KernelFamily(BaseKernelParams(0.1, 1.0), train)
+        rows = []
+        features = KernelFamily.feature_matrix
+
+        def recording_features(self, states, scores):
+            rows.append(states.shape[0])
+            return features(self, states, scores)
+
+        monkeypatch.setattr(KernelFamily, "feature_matrix", recording_features)
+        report = sgd_train(fam, train, TrainConfig(epochs=1, seed=0))
+        assert max(rows) <= 256
+        assert np.isfinite(report.final_objective)

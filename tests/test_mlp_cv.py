@@ -26,6 +26,48 @@ def _fd_grad_lap(net, x, h=1e-4):
     return grad, lap
 
 
+def _reference_cv_and_vjp(net, x, s, upstream):
+    """Operator output and its parameter VJP with the value h, Jacobian J and
+    Laplacian L of each layer carried as three separate arrays: the unstacked
+    form of the same algebra, kept as a reference."""
+    n, d = x.shape
+    h, jac, lap = x, np.broadcast_to(np.eye(d), (n, d, d)), np.zeros((n, d))
+    layers = []
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        inputs = (h, jac, lap)
+        h, jac, lap = h @ w.T + b, np.einsum("ow,nwd->nod", w, jac), lap @ w.T
+        act = None
+        if i < len(net.weights) - 1:
+            if net.activation == "tanh":
+                val = np.tanh(h)
+                s1 = 1.0 - val * val
+                s2, s3 = -2.0 * val * s1, s1 * (6.0 * val * val - 2.0)
+            else:
+                s1 = (h > 0).astype(np.float64)
+                val, s2, s3 = h * s1, np.zeros_like(h), np.zeros_like(h)
+            rowsq = np.einsum("nwd,nwd->nw", jac, jac)
+            act = (jac, lap, s1, s2, s3, rowsq)
+            h, jac, lap = val, s1[:, :, None] * jac, s2 * rowsq + s1 * lap
+        layers.append((inputs, act))
+    g = lap[:, 0] + np.einsum("nd,nd->n", jac[:, 0, :], s)
+    h_bar, jac_bar, lap_bar = np.zeros((n, 1)), upstream[:, None, None] * s[:, None, :], upstream[:, None]
+    grads = []
+    for ((h_in, jac_in, lap_in), act), w in zip(layers[::-1], net.weights[::-1]):
+        if act is not None:
+            jac_pre, lap_pre, s1, s2, s3, rowsq = act
+            h_bar = (
+                h_bar * s1
+                + np.einsum("nwd,nwd->nw", jac_bar, jac_pre) * s2
+                + lap_bar * (s3 * rowsq + s2 * lap_pre)
+            )
+            jac_bar = s1[:, :, None] * jac_bar + 2.0 * (lap_bar * s2)[:, :, None] * jac_pre
+            lap_bar = s1 * lap_bar
+        grad_w = h_bar.T @ h_in + np.einsum("nod,nwd->ow", jac_bar, jac_in) + lap_bar.T @ lap_in
+        grads = [grad_w.ravel(), h_bar.sum(axis=0)] + grads
+        h_bar, jac_bar, lap_bar = h_bar @ w, np.einsum("nod,ow->nwd", jac_bar, w), lap_bar @ w
+    return g, np.concatenate(grads)
+
+
 class TestForwardWithDerivatives:
     def test_zero_weights_constant_output(self):
         net = MlpControlFunction.initialize([2, 4, 1], "tanh", seed=0)
@@ -123,6 +165,19 @@ class TestParamGradient:
             fd[j] = (up - dn) / (2 * h)
         net.set_params(theta0)
         assert np.linalg.norm(grad - fd) <= 1e-4 * max(np.linalg.norm(fd), 1e-8)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_stacked_pass_matches_three_array_reference(self, activation, d):
+        rng = np.random.default_rng(d)
+        net = MlpControlFunction.initialize([d, 7, 5, 1], activation, seed=d)
+        net.set_params(net.get_params() + 0.1 * rng.normal(size=net.n_params))
+        x, s, w = rng.normal(size=(6, d)), rng.normal(size=(6, d)), rng.normal(size=6)
+        ref_g, ref_grad = _reference_cv_and_vjp(net, x, s, w)
+        g, cache = cv_values_with_cache(net, x, s)
+        np.testing.assert_allclose(g, ref_g, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(cv_param_vjp(net, cache, w), ref_grad, rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(cv_values(net, x, s), g)
 
     def test_relu_vjp_matches_finite_differences(self):
         rng = np.random.default_rng(31)

@@ -3,13 +3,12 @@ import pytest
 
 from steincv.kernels import BaseKernelParams, KernelFamily
 from steincv.mlp import MlpControlFunction
-from steincv.poly import PolynomialFamily, enumerate_multi_indices, fit_poly_exact
+from steincv.poly import PolynomialFamily, enumerate_multi_indices
 from steincv.problems import GenzProblem
 from steincv.targets import GaussianTarget, sample_target
 from steincv.training import (
     TrainConfig,
     batch_objective_and_gradient,
-    cross_validate,
     design_matrix_spectrum,
     objective_least_squares,
     objective_variance,
@@ -87,6 +86,24 @@ class TestSgdTrain:
         assert report.final_objective <= 0.01 * init
         assert report.objective_trace.shape == (25,)
         assert report.n_steps == 25 * int(np.ceil(500 / 8))
+
+    def test_poly_basis_computed_once(self, monkeypatch):
+        # the default beta reads the spectrum off the precomputed feature rows
+        from steincv import poly
+
+        train = _toy_train(d=2, n=200, seed=1)
+        fam = PolynomialFamily(enumerate_multi_indices(2, 2))
+        calls = []
+        basis = poly.stein_poly_basis
+
+        def recording_basis(states, *args, **kwargs):
+            calls.append(states.shape[0])
+            return basis(states, *args, **kwargs)
+
+        monkeypatch.setattr(poly, "stein_poly_basis", recording_basis)
+        report = sgd_train(fam, train, TrainConfig(epochs=2, seed=0))
+        assert calls == [200]
+        assert report.resolved_beta == design_matrix_spectrum(train, fam).suggested_beta
 
     def test_huge_l2_shrinks_network(self):
         # dominant regularizer contracts theta (step chosen inside 1/(2 lam))
@@ -312,53 +329,6 @@ class TestDesignMatrixSpectrum:
         train = _toy_train(d=1, n=5, seed=20)
         with pytest.raises(ValueError, match="m = 5"):
             design_matrix_spectrum(train, _StubFamily(np.random.default_rng(0).normal(size=(5, 5))))
-
-
-class TestCrossValidate:
-    def test_single_point_grid(self):
-        train = _toy_train(d=1, n=60, seed=21)
-        mi = enumerate_multi_indices(1, 1)
-
-        def fit(point, sub):
-            return fit_poly_exact(sub, mi, point["lam"])
-
-        assert cross_validate(train, [{"lam": 0.5}], fit) == {"lam": 0.5}
-
-    def test_selects_zero_ridge_for_exact_problem(self):
-        train = _toy_train(d=2, n=200, seed=22)
-        mi = enumerate_multi_indices(2, 1)
-
-        def fit(point, sub):
-            return fit_poly_exact(sub, mi, point["lam"])
-
-        best = cross_validate(train, [{"lam": 0.0}, {"lam": 1e6}], fit, seed=1)
-        assert best == {"lam": 0.0}
-
-    def test_ties_break_toward_stronger_regularization(self):
-        train = _toy_train(d=1, n=40, seed=23)
-        mi = enumerate_multi_indices(1, 1)
-        fixed = fit_poly_exact(train, mi, 0.0)
-
-        def fit(point, sub):
-            return fixed  # score independent of the grid point: a pure tie
-
-        grid = [{"lam": 0.0}, {"lam": 10.0}, {"lam": 1.0}]
-        assert cross_validate(train, grid, fit, seed=2) == {"lam": 10.0}
-
-    def test_duplicates_pick_first(self):
-        train = _toy_train(d=1, n=40, seed=24)
-        mi = enumerate_multi_indices(1, 1)
-        fixed = fit_poly_exact(train, mi, 0.0)
-        a, b = {"lam": 1.0, "tag": "first"}, {"lam": 1.0, "tag": "second"}
-        best = cross_validate(train, [a, b], lambda p, s: fixed, seed=3)
-        assert best is a
-
-    def test_validation(self):
-        train = _toy_train(d=1, n=3, seed=25)
-        with pytest.raises(ValueError, match="empty"):
-            cross_validate(train, [], lambda p, s: None)
-        with pytest.raises(ValueError, match="5-fold"):
-            cross_validate(train, [1], lambda p, s: None, folds=5)
 
 
 class TestKernelFamilyTraining:
