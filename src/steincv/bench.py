@@ -41,7 +41,9 @@ __all__ = [
     "report_from_dict",
 ]
 
-CSV_COLUMNS = "method,problem,d,n,m,rep,estimate,abs_error,train_seconds"
+CSV_COLUMNS = "method,problem,d,n,m,rep,estimate,abs_error,same_set,train_seconds"
+# the problem kinds `_materialize` knows
+_PROBLEM_KINDS = ("genz", "poly", "gp", "ingest")
 
 
 def _derived_seed(seed: int, tag: int) -> int:
@@ -81,6 +83,16 @@ class BenchmarkConfig:
             raise ValueError(f"unknown split {self.split!r}; choose from {SPLIT_POLICIES}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        kind = self.problem.get("problem")
+        if kind not in _PROBLEM_KINDS:
+            raise ValueError(f"unknown problem {kind!r}; choose from {_PROBLEM_KINDS}")
+        # the bounds are written so that NaN fails them; None keeps the default rule
+        for key, low in (("degree", 1), ("ridge", 0), ("alpha1", 0), ("jitter", 0)):
+            value = getattr(self, key)
+            if value is not None and not value >= low:
+                raise ValueError(f"{key} must be >= {low}, got {value}")
+        if self.alpha2 is not None and not self.alpha2 > 0:
+            raise ValueError(f"alpha2 must be > 0, got {self.alpha2}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -126,8 +138,6 @@ def _problem_label(spec: dict) -> str:
     name = spec.get("problem", "?")
     if name == "genz":
         return f"genz:{spec.get('kind', '?')}"
-    if name == "ingest":
-        return "ingest"
     return str(name)
 
 
@@ -139,11 +149,10 @@ def _problem_dim(spec: dict) -> int:
         return int(np.atleast_2d(spec["alpha"]).shape[1])
     if name == "gp":
         return int(spec.get("d", 1))
-    if name == "ingest":
-        with open(spec["path"], "r", encoding="utf-8") as fh:
-            header = fh.readline().split(",")
-        return sum(1 for c in header if c.strip().startswith("x_"))
-    return int(spec.get("d", 0))
+    # ingest, the last of the _PROBLEM_KINDS a config admits
+    with open(spec["path"], "r", encoding="utf-8") as fh:
+        header = fh.readline().split(",")
+    return sum(1 for c in header if c.strip().startswith("x_"))
 
 
 def _materialize(config: BenchmarkConfig, rep: int):
@@ -173,14 +182,13 @@ def _materialize(config: BenchmarkConfig, rep: int):
             spec.get("jitter"),
         )
         return samples.with_f_values(gp.f_values), gp.true_integral
-    if name == "ingest":
-        samples = load_scored_samples(spec["path"], f_column=True)
-        if samples.n != config.n:
-            raise ValueError(
-                f"ingested file has n={samples.n} rows but the config says n={config.n}"
-            )
-        return samples, spec.get("true_integral")
-    raise ValueError(f"unknown problem kind: {name!r}")
+    # ingest, the last of the _PROBLEM_KINDS a config admits
+    samples = load_scored_samples(spec["path"], f_column=True)
+    if samples.n != config.n:
+        raise ValueError(
+            f"ingested file has n={samples.n} rows but the config says n={config.n}"
+        )
+    return samples, spec.get("true_integral")
 
 
 def _multi_indices(config: BenchmarkConfig, train: ScoredSampleSet):
@@ -334,22 +342,15 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     )
 
 
+def _fields_dict(obj, skip=()) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name not in skip}
+
+
 def report_to_dict(report: BenchmarkReport) -> dict:
-    results = []
-    for r in report.results:
-        item = dataclasses.asdict(r)
-        item.pop("model", None)
-        results.append(item)
     return {
+        **_fields_dict(report),
         "config": report.config.to_dict(),
-        "results": results,
-        "mae": report.mae,
-        "mean_estimate": report.mean_estimate,
-        "mean_train_seconds": report.mean_train_seconds,
-        "n_failures": report.n_failures,
-        "problem_label": report.problem_label,
-        "d": report.d,
-        "version": report.version,
+        "results": [_fields_dict(r, skip=("model",)) for r in report.results],
     }
 
 
@@ -388,6 +389,7 @@ def emit_report(report: BenchmarkReport, path, fmt: str = "csv") -> None:
                 str(r.rep),
                 _csv_cell(r.estimate),
                 _csv_cell(r.abs_error),
+                str(r.same_set),
                 _csv_cell(r.train_seconds),
             ]
             fh.write(",".join(row) + "\n")

@@ -100,6 +100,10 @@ def stein_kernel(
     )
 
 
+# Rows per Gram block. The block's shape fixes the BLAS rounding of its inner
+# products, so the estimates depend on this value.
+_ROW_CHUNK = 2048
+
 # Entries per sub-block of the elementwise Gram terms: 128 KiB of float64, the
 # size below which glibc malloc recycles arrays from its heap instead of
 # mapping, and page-faulting, fresh memory for each one.
@@ -144,18 +148,17 @@ def stein_kernel_gram(
     xb: np.ndarray,
     sb: np.ndarray,
     params: BaseKernelParams,
-    row_chunk: int = 2048,
 ) -> np.ndarray:
-    """Pairwise zero-mean kernel matrix, assembled in row blocks to bound the
-    temporary memory at O(row_chunk * nb)."""
+    """Pairwise zero-mean kernel matrix, assembled in blocks of ``_ROW_CHUNK``
+    rows to bound the temporary memory at O(_ROW_CHUNK * nb)."""
     xa = np.atleast_2d(np.asarray(xa, dtype=np.float64))
     sa = np.atleast_2d(np.asarray(sa, dtype=np.float64))
     xb = np.atleast_2d(np.asarray(xb, dtype=np.float64))
     sb = np.atleast_2d(np.asarray(sb, dtype=np.float64))
     na, nb = xa.shape[0], xb.shape[0]
     out = np.empty((na, nb))
-    for start in range(0, na, row_chunk):
-        stop = min(start + row_chunk, na)
+    for start in range(0, na, _ROW_CHUNK):
+        stop = min(start + _ROW_CHUNK, na)
         _gram_block(xa[start:stop], sa[start:stop], xb, sb, params, out[start:stop])
     return out
 

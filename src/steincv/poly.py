@@ -4,6 +4,7 @@ ridge-regularized least-squares solve."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,13 +30,17 @@ _MAX_BASIS_SIZE = 2_000_000
 @dataclass(frozen=True)
 class MultiIndexSet:
     """All d-dimensional multi-indices with total degree between 1 and k,
-    in graded-lexicographic order (ascending degree, then ascending lex)."""
+    in graded-lexicographic order (ascending degree, then ascending lex). Rows
+    must be downward closed in graded order: one less in a row's first nonzero
+    coordinate is zero or an earlier row, the parent of its basis column."""
 
     alpha: np.ndarray
     degree: int
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=np.int64))
+        alpha = np.asarray(self.alpha, dtype=np.int64)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "_levels", _degree_recursion(alpha))
 
     @property
     def p(self) -> int:
@@ -46,14 +51,29 @@ class MultiIndexSet:
         return self.alpha.shape[1]
 
 
-def _compositions(total: int, d: int):
-    """All ways to write ``total`` as d ordered non-negative parts, lex ascending."""
-    if d == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, d - 1):
-            yield (first,) + rest
+def _degree_recursion(alpha: np.ndarray) -> tuple:
+    """The table of ``stein_poly_basis``: per run of rows of equal degree,
+    (rows, parent, coord, grand, two_beta). Row 0 of the stacked layout is the
+    constant monomial and row j + 1 is alpha[j] = beta + e_i, i its first
+    nonzero coordinate; parent is the row of beta, grand the row of beta - e_i,
+    or row 0 when beta_i = 0, whose coefficient 2 beta_i is then 0."""
+    index = {(0,) * alpha.shape[1]: 0}
+    table = []
+    for j, row in enumerate(alpha.tolist(), start=1):
+        i = next((z for z, a in enumerate(row) if a), 0)
+        beta, grand = (tuple(row[:i] + [row[i] - c] + row[i + 1 :]) for c in (1, 2))
+        if beta not in index:
+            raise ValueError(
+                f"multi-index row {j - 1} {row} is not downward closed in graded "
+                f"order: {list(beta)} is neither zero nor an earlier row"
+            )
+        index[tuple(row)] = j
+        table.append((sum(row), j, index[beta], i, index.get(grand, 0), 2.0 * beta[i]))
+    levels = []
+    for _, level in itertools.groupby(table, key=lambda t: t[0]):
+        _, rows, *index_cols, two_beta = map(np.array, zip(*level))
+        levels.append((slice(rows[0], rows[-1] + 1), *index_cols, two_beta[:, None]))
+    return tuple(levels)
 
 
 def enumerate_multi_indices(d: int, k: int) -> MultiIndexSet:
@@ -65,9 +85,11 @@ def enumerate_multi_indices(d: int, k: int) -> MultiIndexSet:
         raise ValueError(
             f"basis size C({d + k},{d}) - 1 = {p} exceeds the supported limit {_MAX_BASIS_SIZE}"
         )
-    rows = []
-    for total in range(1, k + 1):
-        rows.extend(_compositions(total, d))
+    # each degree's indices are the last degree's plus one unit vector, sorted
+    rows, level = [], [(0,) * d]
+    for _ in range(k):
+        level = sorted({r[:i] + (r[i] + 1,) + r[i + 1 :] for r in level for i in range(d)})
+        rows += level
     alpha = np.asarray(rows, dtype=np.int64)
     assert alpha.shape[0] == p
     return MultiIndexSet(alpha, k)
@@ -78,46 +100,33 @@ def stein_poly_basis(
 ) -> np.ndarray:
     """Evaluate the length-p basis vector b at each sample row.
 
-    Each b_j is the Langevin operator applied to the monomial x^alpha_j:
+    Each b_j is the Langevin operator L u = lap u + grad u . score applied to
+    the monomial x^alpha_j. With alpha_j = beta + e_i, i the first nonzero
+    coordinate, the columns follow one degree at a time from the recursion
 
-        b_j(x) = sum_l [ a_l x_l^{a_l-1} score_l + a_l (a_l - 1) x_l^{a_l-2} ]
-                 * prod_{z != l} x_z^{a_z}
+        x^alpha_j   = x_i x^beta
+        L x^alpha_j = x_i L x^beta + score_i x^beta + 2 beta_i x^(beta - e_i)
 
-    with the conventions x^0 = 1 and vanishing terms for a_l = 0 (first term)
-    and a_l <= 1 (second term), so negative powers are never formed.
+    starting from x^0 = 1 and L 1 = 0; every term on the right is a column of
+    lower degree. Returns a C-contiguous (n, p) array in the order of mi.alpha.
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     n, d = states.shape
     if mi.d != d:
         raise ValueError(f"multi-index dimension {mi.d} != state dimension {d}")
-    k = int(mi.alpha.max(initial=1))
-    # pows[z, e] = states[:, z] ** e for e in 0..k
-    pows = np.empty((d, k + 1, n))
-    pows[:, 0] = 1.0
-    for e in range(1, k + 1):
-        pows[:, e] = pows[:, e - 1] * states.T
-    out = np.empty((n, mi.p))
-    for j in range(mi.p):
-        a = mi.alpha[j]
-        # prefix/suffix products give prod_{z != l} x_z^{a_z} without division
-        prefix = np.ones((d + 1, n))
-        for z in range(d):
-            prefix[z + 1] = prefix[z] * pows[z, a[z]]
-        suffix = np.ones((d + 1, n))
-        for z in range(d - 1, -1, -1):
-            suffix[z] = suffix[z + 1] * pows[z, a[z]]
-        acc = np.zeros(n)
-        for l in range(d):
-            al = int(a[l])
-            if al == 0:
-                continue
-            rest = prefix[l] * suffix[l + 1]
-            acc += al * pows[l, al - 1] * scores[:, l] * rest
-            if al >= 2:
-                acc += al * (al - 1) * pows[l, al - 2] * rest
-        out[:, j] = acc
-    return out
+    xt, st = np.ascontiguousarray(states.T), np.ascontiguousarray(scores.T)
+    # one row per monomial below the top degree and per L x^alpha, both led by x^0
+    mono = np.ones((mi._levels[-1][0].start if mi.p else 1, n))
+    stein = np.zeros((mi.p + 1, n))
+    for rows, parent, coord, grand, two_beta in mi._levels:
+        x, m, out = xt[coord], mono[parent], stein[rows]
+        np.multiply(x, stein[parent], out=out)
+        out += st[coord] * m
+        out += two_beta * mono[grand]
+        if rows.stop <= len(mono):
+            np.multiply(x, m, out=mono[rows])
+    return np.ascontiguousarray(stein[1:].T)
 
 
 @dataclass(frozen=True)

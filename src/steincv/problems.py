@@ -77,15 +77,13 @@ class PolynomialIntegrand:
         exps = np.atleast_2d(np.asarray(self.exponents))
         if coeffs.shape != exps.shape:
             raise ValueError("coeffs and exponents must have equal shapes")
-        if np.any(exps < 0) or not np.issubdtype(exps.dtype, np.integer):
-            exps_int = exps.astype(np.int64)
-            if np.any(exps_int != exps) or np.any(exps_int < 0):
-                raise ValueError("exponents must be non-negative integers")
-            exps = exps_int
+        exps_int = exps.astype(np.int64)
+        if np.any(exps_int != exps) or np.any(exps_int < 0):
+            raise ValueError("exponents must be non-negative integers")
         if self.sigma2 <= 0:
             raise ValueError("sigma2 must be > 0")
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "exponents", exps.astype(np.int64))
+        object.__setattr__(self, "exponents", exps_int)
 
     @property
     def d(self) -> int:
@@ -115,9 +113,14 @@ class PolynomialIntegrand:
         return total
 
 
-def _signed_subset_sum(terms) -> float:
-    """Exact compensated summation of the signed subset-sum terms."""
-    return math.fsum(terms)
+def _subset_sums(a: np.ndarray):
+    """(|S|, sum of a over S) for every subset S of the coordinates, by size;
+    the signed terms of the subset-sum integrals are added by ``math.fsum``."""
+    if a.size > _MAX_SUBSET_DIM:
+        raise ValueError(f"subset sum limited to d <= {_MAX_SUBSET_DIM}")
+    for k in range(a.size + 1):
+        for subset in itertools.combinations(range(a.size), k):
+            yield k, float(np.sum(a[list(subset)])) if subset else 0.0
 
 
 @dataclass(frozen=True)
@@ -183,16 +186,12 @@ class GenzProblem:
                 np.prod((2.0 - np.exp(a * (u - 1.0)) - np.exp(-a * u)) / a)
             )
         if self.kind == "corner_peak":
-            if d > _MAX_SUBSET_DIM:
-                raise ValueError(f"subset sum limited to d <= {_MAX_SUBSET_DIM}")
             scale = 1.0 / (math.factorial(d) * float(np.prod(a)))
             total_a = float(np.sum(a))
-            terms = []
-            for k in range(d + 1):
-                for subset in itertools.combinations(range(d), k):
-                    removed = float(np.sum(a[list(subset)])) if subset else 0.0
-                    terms.append((-1.0) ** (k + d) * scale / (1.0 + total_a - removed))
-            return _signed_subset_sum(terms)
+            return math.fsum(
+                (-1.0) ** (k + d) * scale / (1.0 + total_a - removed)
+                for k, removed in _subset_sums(a)
+            )
         if self.kind == "discontinuous":
             return float(np.prod((np.exp(a * np.minimum(1.0, u)) - 1.0) / a))
         if self.kind == "gaussian_peak":
@@ -203,32 +202,14 @@ class GenzProblem:
             )
             return float(np.prod(per_dim))
         if self.kind == "oscillatory":
-            if d > _MAX_SUBSET_DIM:
-                raise ValueError(f"subset sum limited to d <= {_MAX_SUBSET_DIM}")
             phase = 2.0 * np.pi * u[0]
             total_a = float(np.sum(a))
-            mod = d % 4
-            if mod == 1:
-                g = math.sin
-                sign = 1.0
-            elif mod == 2:
-                g = math.cos
-                sign = -1.0
-            elif mod == 3:
-                g = math.sin
-                sign = -1.0
-            else:
-                g = math.cos
-                sign = 1.0
+            g, sign = ((math.cos, 1.0), (math.sin, 1.0), (math.cos, -1.0), (math.sin, -1.0))[d % 4]
             scale = 1.0 / float(np.prod(a))
-            terms = []
-            for k in range(d + 1):
-                for subset in itertools.combinations(range(d), k):
-                    removed = float(np.sum(a[list(subset)])) if subset else 0.0
-                    terms.append(
-                        (-1.0) ** k * scale * sign * g(phase + total_a - removed)
-                    )
-            return _signed_subset_sum(terms)
+            return math.fsum(
+                (-1.0) ** k * scale * sign * g(phase + total_a - removed)
+                for k, removed in _subset_sums(a)
+            )
         # product_peak
         return float(
             np.prod(a * (np.arctan((1.0 - u) * a) - np.arctan(-u * a)))

@@ -123,6 +123,24 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             BenchmarkConfig(problem=GENZ1, method="mc", repetitions=0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("degree", 0),
+            ("ridge", -1e-3),
+            ("alpha1", -0.5),
+            ("alpha2", 0.0),
+            ("alpha2", -1.0),
+            ("jitter", -1e-8),
+            ("ridge", float("nan")),
+            ("problem", {"problem": "bogus"}),
+        ],
+    )
+    def test_bad_field_rejected_at_load(self, field, value):
+        obj = {**_small_config("poly_exact").to_dict(), field: value}
+        with pytest.raises(ValueError, match=f"^(unknown )?{field}"):
+            BenchmarkConfig.from_dict(obj)
+
     def test_bad_split_and_workers_fail_at_construction(self):
         with pytest.raises(ValueError, match="bogus.*first_m"):
             BenchmarkConfig(problem=GENZ1, method="mc", split="bogus")
@@ -163,9 +181,14 @@ class TestReports:
         path = tmp_path / "out.csv"
         emit_report(report, path, "csv")
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "method,problem,d,n,m,rep,estimate,abs_error,train_seconds"
+        assert lines[0] == "method,problem,d,n,m,rep,estimate,abs_error,same_set,train_seconds"
         assert len(lines) == 5
         assert lines[1].startswith("mc,genz:product_peak,1,120,60,0,")
+        assert [line.split(",")[8] for line in lines[1:]] == ["False"] * 4
+        same_set = run_benchmark(_small_config("poly_exact", split="same_set", m=120))
+        emit_report(same_set, path, "csv")
+        rows = path.read_text().strip().splitlines()[1:]
+        assert [row.split(",")[8] for row in rows] == ["True"] * 2
 
     def test_abs_error_empty_when_truth_unknown(self, tmp_path):
         csv = tmp_path / "in.csv"

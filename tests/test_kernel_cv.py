@@ -146,14 +146,15 @@ class TestSteinKernel:
             stein_kernel(x, y, sx, sy, params), rebuilt, rtol=1e-4, atol=1e-6
         )
 
-    def test_gram_chunking_consistent(self):
+    def test_gram_chunking_consistent(self, monkeypatch):
+        from steincv import kernels
+
         target = GaussianTarget(np.zeros(2), 1.0)
         ss = sample_target(target, 300, seed=6)
         params = BaseKernelParams(0.2, 0.9)
         full = stein_kernel_gram(ss.states, ss.scores, ss.states, ss.scores, params)
-        chunked = stein_kernel_gram(
-            ss.states, ss.scores, ss.states, ss.scores, params, row_chunk=37
-        )
+        monkeypatch.setattr(kernels, "_ROW_CHUNK", 37)
+        chunked = stein_kernel_gram(ss.states, ss.scores, ss.states, ss.scores, params)
         # BLAS blocking differs with the row count, so only bitwise-close
         np.testing.assert_allclose(full, chunked, rtol=1e-12, atol=1e-14)
 

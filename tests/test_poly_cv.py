@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steincv.poly import (
+    MultiIndexSet,
     PolynomialCV,
     PolynomialFamily,
     enumerate_multi_indices,
@@ -97,6 +100,97 @@ class TestBasis:
         for j in range(mi.p):
             expected = _operator_of_monomial_fd(mi.alpha[j], x, score)
             np.testing.assert_allclose(b[j], expected, rtol=1e-5, atol=1e-5)
+
+
+def _prefix_suffix_basis(states, scores, alpha):
+    """Reference: the Langevin image of each monomial term by term,
+
+        b_j(x) = sum_l [ a_l x_l^{a_l-1} score_l + a_l (a_l - 1) x_l^{a_l-2} ]
+                 * prod_{z != l} x_z^{a_z},
+
+    with the products over z != l taken from prefix and suffix products."""
+    n, d = states.shape
+    k = int(alpha.max(initial=1))
+    pows = np.empty((d, k + 1, n))
+    pows[:, 0] = 1.0
+    for e in range(1, k + 1):
+        pows[:, e] = pows[:, e - 1] * states.T
+    out = np.empty((n, alpha.shape[0]))
+    for j, a in enumerate(alpha):
+        prefix = np.ones((d + 1, n))
+        for z in range(d):
+            prefix[z + 1] = prefix[z] * pows[z, a[z]]
+        suffix = np.ones((d + 1, n))
+        for z in range(d - 1, -1, -1):
+            suffix[z] = suffix[z + 1] * pows[z, a[z]]
+        acc = np.zeros(n)
+        for l in range(d):
+            al = int(a[l])
+            if al == 0:
+                continue
+            rest = prefix[l] * suffix[l + 1]
+            acc += al * pows[l, al - 1] * scores[:, l] * rest
+            if al >= 2:
+                acc += al * (al - 1) * pows[l, al - 2] * rest
+        out[:, j] = acc
+    return out
+
+
+class TestRecursion:
+    @pytest.mark.parametrize("d", [1, 3, 10, 30])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_bitwise_equal_to_reference_up_to_degree_two(self, d, k):
+        rng = np.random.default_rng(d * 10 + k)
+        x, s = 1.5 * rng.normal(size=(40, d)), rng.normal(size=(40, d))
+        mi = enumerate_multi_indices(d, k)
+        b = stein_poly_basis(x, s, mi)
+        assert b.flags.c_contiguous
+        np.testing.assert_array_equal(b, _prefix_suffix_basis(x, s, mi.alpha))
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_close_to_reference_at_higher_degree(self, d, k):
+        rng = np.random.default_rng(d * 10 + k)
+        x, s = 1.5 * rng.normal(size=(40, d)), rng.normal(size=(40, d))
+        mi = enumerate_multi_indices(d, k)
+        ref = _prefix_suffix_basis(x, s, mi.alpha)
+        err = np.abs(stein_poly_basis(x, s, mi) - ref).max(axis=0)
+        assert np.all(err <= 1e-13 * np.abs(ref).max(axis=0))
+
+    def test_downward_closed_subset(self):
+        alpha = np.array([[0, 1], [1, 0], [0, 2], [1, 1]])
+        rng = np.random.default_rng(3)
+        x, s = rng.normal(size=(9, 2)), rng.normal(size=(9, 2))
+        b = stein_poly_basis(x, s, MultiIndexSet(alpha, 2))
+        np.testing.assert_array_equal(b, _prefix_suffix_basis(x, s, alpha))
+
+    @pytest.mark.parametrize(
+        "alpha,row",
+        [
+            ([[1, 0], [1, 1]], 1),  # parent (0, 1) missing
+            ([[2], [1]], 0),  # parent listed after its child
+            ([[0, 0], [1, 0]], 0),  # the constant is not a basis row
+            ([[1, 0], [-1, 2]], 1),
+        ],
+    )
+    def test_missing_parent_rejected(self, alpha, row):
+        with pytest.raises(ValueError, match=f"row {row} .*not downward closed"):
+            MultiIndexSet(np.array(alpha), 2)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(1, 4),
+        k=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_matches_langevin_finite_differences(self, d, k, data):
+        coords = st.floats(-1.5, 1.5, allow_nan=False)
+        x = np.array(data.draw(st.lists(coords, min_size=d, max_size=d)))
+        score = np.array(data.draw(st.lists(coords, min_size=d, max_size=d)))
+        mi = enumerate_multi_indices(d, k)
+        b = stein_poly_basis(x[None, :], score[None, :], mi)[0]
+        expected = [_operator_of_monomial_fd(a, x, score, h=1e-4) for a in mi.alpha]
+        np.testing.assert_allclose(b, expected, rtol=1e-6, atol=1e-6)
 
 
 class TestPolynomialCV:
