@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .core import (
     Estimate,
+    LinearCV,
     ProblemInstance,
     ScoredSampleSet,
     SplitIndex,
@@ -29,7 +30,6 @@ from .targets import (
 )
 from .poly import (
     MultiIndexSet,
-    PolynomialCV,
     PolynomialFamily,
     enumerate_multi_indices,
     fit_poly_exact,
@@ -37,7 +37,6 @@ from .poly import (
 )
 from .kernels import (
     BaseKernelParams,
-    KernelCV,
     KernelFamily,
     base_kernel,
     base_kernel_derivatives,
@@ -47,7 +46,7 @@ from .kernels import (
     stein_kernel_gram,
 )
 from .mlp import MlpControlFunction, cv_values, forward_with_derivatives
-from .ensemble import EnsembleCV, EnsembleFamily, build_multi_kernel_params, fit_semi_exact
+from .ensemble import EnsembleFamily, build_multi_kernel_params, fit_semi_exact
 from .training import (
     TrainConfig,
     TrainReport,

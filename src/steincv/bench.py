@@ -4,6 +4,7 @@ reports."""
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import time
@@ -16,6 +17,8 @@ import numpy as np
 from . import __version__
 from .core import (
     SPLIT_POLICIES,
+    _EVAL_BLOCK,
+    LinearCV,
     ScoredSampleSet,
     _check_config_keys,
     estimate_mc,
@@ -26,7 +29,7 @@ from .ensemble import EnsembleFamily, build_multi_kernel_params, fit_semi_exact
 from .kernels import BaseKernelParams, KernelFamily, fit_control_functional, median_heuristic
 from .mlp import MlpControlFunction
 from .poly import PolynomialFamily, enumerate_multi_indices, fit_poly_exact
-from .problems import gp_spec_mixture, problem_instance_from_spec, sample_gp_problem
+from .problems import GENZ_KINDS, gp_spec_mixture, problem_instance_from_spec, sample_gp_problem
 from .targets import load_scored_samples, sample_target
 from .training import TrainConfig, sgd_train
 
@@ -41,7 +44,10 @@ __all__ = [
     "report_from_dict",
 ]
 
-CSV_COLUMNS = "method,problem,d,n,m,rep,estimate,abs_error,same_set,train_seconds"
+CSV_COLUMNS = (
+    "method", "problem", "d", "n", "m", "rep", "estimate", "abs_error", "same_set",
+    "train_seconds", "estimate_seconds", "residual_variance", "error",
+)
 # the problem kinds `_materialize` knows
 _PROBLEM_KINDS = ("genz", "poly", "gp", "ingest")
 
@@ -86,6 +92,11 @@ class BenchmarkConfig:
         kind = self.problem.get("problem")
         if kind not in _PROBLEM_KINDS:
             raise ValueError(f"unknown problem {kind!r}; choose from {_PROBLEM_KINDS}")
+        if kind == "genz" and self.problem.get("kind") not in GENZ_KINDS:
+            raise ValueError(
+                f"problem kind {self.problem.get('kind')!r} is not a Genz kind; "
+                f"choose from {GENZ_KINDS}"
+            )
         # the bounds are written so that NaN fails them; None keeps the default rule
         for key, low in (("degree", 1), ("ridge", 0), ("alpha1", 0), ("jitter", 0)):
             value = getattr(self, key)
@@ -93,6 +104,17 @@ class BenchmarkConfig:
                 raise ValueError(f"{key} must be >= {low}, got {value}")
         if self.alpha2 is not None and not self.alpha2 > 0:
             raise ValueError(f"alpha2 must be > 0, got {self.alpha2}")
+        if self.nn_widths:
+            try:
+                MlpControlFunction(list(self.nn_widths))
+            except ValueError as exc:
+                raise ValueError(f"nn_widths {self.nn_widths}: {exc}") from None
+            # an ingested file's dimension is only known once it is read
+            if kind != "ingest" and self.nn_widths[0] != _problem_dim(self.problem):
+                raise ValueError(
+                    f"nn_widths {self.nn_widths} must start with the problem's "
+                    f"dimension d={_problem_dim(self.problem)}"
+                )
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -202,7 +224,7 @@ def _kernel_params(config: BenchmarkConfig, train: ScoredSampleSet) -> BaseKerne
 
 def _linear_sgd(family, train: ScoredSampleSet, train_cfg: TrainConfig):
     report = sgd_train(family, train, train_cfg)
-    return family.build_cv(report.theta, report.offset), report.offset
+    return LinearCV(family, report.theta, report.offset), report.offset
 
 
 # Each fit takes (config, train, train_cfg) and returns (model, offset).
@@ -286,7 +308,12 @@ def run_repetition(config: BenchmarkConfig, rep: int) -> RepetitionResult:
             model, offset = _fit_model(config, train, rep)
             train_seconds = time.perf_counter() - t0
             t0 = time.perf_counter()
-            g_eval = model(eval_set.states, eval_set.scores)
+            # in row blocks, so no kernel Gram or network pass spans the eval set
+            x, s = eval_set.states, eval_set.scores
+            g_eval = np.concatenate([
+                model(x[lo : lo + _EVAL_BLOCK], s[lo : lo + _EVAL_BLOCK])
+                for lo in range(0, eval_set.n, _EVAL_BLOCK)
+            ])
             est = estimate_with_cv(eval_set.f_values, g_eval, offset)
             estimate_seconds = time.perf_counter() - t0
         abs_error = None if truth is None else abs(est.value - float(truth))
@@ -377,19 +404,22 @@ def emit_report(report: BenchmarkReport, path, fmt: str = "csv") -> None:
     if fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")
     cfg = report.config
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CSV_COLUMNS + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
         for r in report.results:
-            row = [
+            writer.writerow([
                 cfg.method,
                 report.problem_label,
-                str(report.d),
-                str(cfg.n),
-                str(cfg.m),
-                str(r.rep),
+                report.d,
+                cfg.n,
+                cfg.m,
+                r.rep,
                 _csv_cell(r.estimate),
                 _csv_cell(r.abs_error),
-                str(r.same_set),
+                r.same_set,
                 _csv_cell(r.train_seconds),
-            ]
-            fh.write(",".join(row) + "\n")
+                _csv_cell(r.estimate_seconds),
+                _csv_cell(r.residual_variance),
+                r.error or "",
+            ])

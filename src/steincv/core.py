@@ -12,6 +12,7 @@ __all__ = [
     "SplitIndex",
     "Estimate",
     "ProblemInstance",
+    "LinearCV",
     "SPLIT_POLICIES",
     "estimate_mc",
     "estimate_with_cv",
@@ -21,6 +22,10 @@ __all__ = [
 
 
 SPLIT_POLICIES = ("first_m", "random", "same_set")
+
+# Rows per block when a model is evaluated over many rows: bounds the
+# temporaries of a kernel Gram or a network pass at O(_EVAL_BLOCK) rows.
+_EVAL_BLOCK = 256
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -136,6 +141,34 @@ class ProblemInstance:
     def __post_init__(self):
         if self.true_integral is not None and not np.isfinite(self.true_integral):
             raise ValueError("true_integral must be finite when present")
+
+
+@dataclass(frozen=True)
+class LinearCV:
+    """Zero-mean control variate g(x) = theta . psi(x), linear in theta.
+
+    ``family`` gives the feature map psi: an object with ``n_params`` and
+    ``feature_matrix(states, scores) -> (n, n_params)``, whose columns are the
+    Langevin images of a fixed basis (polynomial, kernel or ensemble).
+    ``offset`` is the fitted constant, reported beside the estimate.
+    """
+
+    family: object
+    theta: np.ndarray
+    offset: float = 0.0
+
+    def __post_init__(self):
+        theta = np.asarray(self.theta, dtype=np.float64).reshape(-1)
+        if theta.shape[0] != self.family.n_params:
+            raise ValueError(
+                f"theta length {theta.shape[0]} must equal the family's n_params "
+                f"{self.family.n_params}"
+            )
+        _check_finite(theta, "theta")
+        object.__setattr__(self, "theta", theta)
+
+    def __call__(self, states: np.ndarray, scores: np.ndarray) -> np.ndarray:
+        return self.family.feature_matrix(states, scores) @ self.theta
 
 
 def _sample_variance(values: np.ndarray) -> float:

@@ -1,56 +1,30 @@
-"""Additive ensembles of a polynomial and one or more kernel control variates,
-with the closed-form saddle-point solve that interpolates the data while staying
-exact on the polynomial span."""
+"""Additive ensembles of a polynomial and one or more kernel control variates:
+the ensemble feature map (the polynomial basis beside kernel features against
+shared centers) and the closed-form saddle-point solve that interpolates the
+data while staying exact on the polynomial span. A fitted ensemble CV is a
+``core.LinearCV`` over ``EnsembleFamily``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import ScoredSampleSet
-from .kernels import (
-    BaseKernelParams,
-    KernelCV,
-    _solve_interpolant,
-    median_heuristic,
-    stein_kernel_gram,
-)
-from .poly import MultiIndexSet, PolynomialCV, stein_poly_basis
+from .core import LinearCV, ScoredSampleSet
+from .kernels import BaseKernelParams, _solve_interpolant, median_heuristic, stein_kernel_gram
+from .poly import MultiIndexSet, stein_poly_basis
 
 __all__ = [
-    "EnsembleCV",
     "EnsembleFamily",
     "fit_semi_exact",
     "build_multi_kernel_params",
 ]
 
 
-@dataclass(frozen=True)
-class EnsembleCV:
-    """Sum of a polynomial part and kernel parts sharing the same centers."""
-
-    poly_part: PolynomialCV
-    kernel_parts: tuple
-    offset: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "kernel_parts", tuple(self.kernel_parts))
-        for part in self.kernel_parts:
-            if part.centers.d != self.poly_part.multi_indices.d:
-                raise ValueError("all ensemble parts must share the dimension d")
-
-    def __call__(self, states: np.ndarray, scores: np.ndarray) -> np.ndarray:
-        out = self.poly_part(states, scores)
-        for part in self.kernel_parts:
-            out = out + part(states, scores)
-        return out
-
-
 class EnsembleFamily:
-    """Linear-in-theta view of the ensemble: concatenated polynomial basis and
-    kernel features against shared centers."""
+    """Feature map of the ensemble: the polynomial basis b(x) followed by, for
+    each kernel in ``kernel_params``, its kernel features against the shared
+    centers; theta is laid out in the same order."""
 
     def __init__(
         self,
@@ -58,6 +32,8 @@ class EnsembleFamily:
         kernel_params: tuple,
         centers: ScoredSampleSet,
     ):
+        if centers.d != multi_indices.d:
+            raise ValueError("all ensemble parts must share the dimension d")
         self.multi_indices = multi_indices
         self.kernel_params = tuple(kernel_params)
         self.centers = centers
@@ -72,15 +48,6 @@ class EnsembleFamily:
                 )
             )
         return np.concatenate(blocks, axis=1)
-
-    def build_cv(self, theta: np.ndarray, offset: float) -> EnsembleCV:
-        p = self.multi_indices.p
-        m = self.centers.n
-        parts = [
-            KernelCV(params, self.centers, theta[p + i * m : p + (i + 1) * m])
-            for i, params in enumerate(self.kernel_params)
-        ]
-        return EnsembleCV(PolynomialCV(self.multi_indices, theta[:p]), parts, offset)
 
 
 def _check_full_rank(b_mat: np.ndarray) -> None:
@@ -103,7 +70,7 @@ def fit_semi_exact(
     mi: MultiIndexSet,
     params: BaseKernelParams,
     jitter: Optional[float] = None,
-) -> EnsembleCV:
+) -> LinearCV:
     """Closed-form ensemble solve via the saddle-point system
 
         [K + eps*I   B] [theta_k]   [f]
@@ -115,7 +82,8 @@ def fit_semi_exact(
     lies in the span of {1, b_1, ..., b_p}; beta[0] is the constant offset.
     It is the Cholesky-Schur solve shared with ``fit_control_functional``:
     one Cholesky factorization of K + eps*I, then a (p+1, p+1) Schur system
-    for beta.
+    for beta. The control variate's theta is (beta[1:], theta_k), in the
+    layout of ``EnsembleFamily``.
     """
     if train.f_values is None:
         raise ValueError("training set must carry f_values")
@@ -127,9 +95,8 @@ def fit_semi_exact(
     b_mat = np.concatenate([np.ones((m, 1)), basis], axis=1)
     _check_full_rank(b_mat)
     theta_k, beta = _solve_interpolant(train, params, b_mat, jitter)
-    poly = PolynomialCV(mi, beta[1:])
-    kernel = KernelCV(params, ScoredSampleSet(train.states, train.scores), theta_k)
-    return EnsembleCV(poly, (kernel,), float(beta[0]))
+    family = EnsembleFamily(mi, (params,), ScoredSampleSet(train.states, train.scores))
+    return LinearCV(family, np.concatenate([beta[1:], theta_k]), float(beta[0]))
 
 
 def build_multi_kernel_params(

@@ -1,7 +1,8 @@
 """Kernel control variates: the inverse-quadratic-weighted Gaussian base kernel,
 its analytic derivatives, the zero-mean kernel obtained by applying the Langevin
-operator to both arguments, the closed-form interpolation solve, and the median
-heuristic for length-scales."""
+operator to both arguments, the kernel feature map (that kernel against a set
+of centers), the closed-form interpolation solve, and the median heuristic for
+length-scales. A fitted kernel CV is a ``core.LinearCV`` over ``KernelFamily``."""
 
 from __future__ import annotations
 
@@ -12,11 +13,10 @@ import numpy as np
 from scipy import linalg
 from scipy.spatial.distance import pdist
 
-from .core import ScoredSampleSet
+from .core import LinearCV, ScoredSampleSet
 
 __all__ = [
     "BaseKernelParams",
-    "KernelCV",
     "KernelFamily",
     "base_kernel",
     "base_kernel_derivatives",
@@ -175,35 +175,10 @@ def median_heuristic(states: np.ndarray) -> float:
     return float(np.sqrt(0.5 * med))
 
 
-@dataclass(frozen=True)
-class KernelCV:
-    """Kernel control variate g(x) = sum_i theta_i k0(x, x_i) over stored centers."""
-
-    params: BaseKernelParams
-    centers: ScoredSampleSet
-    theta: np.ndarray
-    offset: float = 0.0
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=np.float64).reshape(-1)
-        if theta.shape[0] != self.centers.n:
-            raise ValueError("theta length must equal the number of centers")
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("theta must be finite")
-        object.__setattr__(self, "theta", theta)
-
-    def __call__(self, states: np.ndarray, scores: np.ndarray) -> np.ndarray:
-        gram = stein_kernel_gram(
-            states, scores, self.centers.states, self.centers.scores, self.params
-        )
-        return gram @ self.theta
-
-
 class KernelFamily:
-    """Linear-in-theta view of the kernel family for SGD training.
-
-    Feature rows are kernel evaluations against the stored centers. When the
-    centers are as many as the training points, SGD computes them per batch
+    """Feature map psi_i(x) = k0(x, x_i) of the kernel family: the zero-mean
+    kernel against each stored center x_i, one column per center. When the
+    centers are as many as the training points, SGD computes the rows per batch
     (see ``training.LinearFeatureModel``), so one step costs O(batch * centers).
     """
 
@@ -216,9 +191,6 @@ class KernelFamily:
         return stein_kernel_gram(
             states, scores, self.centers.states, self.centers.scores, self.params
         )
-
-    def build_cv(self, theta: np.ndarray, offset: float) -> KernelCV:
-        return KernelCV(self.params, self.centers, theta, offset)
 
 
 def _solve_interpolant(train: ScoredSampleSet, params: BaseKernelParams, b_mat, jitter):
@@ -260,7 +232,7 @@ def fit_control_functional(
     train: ScoredSampleSet,
     params: BaseKernelParams,
     jitter: Optional[float] = None,
-) -> KernelCV:
+) -> LinearCV:
     """Closed-form kernel interpolant control variate.
 
     Solves K theta = f - c 1 subject to 1^T theta = 0, which gives
@@ -273,4 +245,5 @@ def fit_control_functional(
     if train.n < 2:
         raise ValueError("control functional needs at least 2 training samples")
     theta, beta = _solve_interpolant(train, params, np.ones((train.n, 1)), jitter)
-    return KernelCV(params, ScoredSampleSet(train.states, train.scores), theta, float(beta[0]))
+    centers = ScoredSampleSet(train.states, train.scores)
+    return LinearCV(KernelFamily(params, centers), theta, float(beta[0]))

@@ -59,8 +59,8 @@ class MlpControlFunction:
     biases: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
-        if len(self.widths) < 2 or self.widths[-1] != 1:
-            raise ValueError("widths must be [d, h_1, ..., 1]")
+        if len(self.widths) < 2 or self.widths[-1] != 1 or min(self.widths) < 1:
+            raise ValueError("widths must be [d, h_1, ..., 1] with every width >= 1")
         if self.activation not in ("tanh", "relu"):
             raise ValueError(f"unknown activation: {self.activation!r}")
         if not self.weights:

@@ -1,6 +1,7 @@
-"""Polynomial control variates: multi-index enumeration, the score-weighted basis
-obtained by pushing monomials through the Langevin operator, and the exact
-ridge-regularized least-squares solve."""
+"""Polynomial control variates: multi-index enumeration, the polynomial feature
+map (the score-weighted basis obtained by pushing monomials through the
+Langevin operator) and the exact ridge-regularized least-squares solve. A fitted
+polynomial CV is a ``core.LinearCV`` over ``PolynomialFamily``."""
 
 from __future__ import annotations
 
@@ -11,11 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .core import ScoredSampleSet
+from .core import LinearCV, ScoredSampleSet
 
 __all__ = [
     "MultiIndexSet",
-    "PolynomialCV",
     "PolynomialFamily",
     "enumerate_multi_indices",
     "stein_poly_basis",
@@ -129,28 +129,9 @@ def stein_poly_basis(
     return np.ascontiguousarray(stein[1:].T)
 
 
-@dataclass(frozen=True)
-class PolynomialCV:
-    """Zero-mean polynomial control variate g(x) = theta . b(x)."""
-
-    multi_indices: MultiIndexSet
-    theta: np.ndarray
-    offset: float = 0.0
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=np.float64).reshape(-1)
-        if theta.shape[0] != self.multi_indices.p:
-            raise ValueError("theta length must equal the basis size p")
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("theta must be finite")
-        object.__setattr__(self, "theta", theta)
-
-    def __call__(self, states: np.ndarray, scores: np.ndarray) -> np.ndarray:
-        return stein_poly_basis(states, scores, self.multi_indices) @ self.theta
-
-
 class PolynomialFamily:
-    """Linear-in-theta view of the polynomial family for SGD training."""
+    """Feature map psi(x) = b(x) of the polynomial family: the Langevin images
+    of the monomials x^alpha, one column per row of ``multi_indices``."""
 
     def __init__(self, multi_indices: MultiIndexSet):
         self.multi_indices = multi_indices
@@ -159,13 +140,10 @@ class PolynomialFamily:
     def feature_matrix(self, states: np.ndarray, scores: np.ndarray) -> np.ndarray:
         return stein_poly_basis(states, scores, self.multi_indices)
 
-    def build_cv(self, theta: np.ndarray, offset: float) -> PolynomialCV:
-        return PolynomialCV(self.multi_indices, theta, offset)
-
 
 def fit_poly_exact(
     train: ScoredSampleSet, mi: MultiIndexSet, ridge: float = 0.0
-) -> PolynomialCV:
+) -> LinearCV:
     """Exact solve of the least-squares objective over the polynomial family.
 
     Builds the centered second-moment matrix V and cross-moment vector C of the
@@ -196,4 +174,4 @@ def fit_poly_exact(
         raise
     theta = linalg.cho_solve(factor, c_hat)
     offset = float(np.mean(f - basis @ theta))
-    return PolynomialCV(mi, theta, offset)
+    return LinearCV(PolynomialFamily(mi), theta, offset)

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ScoredSampleSet, _check_config_keys
+from .core import _EVAL_BLOCK, ScoredSampleSet, _check_config_keys
 from .mlp import MlpControlFunction, cv_param_vjp, cv_values_with_cache
 
 __all__ = [
@@ -28,8 +28,6 @@ __all__ = [
 OBJECTIVES = ("least_squares", "variance")
 REGULARIZERS = ("l2_theta", "mean_g_squared")
 SCHEDULES = ("inverse_time", "constant")
-# rows per block when the full training set is evaluated after the SGD loop
-_EVAL_BLOCK = 256
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -35,11 +36,10 @@ def _small_config(method, **kw):
 
 
 def _csv_rows_without_timing(path):
-    rows = []
-    with open(path) as fh:
-        for line in fh.read().strip().splitlines():
-            rows.append(",".join(line.split(",")[:-1]))
-    return rows
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    timing = [i for i, name in enumerate(rows[0]) if name.endswith("_seconds")]
+    return [[cell for i, cell in enumerate(row) if i not in timing] for row in rows]
 
 
 class TestRunBenchmark:
@@ -89,6 +89,34 @@ class TestRunBenchmark:
         assert report.mae is None
         assert all("n=999" in r.error for r in report.results)
 
+    @pytest.mark.parametrize("method", ["kernel_exact", "nn_sgd"])
+    def test_evaluation_runs_in_row_blocks(self, method, monkeypatch):
+        from steincv import bench, kernels, mlp
+
+        rows, in_eval = [], [False]
+        fit = bench._fit_model
+
+        def fit_then_flag(*args):
+            model = fit(*args)
+            in_eval[0] = True
+            return model
+
+        def recording(fn, rows_arg):
+            def wrapped(*args, **kwargs):
+                if in_eval[0]:
+                    rows.append(np.shape(args[rows_arg])[0])
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(bench, "_fit_model", fit_then_flag)
+        monkeypatch.setattr(kernels, "stein_kernel_gram", recording(kernels.stein_kernel_gram, 0))
+        monkeypatch.setattr(mlp, "cv_values", recording(mlp.cv_values, 1))
+        result = run_repetition(_small_config(method, n=1200, m=100, nn_widths=[1, 6, 1]), 0)
+        assert result.error is None
+        assert sum(rows) == 1100
+        assert max(rows) <= 256
+
     def test_parallel_matches_serial(self):
         cfg = _small_config("poly_exact", repetitions=3)
         serial = run_benchmark(cfg)
@@ -134,6 +162,11 @@ class TestRunBenchmark:
             ("jitter", -1e-8),
             ("ridge", float("nan")),
             ("problem", {"problem": "bogus"}),
+            ("problem", {"problem": "genz", "d": 1}),
+            ("problem", {"problem": "genz", "kind": "bogus", "d": 1}),
+            ("nn_widths", [1, 5, 2]),
+            ("nn_widths", [3, 5, 1]),
+            ("nn_widths", [1, 0, 1]),
         ],
     )
     def test_bad_field_rejected_at_load(self, field, value):
@@ -181,14 +214,35 @@ class TestReports:
         path = tmp_path / "out.csv"
         emit_report(report, path, "csv")
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "method,problem,d,n,m,rep,estimate,abs_error,same_set,train_seconds"
+        assert lines[0] == (
+            "method,problem,d,n,m,rep,estimate,abs_error,same_set,train_seconds,"
+            "estimate_seconds,residual_variance,error"
+        )
         assert len(lines) == 5
         assert lines[1].startswith("mc,genz:product_peak,1,120,60,0,")
         assert [line.split(",")[8] for line in lines[1:]] == ["False"] * 4
+        for line, result in zip(lines[1:], report.results):
+            cells = line.split(",")
+            assert float(cells[11]) == result.residual_variance
+            assert cells[12] == ""  # no error
         same_set = run_benchmark(_small_config("poly_exact", split="same_set", m=120))
         emit_report(same_set, path, "csv")
         rows = path.read_text().strip().splitlines()[1:]
         assert [row.split(",")[8] for row in rows] == ["True"] * 2
+
+    def test_csv_error_text_stays_one_cell(self, tmp_path):
+        # n = m with a disjoint split leaves no eval rows, so every repetition
+        # fails with "states must be a non-empty (n, d) matrix"
+        report = run_benchmark(_small_config("poly_exact", n=60, m=60))
+        assert report.n_failures == 2
+        path = tmp_path / "out.csv"
+        emit_report(report, path, "csv")
+        with open(path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        errors = [r.error for r in report.results]
+        assert all("," in e for e in errors)
+        assert all(len(row) == len(header) for row in rows)
+        assert [row[header.index("error")] for row in rows] == errors
 
     def test_abs_error_empty_when_truth_unknown(self, tmp_path):
         csv = tmp_path / "in.csv"

@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from steincv.core import estimate_with_cv
-from steincv.ensemble import (
-    EnsembleCV,
-    EnsembleFamily,
-    build_multi_kernel_params,
-    fit_semi_exact,
-)
-from steincv.kernels import BaseKernelParams, KernelCV, median_heuristic
-from steincv.poly import PolynomialCV, enumerate_multi_indices
+from steincv.core import LinearCV, estimate_with_cv
+from steincv.ensemble import EnsembleFamily, build_multi_kernel_params, fit_semi_exact
+from steincv.kernels import BaseKernelParams, KernelFamily, median_heuristic
+from steincv.poly import PolynomialFamily, enumerate_multi_indices
 from steincv.problems import GenzProblem
 from steincv.targets import GaussianTarget, sample_target
 from steincv.training import TrainConfig, objective_least_squares, sgd_train
@@ -23,9 +18,8 @@ def _train_set(d, n, seed, f):
 
 def _zero_ensemble(d, centers, params):
     mi = enumerate_multi_indices(d, 2)
-    poly = PolynomialCV(mi, np.zeros(mi.p))
-    kernel = KernelCV(params, centers, np.zeros(centers.n))
-    return EnsembleCV(poly, (kernel,)), mi
+    fam = EnsembleFamily(mi, (params,), centers)
+    return LinearCV(fam, np.zeros(fam.n_params)), mi
 
 
 class TestEnsembleEval:
@@ -41,11 +35,14 @@ class TestEnsembleEval:
         params = BaseKernelParams(0.1, 1.0)
         mi = enumerate_multi_indices(2, 2)
         theta_p = rng.normal(size=mi.p)
-        poly = PolynomialCV(mi, theta_p)
-        cv = EnsembleCV(poly, (KernelCV(params, train, np.zeros(train.n)),))
+        poly = LinearCV(PolynomialFamily(mi), theta_p)
+        fam = EnsembleFamily(mi, (params,), train)
+        cv = LinearCV(fam, np.concatenate([theta_p, np.zeros(train.n)]))
         pts = _train_set(2, 8, 2, lambda x: x.sum(axis=1))
-        np.testing.assert_array_equal(
-            cv(pts.states, pts.scores), poly(pts.states, pts.scores)
+        # one dot product over the concatenated features: the zero kernel terms
+        # add nothing, but the summation order, and so the last bit, may differ
+        np.testing.assert_allclose(
+            cv(pts.states, pts.scores), poly(pts.states, pts.scores), rtol=1e-14, atol=0
         )
 
     def test_sum_of_parts(self):
@@ -53,9 +50,10 @@ class TestEnsembleEval:
         train = _train_set(2, 12, 3, lambda x: x.sum(axis=1))
         params = BaseKernelParams(0.1, 1.0)
         mi = enumerate_multi_indices(2, 2)
-        poly = PolynomialCV(mi, rng.normal(size=mi.p))
-        kernel = KernelCV(params, train, rng.normal(size=train.n))
-        cv = EnsembleCV(poly, (kernel,))
+        theta_p, theta_k = rng.normal(size=mi.p), rng.normal(size=train.n)
+        poly = LinearCV(PolynomialFamily(mi), theta_p)
+        kernel = LinearCV(KernelFamily(params, train), theta_k)
+        cv = LinearCV(EnsembleFamily(mi, (params,), train), np.concatenate([theta_p, theta_k]))
         pts = _train_set(2, 6, 4, lambda x: x.sum(axis=1))
         np.testing.assert_allclose(
             cv(pts.states, pts.scores),
@@ -71,10 +69,15 @@ class TestEnsembleEval:
         rng = np.random.default_rng(6)
         ta, tb = rng.normal(size=fam.n_params), rng.normal(size=fam.n_params)
         pts = _train_set(2, 7, 7, lambda x: x.sum(axis=1))
-        ga = fam.build_cv(ta, 0.0)(pts.states, pts.scores)
-        gb = fam.build_cv(tb, 0.0)(pts.states, pts.scores)
-        gsum = fam.build_cv(ta + tb, 0.0)(pts.states, pts.scores)
+        ga = LinearCV(fam, ta)(pts.states, pts.scores)
+        gb = LinearCV(fam, tb)(pts.states, pts.scores)
+        gsum = LinearCV(fam, ta + tb)(pts.states, pts.scores)
         np.testing.assert_allclose(gsum, ga + gb, atol=1e-10)
+
+    def test_family_rejects_centers_of_another_dimension(self):
+        centers = _train_set(3, 10, 21, lambda x: x.sum(axis=1))
+        with pytest.raises(ValueError, match="share the dimension d"):
+            EnsembleFamily(enumerate_multi_indices(2, 2), (BaseKernelParams(0.1, 1.0),), centers)
 
 
 class TestSemiExactSolve:
@@ -97,12 +100,13 @@ class TestSemiExactSolve:
     def test_constant_integrand(self):
         train = _train_set(2, 80, 11, lambda x: np.full(x.shape[0], 1.75))
         params = BaseKernelParams(0.01, 1.0)
-        cv = fit_semi_exact(train, enumerate_multi_indices(2, 2), params)
+        mi = enumerate_multi_indices(2, 2)
+        cv = fit_semi_exact(train, mi, params)
         assert cv.offset == pytest.approx(1.75, abs=1e-8)
-        assert np.max(np.abs(cv.poly_part.theta)) <= 1e-8
+        assert np.max(np.abs(cv.theta[: mi.p])) <= 1e-8
         # kernel coefficients carry near-null-space solver noise; the CV itself
         # must vanish
-        assert np.max(np.abs(cv.kernel_parts[0].theta)) <= 1e-6
+        assert np.max(np.abs(cv.theta[mi.p :])) <= 1e-6
         g = cv(train.states, train.scores)
         assert np.max(np.abs(g)) <= 1e-8
 
@@ -119,7 +123,7 @@ class TestSemiExactSolve:
             axis=1,
         )
         np.testing.assert_allclose(
-            b_mat.T @ cv.kernel_parts[0].theta, np.zeros(mi.p + 1), atol=1e-8
+            b_mat.T @ cv.theta[mi.p :], np.zeros(mi.p + 1), atol=1e-8
         )
 
     def test_row_permutation_invariance(self):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import linalg
 
+from steincv.core import LinearCV
 from steincv.kernels import (
     BaseKernelParams,
-    KernelCV,
     KernelFamily,
     base_kernel,
     base_kernel_derivatives,
@@ -189,26 +189,24 @@ class TestKernelCVEval:
     def test_zero_theta(self):
         target = GaussianTarget(np.zeros(1), 1.0)
         centers = sample_target(target, 5, seed=8)
-        cv = KernelCV(BaseKernelParams(0.1, 1.0), centers, np.zeros(5))
+        cv = LinearCV(KernelFamily(BaseKernelParams(0.1, 1.0), centers), np.zeros(5))
         assert np.all(cv(centers.states, centers.scores) == 0.0)
 
     def test_diagonal_positive(self):
         target = GaussianTarget(np.zeros(1), 1.0)
         center = sample_target(target, 1, seed=9)
-        cv = KernelCV(BaseKernelParams(0.1, 1.0), center, np.ones(1))
+        cv = LinearCV(KernelFamily(BaseKernelParams(0.1, 1.0), center), np.ones(1))
         assert cv(center.states, center.scores)[0] > 0.0
 
     def test_linear_in_theta(self):
         target = GaussianTarget(np.zeros(2), 1.0)
         centers = sample_target(target, 10, seed=10)
         pts = sample_target(target, 6, seed=11)
-        params = BaseKernelParams(0.1, 1.0)
+        fam = KernelFamily(BaseKernelParams(0.1, 1.0), centers)
         rng = np.random.default_rng(12)
         t1, t2 = rng.normal(size=10), rng.normal(size=10)
-        lhs = KernelCV(params, centers, t1 + t2)(pts.states, pts.scores)
-        rhs = KernelCV(params, centers, t1)(pts.states, pts.scores) + KernelCV(
-            params, centers, t2
-        )(pts.states, pts.scores)
+        lhs = LinearCV(fam, t1 + t2)(pts.states, pts.scores)
+        rhs = LinearCV(fam, t1)(pts.states, pts.scores) + LinearCV(fam, t2)(pts.states, pts.scores)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 

@@ -231,6 +231,8 @@ class TestCheckpoint:
             MlpControlFunction([3, 4, 1], "sigmoid")
         with pytest.raises(ValueError):
             MlpControlFunction([2, 1], "tanh", [np.array([[np.inf, 0.0]])], [np.zeros(1)])
+        with pytest.raises(ValueError, match="width >= 1"):
+            MlpControlFunction.initialize([1, 0, 1])  # an empty hidden layer
 
     def test_initialize_deterministic(self):
         a = MlpControlFunction.initialize([2, 5, 1], seed=7)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steincv.core import LinearCV
 from steincv.poly import (
     MultiIndexSet,
-    PolynomialCV,
     PolynomialFamily,
     enumerate_multi_indices,
     fit_poly_exact,
@@ -196,12 +196,12 @@ class TestRecursion:
 class TestPolynomialCV:
     def test_zero_theta(self):
         mi = enumerate_multi_indices(2, 2)
-        cv = PolynomialCV(mi, np.zeros(mi.p))
+        cv = LinearCV(PolynomialFamily(mi), np.zeros(mi.p))
         assert np.all(cv(np.ones((3, 2)), np.ones((3, 2))) == 0.0)
 
     def test_negative_unit_theta_reproduces_x(self):
         mi = enumerate_multi_indices(1, 1)
-        cv = PolynomialCV(mi, np.array([-1.0]))
+        cv = LinearCV(PolynomialFamily(mi), np.array([-1.0]))
         xs = np.linspace(-2, 2, 5)[:, None]
         np.testing.assert_allclose(cv(xs, -xs), xs[:, 0])
 
@@ -211,16 +211,16 @@ class TestPolynomialCV:
         t1, t2 = rng.normal(size=mi.p), rng.normal(size=mi.p)
         x = rng.normal(size=(6, 2))
         s = rng.normal(size=(6, 2))
-        lhs = PolynomialCV(mi, t1 + t2)(x, s)
-        rhs = PolynomialCV(mi, t1)(x, s) + PolynomialCV(mi, t2)(x, s)
+        lhs = LinearCV(PolynomialFamily(mi), t1 + t2)(x, s)
+        rhs = LinearCV(PolynomialFamily(mi), t1)(x, s) + LinearCV(PolynomialFamily(mi), t2)(x, s)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_theta_validated(self):
         mi = enumerate_multi_indices(2, 1)
         with pytest.raises(ValueError):
-            PolynomialCV(mi, np.zeros(5))
+            LinearCV(PolynomialFamily(mi), np.zeros(5))
         with pytest.raises(ValueError):
-            PolynomialCV(mi, np.array([np.nan, 0.0]))
+            LinearCV(PolynomialFamily(mi), np.array([np.nan, 0.0]))
 
 
 class TestExactSolve:
@@ -294,8 +294,3 @@ class TestFamily:
         x, s = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
         np.testing.assert_array_equal(fam.feature_matrix(x, s), stein_poly_basis(x, s, mi))
         assert fam.n_params == mi.p
-
-    def test_build_cv(self):
-        mi = enumerate_multi_indices(1, 1)
-        cv = PolynomialFamily(mi).build_cv(np.array([2.0]), 0.5)
-        assert cv.offset == 0.5
