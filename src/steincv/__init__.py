@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .core import (
     Estimate,
     LinearCV,
-    ProblemInstance,
     ScoredSampleSet,
     SplitIndex,
     estimate_mc,
@@ -60,8 +59,10 @@ from .problems import (
     GenzProblem,
     GpProblem,
     PolynomialIntegrand,
+    Problem,
     gp_double_integral,
     gp_mean_embedding,
+    parse_problem,
     sample_gp_problem,
     standard_normal_cdf,
 )

@@ -21,6 +21,7 @@ from .core import (
     LinearCV,
     ScoredSampleSet,
     _check_config_keys,
+    _derived_seed,
     estimate_mc,
     estimate_with_cv,
     split_samples,
@@ -29,8 +30,7 @@ from .ensemble import EnsembleFamily, build_multi_kernel_params, fit_semi_exact
 from .kernels import BaseKernelParams, KernelFamily, fit_control_functional, median_heuristic
 from .mlp import MlpControlFunction
 from .poly import PolynomialFamily, enumerate_multi_indices, fit_poly_exact
-from .problems import GENZ_KINDS, gp_spec_mixture, problem_instance_from_spec, sample_gp_problem
-from .targets import load_scored_samples, sample_target
+from .problems import parse_problem
 from .training import TrainConfig, sgd_train
 
 __all__ = [
@@ -48,18 +48,12 @@ CSV_COLUMNS = (
     "method", "problem", "d", "n", "m", "rep", "estimate", "abs_error", "same_set",
     "train_seconds", "estimate_seconds", "residual_variance", "error",
 )
-# the problem kinds `_materialize` knows
-_PROBLEM_KINDS = ("genz", "poly", "gp", "ingest")
-
-
-def _derived_seed(seed: int, tag: int) -> int:
-    """Independent 64-bit stream seeds for the distinct random uses of one repetition."""
-    return int(np.random.SeedSequence([int(seed), int(tag)]).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    """One benchmark: a problem spec, an estimation method, sizes and seeds."""
+    """One benchmark: a problem spec, parsed once on construction by
+    ``problems.parse_problem``, an estimation method, sizes and seeds."""
 
     problem: dict
     method: str
@@ -89,14 +83,10 @@ class BenchmarkConfig:
             raise ValueError(f"unknown split {self.split!r}; choose from {SPLIT_POLICIES}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        kind = self.problem.get("problem")
-        if kind not in _PROBLEM_KINDS:
-            raise ValueError(f"unknown problem {kind!r}; choose from {_PROBLEM_KINDS}")
-        if kind == "genz" and self.problem.get("kind") not in GENZ_KINDS:
-            raise ValueError(
-                f"problem kind {self.problem.get('kind')!r} is not a Genz kind; "
-                f"choose from {GENZ_KINDS}"
-            )
+        problem = parse_problem(self.problem)
+        object.__setattr__(self, "_problem", problem)
+        if problem.n not in (None, self.n):
+            raise ValueError(f"n={self.n} but the ingested file has {problem.n} rows")
         # the bounds are written so that NaN fails them; None keeps the default rule
         for key, low in (("degree", 1), ("ridge", 0), ("alpha1", 0), ("jitter", 0)):
             value = getattr(self, key)
@@ -109,11 +99,10 @@ class BenchmarkConfig:
                 MlpControlFunction(list(self.nn_widths))
             except ValueError as exc:
                 raise ValueError(f"nn_widths {self.nn_widths}: {exc}") from None
-            # an ingested file's dimension is only known once it is read
-            if kind != "ingest" and self.nn_widths[0] != _problem_dim(self.problem):
+            if self.nn_widths[0] != problem.d:
                 raise ValueError(
                     f"nn_widths {self.nn_widths} must start with the problem's "
-                    f"dimension d={_problem_dim(self.problem)}"
+                    f"dimension d={problem.d}"
                 )
 
     def to_dict(self) -> dict:
@@ -156,65 +145,9 @@ class BenchmarkReport:
     version: str = __version__
 
 
-def _problem_label(spec: dict) -> str:
-    name = spec.get("problem", "?")
-    if name == "genz":
-        return f"genz:{spec.get('kind', '?')}"
-    return str(name)
-
-
-def _problem_dim(spec: dict) -> int:
-    name = spec.get("problem")
-    if name == "genz":
-        return int(spec.get("d", len(np.atleast_1d(spec.get("a", [5.0])))))
-    if name == "poly":
-        return int(np.atleast_2d(spec["alpha"]).shape[1])
-    if name == "gp":
-        return int(spec.get("d", 1))
-    # ingest, the last of the _PROBLEM_KINDS a config admits
-    with open(spec["path"], "r", encoding="utf-8") as fh:
-        header = fh.readline().split(",")
-    return sum(1 for c in header if c.strip().startswith("x_"))
-
-
 def _materialize(config: BenchmarkConfig, rep: int):
-    """Build the repetition's scored sample set with f values and the truth if known."""
-    spec = config.problem
-    data_seed = _derived_seed(config.base_seed + rep, 0)
-    name = spec.get("problem")
-    if name in ("genz", "poly"):
-        instance = problem_instance_from_spec(spec)
-        samples = sample_target(instance.target, config.n, data_seed)
-        samples = samples.with_f_values(instance.test_function(samples.states))
-        return samples, instance.true_integral
-    if name == "gp":
-        mix_seed = (
-            _derived_seed(config.base_seed + rep, 3)
-            if spec.get("mixture") is None
-            else 0
-        )
-        mixture = gp_spec_mixture(spec, mix_seed)
-        samples = sample_target(mixture, config.n, data_seed)
-        gp = sample_gp_problem(
-            samples.states,
-            mixture,
-            float(spec.get("lam", 1.0)),
-            float(spec.get("sigma", 1.0)),
-            _derived_seed(config.base_seed + rep, 1),
-            spec.get("jitter"),
-        )
-        return samples.with_f_values(gp.f_values), gp.true_integral
-    # ingest, the last of the _PROBLEM_KINDS a config admits
-    samples = load_scored_samples(spec["path"], f_column=True)
-    if samples.n != config.n:
-        raise ValueError(
-            f"ingested file has n={samples.n} rows but the config says n={config.n}"
-        )
-    return samples, spec.get("true_integral")
-
-
-def _multi_indices(config: BenchmarkConfig, train: ScoredSampleSet):
-    return enumerate_multi_indices(train.d, config.degree)
+    """The repetition's scored sample set with f values, and the truth if known."""
+    return config._problem.draw(config.n, config.base_seed + rep)
 
 
 def _kernel_params(config: BenchmarkConfig, train: ScoredSampleSet) -> BaseKernelParams:
@@ -229,11 +162,12 @@ def _linear_sgd(family, train: ScoredSampleSet, train_cfg: TrainConfig):
 
 # Each fit takes (config, train, train_cfg) and returns (model, offset).
 def _fit_poly_sgd(config, train, train_cfg):
-    return _linear_sgd(PolynomialFamily(_multi_indices(config, train)), train, train_cfg)
+    family = PolynomialFamily(enumerate_multi_indices(train.d, config.degree))
+    return _linear_sgd(family, train, train_cfg)
 
 
 def _fit_poly_exact(config, train, train_cfg):
-    cv = fit_poly_exact(train, _multi_indices(config, train), config.ridge)
+    cv = fit_poly_exact(train, enumerate_multi_indices(train.d, config.degree), config.ridge)
     return cv, cv.offset
 
 
@@ -259,12 +193,12 @@ def _fit_ensemble_sgd(config, train, train_cfg):
         params = build_multi_kernel_params(train.states, config.alpha1)
     else:
         params = (_kernel_params(config, train),)
-    family = EnsembleFamily(_multi_indices(config, train), params, train)
+    family = EnsembleFamily(enumerate_multi_indices(train.d, config.degree), params, train)
     return _linear_sgd(family, train, train_cfg)
 
 
 def _fit_ensemble_exact(config, train, train_cfg):
-    mi = _multi_indices(config, train)
+    mi = enumerate_multi_indices(train.d, config.degree)
     cv = fit_semi_exact(train, mi, _kernel_params(config, train), config.jitter)
     return cv, cv.offset
 
@@ -333,8 +267,8 @@ def run_repetition(config: BenchmarkConfig, rep: int) -> RepetitionResult:
         return RepetitionResult(rep=rep, error=f"{type(exc).__name__}: {exc}")
 
 
-def _rep_worker(config_dict: dict, rep: int) -> RepetitionResult:
-    result = run_repetition(BenchmarkConfig.from_dict(config_dict), rep)
+def _rep_worker(config: BenchmarkConfig, rep: int) -> RepetitionResult:
+    result = run_repetition(config, rep)
     result.model = None  # keep cross-process payloads small
     return result
 
@@ -349,7 +283,8 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     reps = range(config.repetitions)
     if config.workers > 1 and config.repetitions > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_rep_worker, [config.to_dict()] * config.repetitions, reps))
+            # the config travels parsed, so no worker reads the spec's file again
+            results = list(pool.map(_rep_worker, [config] * config.repetitions, reps))
     else:
         results = [run_repetition(config, rep) for rep in reps]
     good = [r for r in results if r.error is None]
@@ -364,8 +299,8 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
         mean_estimate=mean_est,
         mean_train_seconds=mean_train,
         n_failures=len(results) - len(good),
-        problem_label=_problem_label(config.problem),
-        d=_problem_dim(config.problem),
+        problem_label=config._problem.label,
+        d=config._problem.d,
     )
 
 

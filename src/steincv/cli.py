@@ -6,11 +6,13 @@ Exit code 0 on success, 2 when any repetition failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .bench import BenchmarkConfig, BenchmarkReport, METHODS, emit_report, run_benchmark
 from .core import SPLIT_POLICIES
+from .problems import parse_problem
 from .training import OBJECTIVES, REGULARIZERS, TrainConfig
 
 
@@ -23,50 +25,47 @@ def _load_json_arg(value: str):
         return json.load(fh)
 
 
-def _add_train_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--objective", default="least_squares", choices=OBJECTIVES)
-    parser.add_argument("--regularizer", default="l2_theta", choices=REGULARIZERS)
-    parser.add_argument("--lam", type=float, default=0.0, help="regularization strength")
-    parser.add_argument("--batch-size", type=int, default=8)
-    parser.add_argument("--epochs", type=int, default=25)
-    parser.add_argument("--beta", type=float, default=None,
-                        help="inverse-time schedule scale (default: data-driven)")
-    parser.add_argument("--gamma", type=float, default=10.0)
-    parser.add_argument("--train-seed", type=int, default=0)
-
-
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        objective=args.objective,
-        regularizer=args.regularizer,
-        lam=args.lam,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        beta=args.beta,
-        gamma=args.gamma,
-        seed=args.train_seed,
-    )
-
-
-def _add_method_args(parser: argparse.ArgumentParser, m_default=500, reps_default=20) -> None:
+def _add_config_args(parser: argparse.ArgumentParser) -> None:
+    """The flags of `run` and `ingest`; each ``dest`` is a field of
+    ``BenchmarkConfig`` or ``TrainConfig``, whose defaults apply to a flag
+    not given (the parsers suppress argparse defaults)."""
     parser.add_argument("--method", required=True, choices=METHODS)
-    parser.add_argument("--n", type=int, default=1000)
-    parser.add_argument("--m", type=int, default=m_default,
-                        help="training-set size (ingest default: half the file)")
-    parser.add_argument("--split", default="first_m", choices=SPLIT_POLICIES)
-    parser.add_argument("--reps", type=int, default=reps_default)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--degree", type=int, default=2, help="polynomial total degree")
-    parser.add_argument("--alpha1", type=float, default=0.01)
-    parser.add_argument("--alpha2", type=float, default=None,
+    parser.add_argument("--n", type=int)
+    parser.add_argument("--m", type=int, help="training-set size (ingest default: half the file)")
+    parser.add_argument("--split", choices=SPLIT_POLICIES)
+    parser.add_argument("--reps", type=int, dest="repetitions")
+    parser.add_argument("--seed", type=int, dest="base_seed")
+    parser.add_argument("--degree", type=int, help="polynomial total degree")
+    parser.add_argument("--alpha1", type=float)
+    parser.add_argument("--alpha2", type=float,
                         help="kernel length-scale (default: median heuristic)")
-    parser.add_argument("--ridge", type=float, default=0.0)
-    parser.add_argument("--jitter", type=float, default=None)
+    parser.add_argument("--ridge", type=float)
+    parser.add_argument("--jitter", type=float)
     parser.add_argument("--multi-kernel", action="store_true",
                         help="ensemble with two median-heuristic kernels")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int)
+    parser.add_argument("--objective", choices=OBJECTIVES)
+    parser.add_argument("--regularizer", choices=REGULARIZERS)
+    parser.add_argument("--lam", type=float, help="regularization strength")
+    parser.add_argument("--batch-size", type=int)
+    parser.add_argument("--epochs", type=int)
+    parser.add_argument("--beta", type=float,
+                        help="inverse-time schedule scale (default: data-driven)")
+    parser.add_argument("--gamma", type=float)
+    parser.add_argument("--train-seed", type=int, dest="seed")
     parser.add_argument("--out", default=None, help="report path (.csv or .json)")
     parser.add_argument("--format", default=None, choices=("csv", "json"))
+
+
+def _given(args, cls) -> dict:
+    """The flags given on the command line that set a field of ``cls``."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if hasattr(args, f.name)}
+
+
+def _benchmark_config(args, problem: dict, **defaults) -> BenchmarkConfig:
+    """The config of `run` and `ingest`: their given flags over ``defaults``."""
+    given = {**defaults, **_given(args, BenchmarkConfig), "problem": problem}
+    return BenchmarkConfig(**given, train=TrainConfig(**_given(args, TrainConfig)))
 
 
 def _emit_and_summarize(report: BenchmarkReport, out, fmt) -> int:
@@ -89,44 +88,18 @@ def _emit_and_summarize(report: BenchmarkReport, out, fmt) -> int:
     return 2 if report.n_failures else 0
 
 
-def _cmd_bench(args) -> int:
-    config = BenchmarkConfig.from_dict(_load_json_arg(args.config))
-    return _emit_and_summarize(run_benchmark(config), args.out, args.format)
+def _bench_config(args) -> BenchmarkConfig:
+    return BenchmarkConfig.from_dict(_load_json_arg(args.config))
 
 
-def _benchmark_config(args, problem: dict, n: int, m: int) -> BenchmarkConfig:
-    """The config of `run` and `ingest` from their shared method and training flags."""
-    return BenchmarkConfig(
-        problem=problem,
-        method=args.method,
-        n=n,
-        m=m,
-        split=args.split,
-        train=_train_config(args),
-        repetitions=args.reps,
-        base_seed=args.seed,
-        degree=args.degree,
-        alpha1=args.alpha1,
-        alpha2=args.alpha2,
-        ridge=args.ridge,
-        jitter=args.jitter,
-        multi_kernel=args.multi_kernel,
-        workers=args.workers,
-    )
+def _run_config(args) -> BenchmarkConfig:
+    return _benchmark_config(args, _load_json_arg(args.problem))
 
 
-def _cmd_run(args) -> int:
-    config = _benchmark_config(args, _load_json_arg(args.problem), args.n, args.m)
-    return _emit_and_summarize(run_benchmark(config), args.out, args.format)
-
-
-def _cmd_ingest(args) -> int:
-    from .targets import load_scored_samples
-
-    samples = load_scored_samples(args.samples, f_column=True)
-    m = args.m if args.m is not None else samples.n // 2
-    config = _benchmark_config(args, {"problem": "ingest", "path": args.samples}, samples.n, m)
-    return _emit_and_summarize(run_benchmark(config), args.out, args.format)
+def _ingest_config(args) -> BenchmarkConfig:
+    problem = {"problem": "ingest", "path": args.samples}
+    n = args.n if "n" in args else parse_problem(problem).n
+    return _benchmark_config(args, problem, n=n, m=n // 2, repetitions=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,26 +113,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--config", required=True, help="path to a BenchmarkConfig JSON")
     p_bench.add_argument("--out", default=None)
     p_bench.add_argument("--format", default=None, choices=("csv", "json"))
-    p_bench.set_defaults(func=_cmd_bench)
+    p_bench.set_defaults(config_of=_bench_config)
 
-    p_run = sub.add_parser("run", help="run a method on a problem spec")
+    p_run = sub.add_parser("run", help="run a method on a problem spec",
+                           argument_default=argparse.SUPPRESS)
     p_run.add_argument("--problem", required=True,
                        help="problem spec: JSON file path or inline JSON")
-    _add_method_args(p_run)
-    _add_train_args(p_run)
-    p_run.set_defaults(func=_cmd_run)
+    _add_config_args(p_run)
+    p_run.set_defaults(config_of=_run_config)
 
-    p_ingest = sub.add_parser("ingest", help="estimate from an externally scored CSV")
+    p_ingest = sub.add_parser("ingest", help="estimate from an externally scored CSV",
+                              argument_default=argparse.SUPPRESS)
     p_ingest.add_argument("--samples", required=True, help="scored-sample CSV path")
-    _add_method_args(p_ingest, m_default=None, reps_default=1)
-    _add_train_args(p_ingest)
-    p_ingest.set_defaults(func=_cmd_ingest)
+    _add_config_args(p_ingest)
+    p_ingest.set_defaults(config_of=_ingest_config)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    return _emit_and_summarize(run_benchmark(args.config_of(args)), args.out, args.format)
 
 
 if __name__ == "__main__":

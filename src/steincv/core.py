@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -11,7 +11,6 @@ __all__ = [
     "ScoredSampleSet",
     "SplitIndex",
     "Estimate",
-    "ProblemInstance",
     "LinearCV",
     "SPLIT_POLICIES",
     "estimate_mc",
@@ -44,6 +43,11 @@ def _check_config_keys(cls, obj: dict) -> None:
     unknown = sorted(set(obj) - set(valid))
     if unknown:
         raise ValueError(f"unknown {cls.__name__} field(s) {unknown}; valid fields: {valid}")
+
+
+def _derived_seed(seed: int, tag: int) -> int:
+    """Independent 64-bit stream seeds for the distinct random uses of one repetition."""
+    return int(np.random.SeedSequence([int(seed), int(tag)]).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -124,23 +128,6 @@ class Estimate:
     residual_sample_variance: float
     n_eval: int
     offset: float = 0.0
-
-
-@dataclass(frozen=True)
-class ProblemInstance:
-    """A test function, the distribution it is integrated against, and the exact
-    integral when analytically known.
-
-    ``target`` must expose ``dim``, ``score(states)`` and ``sample(count, seed)``.
-    """
-
-    test_function: Callable[[np.ndarray], np.ndarray]
-    target: object
-    true_integral: Optional[float] = None
-
-    def __post_init__(self):
-        if self.true_integral is not None and not np.isfinite(self.true_integral):
-            raise ValueError("true_integral must be finite when present")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ polynomial CV is a ``core.LinearCV`` over ``PolynomialFamily``."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .core import LinearCV, ScoredSampleSet
+from .core import LinearCV, ScoredSampleSet, _freeze
 
 __all__ = [
     "MultiIndexSet",
@@ -72,7 +73,8 @@ def _degree_recursion(alpha: np.ndarray) -> tuple:
     levels = []
     for _, level in itertools.groupby(table, key=lambda t: t[0]):
         _, rows, *index_cols, two_beta = map(np.array, zip(*level))
-        levels.append((slice(rows[0], rows[-1] + 1), *index_cols, two_beta[:, None]))
+        tables = (*index_cols, two_beta[:, None])
+        levels.append((slice(rows[0], rows[-1] + 1), *map(_freeze, tables)))
     return tuple(levels)
 
 
@@ -85,14 +87,19 @@ def enumerate_multi_indices(d: int, k: int) -> MultiIndexSet:
         raise ValueError(
             f"basis size C({d + k},{d}) - 1 = {p} exceeds the supported limit {_MAX_BASIS_SIZE}"
         )
+    return _multi_index_set(int(d), int(k))
+
+
+@functools.lru_cache(maxsize=16)
+def _multi_index_set(d: int, k: int) -> MultiIndexSet:
+    """The set of ``enumerate_multi_indices``, built once per (d, k) and shared
+    by every caller, so its arrays are read-only."""
     # each degree's indices are the last degree's plus one unit vector, sorted
     rows, level = [], [(0,) * d]
     for _ in range(k):
         level = sorted({r[:i] + (r[i] + 1,) + r[i + 1 :] for r in level for i in range(d)})
         rows += level
-    alpha = np.asarray(rows, dtype=np.int64)
-    assert alpha.shape[0] == p
-    return MultiIndexSet(alpha, k)
+    return MultiIndexSet(_freeze(np.asarray(rows, dtype=np.int64)), k)
 
 
 def stein_poly_basis(

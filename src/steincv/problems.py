@@ -1,25 +1,28 @@
 """Synthetic integration problems with analytically known answers: polynomial
 integrands against a Gaussian, the six Genz test functions pushed to R^d through
 the normal CDF, and integrands drawn jointly with their integral from a Gaussian
-process."""
+process; and the one parser of the JSON problem specs that name them."""
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import special
 
-from .core import ProblemInstance
+from .core import _derived_seed
 from .targets import (
     GaussianTarget,
     MixtureTarget,
     _gaussian_logpdf,
+    load_scored_samples,
     mixture_from_json,
     random_mixture,
+    sample_target,
 )
 
 __all__ = [
@@ -32,7 +35,8 @@ __all__ = [
     "sample_gp_problem",
     "gp_mean_embedding",
     "gp_double_integral",
-    "problem_instance_from_spec",
+    "Problem",
+    "parse_problem",
 ]
 
 GENZ_KINDS = (
@@ -313,39 +317,127 @@ def sample_gp_problem(
     return GpProblem(points, draw[:n], float(draw[n]), lam, sigma, mixture)
 
 
-def problem_instance_from_spec(spec: dict, seed: int = 0) -> ProblemInstance:
-    """Build a ProblemInstance from a JSON-style problem specification.
-
-    Supported forms:
-      {"problem": "genz", "kind": ..., "d": ..., "a": [...], "u": [...]}
-      {"problem": "poly", "alpha": [[...]], "beta": [[...]], "sigma2": ...}
-      {"problem": "gp", ...} has no fixed test function; repetition-level GP
-      draws are handled by the benchmark runner and rejected here.
-    """
-    name = spec.get("problem")
-    if name == "genz":
-        d = int(spec.get("d", 1))
-        a = np.asarray(spec.get("a", np.full(d, 5.0)), dtype=np.float64)
-        u = np.asarray(spec.get("u", np.full(d, 0.5)), dtype=np.float64)
-        genz = GenzProblem(spec["kind"], a, u)
-        target = GaussianTarget(np.zeros(genz.d), 1.0)
-        return ProblemInstance(genz, target, genz.integral())
-    if name == "poly":
-        integrand = PolynomialIntegrand(
-            np.asarray(spec["alpha"], dtype=np.float64),
-            np.asarray(spec["beta"]),
-            float(spec.get("sigma2", 1.0)),
-        )
-        target = GaussianTarget(np.zeros(integrand.d), integrand.sigma2)
-        return ProblemInstance(integrand, target, integrand.integral())
-    if name == "gp":
-        raise ValueError("gp problems are materialized per repetition, not as a fixed instance")
-    raise ValueError(f"unknown problem kind: {name!r}")
 
 
-def gp_spec_mixture(spec: dict, seed: int) -> MixtureTarget:
-    """Mixture for a GP problem spec: explicit JSON mixture if given, otherwise
-    a random one regenerated from the provided seed."""
-    if "mixture" in spec and spec["mixture"] is not None:
-        return mixture_from_json(spec["mixture"])
-    return random_mixture(int(spec.get("d", 1)), int(spec.get("components", 3)), seed)
+@dataclass(frozen=True)
+class Problem:
+    """A parsed problem spec: its report label, its dimension ``d`` and
+    ``draw(n, rep_seed) -> (scored samples with f values, exact integral or
+    None)``. ``n`` is the row count of an ingested sample set, which every draw
+    returns whole; None where each draw samples n rows afresh."""
+
+    label: str
+    d: int
+    sampler: Callable = field(repr=False)
+    n: Optional[int] = None
+
+    def draw(self, n: int, rep_seed: int):
+        samples, truth = self.sampler(n, rep_seed)
+        return samples, _finite(truth, "integral")
+
+
+def _finite(value, key: str):
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value}")
+    return value
+
+
+def _positive(spec: dict, key: str, default, cast=float):
+    value = cast(spec.get(key, default))
+    if not value > 0:
+        raise ValueError(f"{key} must be > 0, got {value}")
+    return value
+
+
+def _draw_fixed(target, integrand, truth, n, seed):
+    samples = sample_target(target, n, _derived_seed(seed, 0))
+    return samples.with_f_values(integrand(samples.states)), truth
+
+
+def _fixed(label: str, target, integrand) -> Problem:
+    truth = _finite(integrand.integral(), "integral")
+    return Problem(label, integrand.d, partial(_draw_fixed, target, integrand, truth))
+
+
+def _parse_genz(spec: dict) -> Problem:
+    dims = {f"len({key})": np.size(spec[key]) for key in ("a", "u") if key in spec}
+    if "d" in spec:
+        dims["d"] = _positive(spec, "d", 1, int)
+    if len(set(dims.values())) > 1:
+        raise ValueError(f"{', '.join(f'{k}={v}' for k, v in dims.items())} disagree")
+    d = next(iter(dims.values()), 1)
+    if d < 1:
+        raise ValueError("a and u must not be empty")
+    a, u = (spec.get(key, np.full(d, value)) for key, value in (("a", 5.0), ("u", 0.5)))
+    genz = GenzProblem(spec["kind"], a, u)
+    return _fixed(f"genz:{genz.kind}", GaussianTarget(np.zeros(d), 1.0), genz)
+
+
+def _parse_poly(spec: dict) -> Problem:
+    integrand = PolynomialIntegrand(
+        np.asarray(spec["alpha"], dtype=np.float64),
+        np.asarray(spec["beta"]),
+        float(spec.get("sigma2", 1.0)),
+    )
+    return _fixed("poly", GaussianTarget(np.zeros(integrand.d), integrand.sigma2), integrand)
+
+
+def _draw_gp(mixture, d, components, lam, sigma, jitter, n, seed):
+    if mixture is None:
+        mixture = random_mixture(d, components, _derived_seed(seed, 3))
+    samples = sample_target(mixture, n, _derived_seed(seed, 0))
+    gp = sample_gp_problem(samples.states, mixture, lam, sigma, _derived_seed(seed, 1), jitter)
+    return samples.with_f_values(gp.f_values), gp.true_integral
+
+
+def _parse_gp(spec: dict) -> Problem:
+    lam, sigma = _positive(spec, "lam", 1.0), _positive(spec, "sigma", 1.0)
+    jitter = None if spec.get("jitter") is None else float(spec["jitter"])
+    mixture = spec.get("mixture")
+    if mixture is None:
+        d, components = _positive(spec, "d", 1, int), _positive(spec, "components", 3, int)
+    else:
+        mixture = mixture_from_json(mixture)
+        d, components = mixture.dim, mixture.n_components
+        if spec.get("d", d) != d:
+            raise ValueError(f"d={spec['d']} disagrees with the mixture's dimension {d}")
+    return Problem("gp", d, partial(_draw_gp, mixture, d, components, lam, sigma, jitter))
+
+
+def _draw_ingest(samples, truth, n, seed):
+    return samples, truth
+
+
+def _parse_ingest(spec: dict) -> Problem:
+    samples = load_scored_samples(spec["path"], f_column=True)
+    truth = spec.get("true_integral")
+    truth = None if truth is None else _finite(float(truth), "true_integral")
+    return Problem("ingest", samples.d, partial(_draw_ingest, samples, truth), samples.n)
+
+
+# problem kind -> (parser, the spec keys it reads)
+_KINDS = {
+    "genz": (_parse_genz, ("kind", "d", "a", "u")),
+    "poly": (_parse_poly, ("alpha", "beta", "sigma2")),
+    "gp": (_parse_gp, ("d", "lam", "sigma", "components", "jitter", "mixture")),
+    "ingest": (_parse_ingest, ("path", "true_integral")),
+}
+
+
+def parse_problem(spec: dict) -> Problem:
+    """Parse a JSON problem spec, ``{"problem": kind, ...}`` with the keys of
+    ``_KINDS``. Every spec error is raised here, its message starting with
+    ``problem`` and naming the key; an ingested file is read here, once."""
+    kind = spec.get("problem")
+    if kind not in _KINDS:
+        raise ValueError(f"problem {kind!r} is unknown; choose from {tuple(_KINDS)}")
+    parser, keys = _KINDS[kind]
+    unknown = sorted(set(spec) - {"problem", *keys})
+    if unknown:
+        raise ValueError(f"problem {kind}: unknown key(s) {unknown}; valid keys: {list(keys)}")
+    try:
+        return parser(spec)
+    except KeyError as exc:
+        raise ValueError(f"problem {kind}: missing key {exc}") from None
+    except (OSError, TypeError, ValueError) as exc:
+        raise ValueError(f"problem {kind}: {exc}") from None

@@ -261,11 +261,14 @@ def _resolve_beta(model, train: ScoredSampleSet, config: TrainConfig, wrapped) -
         except ValueError:
             pass
     # Families too large for the full spectrum (kernel translates, ensembles,
-    # networks): size the schedule so the first step sits inside the quadratic
-    # stability region, alpha_1 * sigma_max = 1.5 < 2, with sigma_max of the
-    # second-moment matrix estimated from a row subsample. The nonzero
-    # eigenvalues of (1/s) R R^T match those of the subsampled moment matrix,
-    # so only an s x s Gram is ever formed and the cost stays O(s * n_params).
+    # networks): size the schedule so that alpha_1 * sigma_max = 1.5, with
+    # sigma_max of the second-moment matrix M estimated from a row subsample.
+    # The least-squares objective has Hessian 2M, so a step is stable only for
+    # alpha_t * sigma_max < 1: this default starts above that limit, and at
+    # gamma = 10, alpha_t * sigma_max = 16.5 / (10 + t) stays above it for
+    # steps 1-6. The nonzero eigenvalues of (1/s) R R^T match those of the
+    # subsampled moment matrix, so only an s x s Gram is ever formed and the
+    # cost stays O(s * n_params).
     rng = np.random.default_rng(config.seed ^ 0x5EED)
     if not is_net:
         probe = rng.choice(train.n, size=min(256, train.n), replace=False)

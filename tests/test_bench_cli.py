@@ -15,7 +15,13 @@ from steincv.bench import (
 )
 from steincv.cli import main
 from steincv.core import SPLIT_POLICIES, estimate_with_cv, split_samples
-from steincv.targets import GaussianTarget, sample_target, save_scored_samples
+from steincv.targets import (
+    GaussianTarget,
+    mixture_to_json,
+    random_mixture,
+    sample_target,
+    save_scored_samples,
+)
 from steincv.training import TrainConfig
 
 GENZ1 = {"problem": "genz", "kind": "product_peak", "d": 1, "a": [1.0], "u": [0.5]}
@@ -73,21 +79,12 @@ class TestRunBenchmark:
         assert est.value == res.estimate
         assert abs(est.value - truth) == res.abs_error
 
-    def test_failures_recorded_and_run_continues(self, tmp_path):
-        csv = tmp_path / "in.csv"
-        ss = sample_target(GaussianTarget(np.zeros(1), 1.0), 30, seed=0)
-        save_scored_samples(csv, ss.with_f_values(np.ones(30)))
-        cfg = BenchmarkConfig(
-            problem={"problem": "ingest", "path": str(csv)},
-            method="mc",
-            n=999,  # contradicts the file, every repetition fails
-            m=10,
-            repetitions=3,
-        )
-        report = run_benchmark(cfg)
+    def test_failures_recorded_and_run_continues(self):
+        # n = m with a disjoint split leaves no eval rows, so every repetition fails
+        report = run_benchmark(_small_config("mc", n=60, m=60, repetitions=3))
         assert report.n_failures == 3
         assert report.mae is None
-        assert all("n=999" in r.error for r in report.results)
+        assert all("non-empty" in r.error for r in report.results)
 
     @pytest.mark.parametrize("method", ["kernel_exact", "nn_sgd"])
     def test_evaluation_runs_in_row_blocks(self, method, monkeypatch):
@@ -167,12 +164,74 @@ class TestRunBenchmark:
             ("nn_widths", [1, 5, 2]),
             ("nn_widths", [3, 5, 1]),
             ("nn_widths", [1, 0, 1]),
+            ("problem", {"problem": "genz", "kind": "continuous", "a": []}),
+            ("problem", {"problem": "ingest", "path": "no/such/file.csv"}),
         ],
     )
     def test_bad_field_rejected_at_load(self, field, value):
         obj = {**_small_config("poly_exact").to_dict(), field: value}
         with pytest.raises(ValueError, match=f"^(unknown )?{field}"):
             BenchmarkConfig.from_dict(obj)
+
+    def test_genz_d_disagreeing_with_a_rejected_at_load(self):
+        spec = {"problem": "genz", "kind": "product_peak", "d": 1, "a": [1.0, 1.0], "u": [0.5, 0.5]}
+        with pytest.raises(ValueError, match=r"^problem genz: len\(a\)=2, len\(u\)=2, d=1 disagree"):
+            BenchmarkConfig(problem=spec, method="mc")
+
+    def test_genz_spec_with_only_a_runs_in_its_dimension(self):
+        spec = {"problem": "genz", "kind": "continuous", "a": [1.0, 2.0, 3.0]}
+        report = run_benchmark(_small_config("mc", problem=spec))
+        assert report.n_failures == 0
+        assert report.d == 3
+
+    def test_fixed_gp_mixture_sets_d(self):
+        spec = {"problem": "gp", "mixture": mixture_to_json(random_mixture(3, 2, seed=0))}
+        report = run_benchmark(_small_config("nn_sgd", problem=spec, nn_widths=[3, 5, 1]))
+        assert report.n_failures == 0
+        assert report.d == 3
+        with pytest.raises(ValueError, match=r"^problem gp: d=2 disagrees.*dimension 3"):
+            BenchmarkConfig(problem={**spec, "d": 2}, method="mc")
+
+    def test_unknown_spec_key_rejected_and_named(self):
+        with pytest.raises(ValueError, match=r"^problem gp: unknown key\(s\) \['dim'\]"):
+            BenchmarkConfig(problem={"problem": "gp", "dim": 3}, method="mc")
+
+    @pytest.mark.parametrize("key", ["lam", "sigma"])
+    def test_nonpositive_gp_scale_rejected_at_load(self, key):
+        with pytest.raises(ValueError, match=f"^problem gp: {key} must be > 0"):
+            BenchmarkConfig(problem={"problem": "gp", key: 0.0}, method="mc")
+
+    def test_ingest_spec_checked_at_load(self, tmp_path):
+        path = tmp_path / "in.csv"
+        ss = sample_target(GaussianTarget(np.zeros(1), 1.0), 30, seed=0)
+        save_scored_samples(path, ss.with_f_values(np.ones(30)))
+        spec = {"problem": "ingest", "path": str(path)}
+        with pytest.raises(ValueError, match="^n=999 but the ingested file has 30 rows"):
+            BenchmarkConfig(problem=spec, method="mc", n=999, m=10)
+        with pytest.raises(ValueError, match="^problem ingest: true_integral must be finite"):
+            BenchmarkConfig(problem={**spec, "true_integral": float("nan")}, method="mc", n=30, m=10)
+        cfg = BenchmarkConfig(problem=spec, method="nn_sgd", n=30, m=10, nn_widths=[1, 4, 1])
+        assert cfg.nn_widths == [1, 4, 1]
+        with pytest.raises(ValueError, match="^nn_widths .* dimension d=1"):
+            BenchmarkConfig(problem=spec, method="nn_sgd", n=30, m=10, nn_widths=[2, 4, 1])
+
+    def test_ingest_file_read_once(self, tmp_path, monkeypatch):
+        from steincv import bench, problems, targets
+
+        path = tmp_path / "in.csv"
+        ss = sample_target(GaussianTarget(np.zeros(1), 1.0), 40, seed=1)
+        save_scored_samples(path, ss.with_f_values(ss.states[:, 0]))
+        calls = []
+        load = targets.load_scored_samples
+        for module in (bench, problems, targets):
+            monkeypatch.setattr(
+                module, "load_scored_samples", lambda *a, **k: calls.append(a) or load(*a, **k), raising=False
+            )
+        cfg = BenchmarkConfig(
+            problem={"problem": "ingest", "path": str(path)}, method="mc", n=40, m=20, repetitions=20
+        )
+        assert run_benchmark(cfg).n_failures == 0
+        assert len(calls) == 1
 
     def test_bad_split_and_workers_fail_at_construction(self):
         with pytest.raises(ValueError, match="bogus.*first_m"):
@@ -321,16 +380,8 @@ class TestCli:
         assert "mae=n/a" in capsys.readouterr().out
 
     def test_failure_exit_code(self, tmp_path, capsys):
-        csv = tmp_path / "scored.csv"
-        ss = sample_target(GaussianTarget(np.zeros(1), 1.0), 10, seed=6)
-        save_scored_samples(csv, ss.with_f_values(np.ones(10)))
-        cfg = BenchmarkConfig(
-            problem={"problem": "ingest", "path": str(csv)},
-            method="mc",
-            n=11,
-            m=5,
-            repetitions=1,
-        )
+        # n = m leaves no eval rows, so the repetition fails
+        cfg = _small_config("mc", n=10, m=10, repetitions=1)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg.to_dict()))
         assert main(["bench", "--config", str(cfg_path)]) == 2
@@ -345,6 +396,26 @@ class TestCli:
             assert code == 0
         with pytest.raises(SystemExit):
             main(["run", "--problem", json.dumps(GENZ1), "--method", "mc", "--split", "bogus"])
+
+    def test_unset_flags_take_the_config_defaults(self, tmp_path, monkeypatch):
+        from steincv import cli
+
+        seen = []
+        monkeypatch.setattr(cli, "run_benchmark", lambda cfg: seen.append(cfg) or run_benchmark(cfg))
+        assert main(["run", "--problem", json.dumps(GENZ1), "--method", "mc"]) == 0
+        assert seen[-1] == BenchmarkConfig(GENZ1, "mc")
+        path = tmp_path / "scored.csv"
+        ss = sample_target(GaussianTarget(np.zeros(1), 1.0), 50, seed=5)
+        save_scored_samples(path, ss.with_f_values(np.ones(50)))
+        assert main(["ingest", "--samples", str(path), "--method", "mc"]) == 0
+        problem = {"problem": "ingest", "path": str(path)}
+        assert seen[-1] == BenchmarkConfig(problem, "mc", n=50, m=25, repetitions=1)
+        main(["run", "--problem", json.dumps(GENZ1), "--method", "mc", "--reps", "2", "--seed", "4",
+              "--train-seed", "7", "--batch-size", "4", "--multi-kernel"])
+        assert seen[-1] == BenchmarkConfig(
+            GENZ1, "mc", repetitions=2, base_seed=4, multi_kernel=True,
+            train=TrainConfig(seed=7, batch_size=4),
+        )
 
     def test_bench_config_with_unknown_key_fails_on_load(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

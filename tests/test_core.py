@@ -189,9 +189,5 @@ class TestEstimateType:
             est = estimate_mc(rng.normal(size=int(rng.integers(1, 30))))
             assert est.residual_sample_variance >= 0.0
 
-    def test_problem_instance_truth_finite(self):
-        from steincv.core import ProblemInstance
-
-        with pytest.raises(ValueError):
-            ProblemInstance(lambda x: x, None, np.inf)
+    def test_offset_defaults_to_zero(self):
         assert Estimate(1.0, 0.0, 1).offset == 0.0

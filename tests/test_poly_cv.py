@@ -29,6 +29,10 @@ class TestEnumeration:
         a = enumerate_multi_indices(4, 3)
         b = enumerate_multi_indices(4, 3)
         np.testing.assert_array_equal(a.alpha, b.alpha)
+        # the set is built once per (d, k) and shared, so it must be read-only
+        assert a is b
+        assert not a.alpha.flags.writeable
+        assert not any(t.flags.writeable for _, *tables in a._levels for t in tables)
 
     @pytest.mark.parametrize("d,k", [(1, 3), (2, 2), (3, 2), (4, 1)])
     def test_rows_unique_and_degree_bounded(self, d, k):

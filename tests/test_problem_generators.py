@@ -9,7 +9,8 @@ from steincv.problems import (
     double_factorial,
     gp_double_integral,
     gp_mean_embedding,
-    problem_instance_from_spec,
+    Problem,
+    parse_problem,
     sample_gp_problem,
     standard_normal_cdf,
 )
@@ -259,24 +260,30 @@ class TestGpSampling:
 
 class TestProblemSpecs:
     def test_genz_spec(self):
-        inst = problem_instance_from_spec(
-            {"problem": "genz", "kind": "continuous", "d": 2}
-        )
-        assert inst.true_integral == pytest.approx(
-            GenzProblem.default("continuous", 2).integral()
-        )
-        assert inst.target.dim == 2
+        problem = parse_problem({"problem": "genz", "kind": "continuous", "d": 2})
+        samples, truth = problem.draw(10, 0)
+        assert truth == pytest.approx(GenzProblem.default("continuous", 2).integral())
+        assert (problem.label, problem.d, samples.d) == ("genz:continuous", 2, 2)
 
     def test_poly_spec(self):
-        inst = problem_instance_from_spec(
+        problem = parse_problem(
             {"problem": "poly", "alpha": [[1.0, 1.0]], "beta": [[2, 0]], "sigma2": 1.0}
         )
-        assert inst.true_integral == pytest.approx(1.0)
-
-    def test_gp_spec_rejected_as_fixed_instance(self):
-        with pytest.raises(ValueError, match="repetition"):
-            problem_instance_from_spec({"problem": "gp", "d": 1})
+        assert problem.draw(10, 0)[1] == pytest.approx(1.0)
 
     def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown problem"):
-            problem_instance_from_spec({"problem": "moments"})
+        with pytest.raises(ValueError, match="problem 'moments' is unknown"):
+            parse_problem({"problem": "moments"})
+
+    def test_drawn_truth_must_be_finite(self):
+        samples = sample_target(GaussianTarget(np.zeros(1), 1.0), 5, seed=0)
+        problem = Problem("x", 1, lambda n, seed: (samples, np.inf))
+        with pytest.raises(ValueError, match="finite"):
+            problem.draw(5, 0)
+
+    def test_gp_draw_is_fixed_by_the_rep_seed(self):
+        problem = parse_problem({"problem": "gp", "d": 2, "components": 2})
+        (a, ta), (b, tb), (c, _) = problem.draw(30, 5), problem.draw(30, 5), problem.draw(30, 6)
+        np.testing.assert_array_equal(a.f_values, b.f_values)
+        assert ta == tb
+        assert not np.array_equal(a.states, c.states)
