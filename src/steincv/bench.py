@@ -9,7 +9,7 @@ import dataclasses
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -30,7 +30,7 @@ from .ensemble import EnsembleFamily, build_multi_kernel_params, fit_semi_exact
 from .kernels import BaseKernelParams, KernelFamily, fit_control_functional, median_heuristic
 from .mlp import MlpControlFunction
 from .poly import PolynomialFamily, enumerate_multi_indices, fit_poly_exact
-from .problems import parse_problem
+from .problems import Problem, parse_problem
 from .training import TrainConfig, sgd_train
 
 __all__ = [
@@ -53,7 +53,9 @@ CSV_COLUMNS = (
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """One benchmark: a problem spec, parsed once on construction by
-    ``problems.parse_problem``, an estimation method, sizes and seeds."""
+    ``problems.parse_problem``, an estimation method, sizes and seeds.
+    ``parsed``, not stored, is the spec already parsed by the caller, which
+    construction then uses instead of parsing (and reading a file) again."""
 
     problem: dict
     method: str
@@ -71,8 +73,9 @@ class BenchmarkConfig:
     nn_widths: Optional[list] = None
     multi_kernel: bool = False
     workers: int = 1
+    parsed: InitVar[Optional[Problem]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, parsed):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.repetitions < 1:
@@ -83,7 +86,7 @@ class BenchmarkConfig:
             raise ValueError(f"unknown split {self.split!r}; choose from {SPLIT_POLICIES}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        problem = parse_problem(self.problem)
+        problem = parse_problem(self.problem) if parsed is None else parsed
         object.__setattr__(self, "_problem", problem)
         if problem.n not in (None, self.n):
             raise ValueError(f"n={self.n} but the ingested file has {problem.n} rows")

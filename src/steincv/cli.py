@@ -98,8 +98,9 @@ def _run_config(args) -> BenchmarkConfig:
 
 def _ingest_config(args) -> BenchmarkConfig:
     problem = {"problem": "ingest", "path": args.samples}
-    n = args.n if "n" in args else parse_problem(problem).n
-    return _benchmark_config(args, problem, n=n, m=n // 2, repetitions=1)
+    parsed = parse_problem(problem)
+    n = args.n if "n" in args else parsed.n
+    return _benchmark_config(args, problem, n=n, m=n // 2, repetitions=1, parsed=parsed)
 
 
 def build_parser() -> argparse.ArgumentParser:

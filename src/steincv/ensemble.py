@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .core import LinearCV, ScoredSampleSet
-from .kernels import BaseKernelParams, _solve_interpolant, median_heuristic, stein_kernel_gram
+from .kernels import BaseKernelParams, KernelFamily, _solve_interpolant, median_heuristic
 from .poly import MultiIndexSet, stein_poly_basis
 
 __all__ = [
@@ -24,7 +24,7 @@ __all__ = [
 class EnsembleFamily:
     """Feature map of the ensemble: the polynomial basis b(x) followed by, for
     each kernel in ``kernel_params``, its kernel features against the shared
-    centers; theta is laid out in the same order."""
+    centers (a ``KernelFamily`` each); theta is laid out in the same order."""
 
     def __init__(
         self,
@@ -38,15 +38,11 @@ class EnsembleFamily:
         self.kernel_params = tuple(kernel_params)
         self.centers = centers
         self.n_params = multi_indices.p + centers.n * len(self.kernel_params)
+        self._kernels = tuple(KernelFamily(params, centers) for params in self.kernel_params)
 
     def feature_matrix(self, states: np.ndarray, scores: np.ndarray) -> np.ndarray:
         blocks = [stein_poly_basis(states, scores, self.multi_indices)]
-        for params in self.kernel_params:
-            blocks.append(
-                stein_kernel_gram(
-                    states, scores, self.centers.states, self.centers.scores, params
-                )
-            )
+        blocks += [kernel.feature_matrix(states, scores) for kernel in self._kernels]
         return np.concatenate(blocks, axis=1)
 
 

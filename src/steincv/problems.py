@@ -393,9 +393,13 @@ def _draw_gp(mixture, d, components, lam, sigma, jitter, n, seed):
 def _parse_gp(spec: dict) -> Problem:
     lam, sigma = _positive(spec, "lam", 1.0), _positive(spec, "sigma", 1.0)
     jitter = None if spec.get("jitter") is None else float(spec["jitter"])
+    if jitter is not None and not 0.0 <= jitter < math.inf:
+        raise ValueError(f"jitter must be finite and >= 0, got {jitter}")
     mixture = spec.get("mixture")
     if mixture is None:
         d, components = _positive(spec, "d", 1, int), _positive(spec, "components", 3, int)
+    elif "components" in spec:
+        raise ValueError("components cannot be given with a fixed mixture, which sets them")
     else:
         mixture = mixture_from_json(mixture)
         d, components = mixture.dim, mixture.n_components

@@ -48,6 +48,22 @@ def _csv_rows_without_timing(path):
     return [[cell for i, cell in enumerate(row) if i not in timing] for row in rows]
 
 
+def _counted_ingest_file(tmp_path, monkeypatch):
+    """A 40-row scored-sample CSV, and the list that records every read of it."""
+    from steincv import bench, problems, targets
+
+    path = tmp_path / "in.csv"
+    ss = sample_target(GaussianTarget(np.zeros(1), 1.0), 40, seed=1)
+    save_scored_samples(path, ss.with_f_values(ss.states[:, 0]))
+    calls = []
+    load = targets.load_scored_samples
+    for module in (bench, problems, targets):
+        monkeypatch.setattr(
+            module, "load_scored_samples", lambda *a, **k: calls.append(a) or load(*a, **k), raising=False
+        )
+    return path, calls
+
+
 class TestRunBenchmark:
     @pytest.mark.parametrize("method", METHODS)
     def test_every_method_runs(self, method):
@@ -201,6 +217,16 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match=f"^problem gp: {key} must be > 0"):
             BenchmarkConfig(problem={"problem": "gp", key: 0.0}, method="mc")
 
+    def test_gp_components_with_a_fixed_mixture_rejected_at_load(self):
+        spec = {"problem": "gp", "mixture": mixture_to_json(random_mixture(3, 2, seed=0))}
+        with pytest.raises(ValueError, match="^problem gp: components"):
+            BenchmarkConfig(problem={**spec, "components": 2}, method="mc")
+
+    @pytest.mark.parametrize("jitter", [-1e-8, float("nan"), float("inf")])
+    def test_bad_gp_jitter_rejected_at_load(self, jitter):
+        with pytest.raises(ValueError, match="^problem gp: jitter"):
+            BenchmarkConfig(problem={"problem": "gp", "jitter": jitter}, method="mc")
+
     def test_ingest_spec_checked_at_load(self, tmp_path):
         path = tmp_path / "in.csv"
         ss = sample_target(GaussianTarget(np.zeros(1), 1.0), 30, seed=0)
@@ -216,21 +242,17 @@ class TestRunBenchmark:
             BenchmarkConfig(problem=spec, method="nn_sgd", n=30, m=10, nn_widths=[2, 4, 1])
 
     def test_ingest_file_read_once(self, tmp_path, monkeypatch):
-        from steincv import bench, problems, targets
-
-        path = tmp_path / "in.csv"
-        ss = sample_target(GaussianTarget(np.zeros(1), 1.0), 40, seed=1)
-        save_scored_samples(path, ss.with_f_values(ss.states[:, 0]))
-        calls = []
-        load = targets.load_scored_samples
-        for module in (bench, problems, targets):
-            monkeypatch.setattr(
-                module, "load_scored_samples", lambda *a, **k: calls.append(a) or load(*a, **k), raising=False
-            )
+        path, calls = _counted_ingest_file(tmp_path, monkeypatch)
         cfg = BenchmarkConfig(
             problem={"problem": "ingest", "path": str(path)}, method="mc", n=40, m=20, repetitions=20
         )
         assert run_benchmark(cfg).n_failures == 0
+        assert len(calls) == 1
+
+    def test_ingest_subcommand_reads_the_file_once(self, tmp_path, monkeypatch):
+        # without --n the row count comes from the one parse of the file
+        path, calls = _counted_ingest_file(tmp_path, monkeypatch)
+        assert main(["ingest", "--samples", str(path), "--method", "mc"]) == 0
         assert len(calls) == 1
 
     def test_bad_split_and_workers_fail_at_construction(self):

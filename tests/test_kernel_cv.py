@@ -3,6 +3,7 @@ import pytest
 from scipy import linalg
 
 from steincv.core import LinearCV
+from steincv.ensemble import EnsembleFamily
 from steincv.kernels import (
     BaseKernelParams,
     KernelFamily,
@@ -13,6 +14,7 @@ from steincv.kernels import (
     stein_kernel,
     stein_kernel_gram,
 )
+from steincv.poly import enumerate_multi_indices, stein_poly_basis
 from steincv.problems import GenzProblem
 from steincv.targets import GaussianTarget, sample_target
 from steincv.training import TrainConfig, sgd_train, wrap_model
@@ -145,6 +147,29 @@ class TestSteinKernel:
         np.testing.assert_allclose(
             stein_kernel(x, y, sx, sy, params), rebuilt, rtol=1e-4, atol=1e-6
         )
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    @pytest.mark.parametrize("alpha1", [0.0, 0.01, 1.0])
+    def test_gram_matches_term_by_term_oracle(self, d, alpha1):
+        # each entry rebuilt from the analytic base-kernel derivatives:
+        # div + grad_x k . s_y + grad_y k . s_x + k s_x . s_y
+        rng = np.random.default_rng(int(100 * alpha1) + d)
+        params = BaseKernelParams(alpha1, 1.3)
+
+        def batch(n):
+            x = rng.normal(size=(n, d))
+            x *= rng.uniform(0.0, 5.0, size=(n, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+            return x, -x + rng.normal(size=(n, d))
+
+        (xa, sa), (xb, sb) = batch(23), batch(17)
+        gram = stein_kernel_gram(xa, sa, xb, sb, params)
+        oracle = np.empty_like(gram)
+        for i in range(xa.shape[0]):
+            for j in range(xb.shape[0]):
+                gx, gy, div = base_kernel_derivatives(xa[i], xb[j], params)
+                k = base_kernel(xa[i], xb[j], params)
+                oracle[i, j] = div + gx @ sb[j] + gy @ sa[i] + k * (sa[i] @ sb[j])
+        np.testing.assert_allclose(gram, oracle, rtol=0, atol=1e-12 * np.max(np.abs(gram)))
 
     def test_gram_chunking_consistent(self, monkeypatch):
         from steincv import kernels
@@ -351,6 +376,56 @@ class TestKernelFamily:
         report = training.sgd_train(fam, train, cfg)
         assert len(step_rows) == report.n_steps
         assert max(step_rows) <= cfg.batch_size
+
+    def test_cached_center_terms_match_the_per_call_gram(self):
+        target = GaussianTarget(np.zeros(2), 1.0)
+        centers = sample_target(target, 30, seed=18)
+        pts = sample_target(target, 9, seed=19)
+        params = (BaseKernelParams(0.1, 1.0), BaseKernelParams(0.1, 1.4))
+        per_call = [
+            stein_kernel_gram(pts.states, pts.scores, centers.states, centers.scores, p)
+            for p in params
+        ]
+        np.testing.assert_array_equal(
+            KernelFamily(params[0], centers).feature_matrix(pts.states, pts.scores), per_call[0]
+        )
+        mi = enumerate_multi_indices(2, 2)
+        feats = EnsembleFamily(mi, params, centers).feature_matrix(pts.states, pts.scores)
+        np.testing.assert_array_equal(feats[:, : mi.p], stein_poly_basis(pts.states, pts.scores, mi))
+        np.testing.assert_array_equal(feats[:, mi.p :], np.concatenate(per_call, axis=1))
+
+    def test_center_terms_built_once_per_kernel(self, monkeypatch):
+        from steincv import kernels
+
+        target = GaussianTarget(np.zeros(1), 1.0)
+        ss = sample_target(target, 40, seed=16)
+        train = ss.with_f_values(np.cos(ss.states[:, 0]))
+        builds = []
+        build = kernels._CenterTerms
+        monkeypatch.setattr(kernels, "_CenterTerms", lambda *a: builds.append(a[2]) or build(*a))
+        params = (BaseKernelParams(0.1, 1.0), BaseKernelParams(0.1, 1.4))
+        cfg = TrainConfig(batch_size=4, epochs=2, seed=0)
+        families = (
+            KernelFamily(params[0], train),
+            EnsembleFamily(enumerate_multi_indices(1, 2), params, train),
+        )
+        assert builds == [params[0], *params]
+        for family in families:
+            assert sgd_train(family, train, cfg).n_steps > 0
+        assert builds == [params[0], *params]
+
+    def test_center_terms_of_other_centers_rejected(self):
+        from steincv import kernels
+
+        target = GaussianTarget(np.zeros(1), 1.0)
+        a, b = sample_target(target, 5, seed=1), sample_target(target, 6, seed=2)
+        params = BaseKernelParams(0.1, 1.0)
+        terms = kernels._CenterTerms(b.states, b.scores, params)
+        with pytest.raises(ValueError, match="center_terms"):
+            stein_kernel_gram(a.states, a.scores, a.states, a.scores, params, terms)
+        terms = kernels._CenterTerms(a.states, a.scores, BaseKernelParams(0.1, 2.0))
+        with pytest.raises(ValueError, match="center_terms"):
+            stein_kernel_gram(a.states, a.scores, a.states, a.scores, params, terms)
 
     def test_sgd_fit_never_forms_more_than_256_feature_rows(self, monkeypatch):
         # the final objective over all m training points is evaluated in row
