@@ -91,12 +91,14 @@ class BenchmarkConfig:
         if problem.n not in (None, self.n):
             raise ValueError(f"n={self.n} but the ingested file has {problem.n} rows")
         # the bounds are written so that NaN fails them; None keeps the default rule
-        for key, low in (("degree", 1), ("ridge", 0), ("alpha1", 0), ("jitter", 0)):
+        for key, low in (("degree", 1), ("ridge", 0), ("jitter", 0)):
             value = getattr(self, key)
             if value is not None and not value >= low:
                 raise ValueError(f"{key} must be >= {low}, got {value}")
-        if self.alpha2 is not None and not self.alpha2 > 0:
-            raise ValueError(f"alpha2 must be > 0, got {self.alpha2}")
+        # the kernel checks alpha1 and alpha2 (None: the median heuristic)
+        BaseKernelParams(self.alpha1, 1.0 if self.alpha2 is None else self.alpha2)
+        if self.multi_kernel and self.method == "ensemble_exact":
+            raise ValueError("multi_kernel is not supported by ensemble_exact (one kernel)")
         if self.nn_widths:
             try:
                 MlpControlFunction(list(self.nn_widths))

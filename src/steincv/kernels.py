@@ -6,6 +6,7 @@ length-scales. A fitted kernel CV is a ``core.LinearCV`` over ``KernelFamily``."
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,10 +36,11 @@ class BaseKernelParams:
     alpha2: float
 
     def __post_init__(self):
-        if self.alpha1 < 0:
-            raise ValueError("alpha1 must be >= 0")
-        if self.alpha2 <= 0:
-            raise ValueError("alpha2 (length-scale) must be > 0")
+        # the bounds are written so that NaN and +-inf fail them
+        if not 0 <= self.alpha1 < math.inf:
+            raise ValueError(f"alpha1 must be finite and >= 0, got {self.alpha1}")
+        if not 0 < self.alpha2 < math.inf:
+            raise ValueError(f"alpha2 (length-scale) must be finite and > 0, got {self.alpha2}")
 
 
 def base_kernel(x: np.ndarray, y: np.ndarray, params: BaseKernelParams) -> float:
@@ -100,20 +102,15 @@ def stein_kernel(
     )
 
 
-# Rows per Gram block. The block's shape fixes the BLAS rounding of its inner
-# products, so the estimates depend on this value. Each of the three products
-# is its own (rows, nb) array rather than one stacked (rows, 3 nb) array, which
-# reaches 4 MiB three times sooner: numpy advises transparent hugepages for
-# arrays of 4 MiB and more, and where the operating system compacts memory on
-# that advice such an allocation can stall. A stacked array at m = 500 showed
-# exact fits that took 0.02 s in most repetitions and 0.16 s in some.
-_ROW_CHUNK = 2048
-
-# Entries per sub-block of the elementwise Gram terms: 128 KiB of float64, the
-# size below which glibc malloc recycles arrays from its heap instead of
+# Entries per row block of the Gram: 128 KiB of float64. Every temporary of a
+# block (its three products and the elementwise terms) stays at or below the
+# size up to which glibc malloc recycles arrays from its heap instead of
 # mapping, and page-faulting, fresh memory for each one, and far below the
-# 4 MiB at which numpy asks for hugepages.
-_SUB_BLOCK_ENTRIES = 16384
+# 4 MiB at which numpy asks for hugepages, whatever the row count. The three
+# products stay separate arrays: one stacked product was slower on 8-row
+# blocks. A block's shape fixes the BLAS rounding of its products, so the
+# estimates depend on this value at rounding level.
+_BLOCK_ENTRIES = 16384
 
 
 class _CenterTerms:
@@ -145,23 +142,41 @@ class _CenterTerms:
         self.c_part = np.concatenate([-u * sb, sb - u * xb], axis=1).T
 
 
-def _gram_block(xa, sa, terms: _CenterTerms, out: np.ndarray) -> None:
-    """Write the Gram rows of (xa, sa) against the centers of ``terms`` into
-    ``out``. The three products are taken over the whole block, whose shape
-    fixes their BLAS rounding; the elementwise epilogue follows in place, in
-    sub-blocks of rows."""
-    a1, u = terms.params.alpha1, terms.u
+def stein_kernel_gram(
+    xa: np.ndarray,
+    sa: np.ndarray,
+    xb: np.ndarray,
+    sb: np.ndarray,
+    params: BaseKernelParams,
+    center_terms: Optional[_CenterTerms] = None,
+) -> np.ndarray:
+    """Pairwise zero-mean kernel matrix, assembled in row blocks of at most
+    ``_BLOCK_ENTRIES`` entries (one row when a row is longer). Each block takes
+    its own three products of the rows [x, s] with the center matrices and
+    then runs the elementwise epilogue in place, so the temporary memory is
+    O(_BLOCK_ENTRIES) whatever the row count. ``center_terms`` are the
+    center-side terms of (xb, sb) under ``params``, built here when not given;
+    a kernel family builds them once."""
+    xa = np.atleast_2d(np.asarray(xa, dtype=np.float64))
+    sa = np.atleast_2d(np.asarray(sa, dtype=np.float64))
+    xb = np.atleast_2d(np.asarray(xb, dtype=np.float64))
+    sb = np.atleast_2d(np.asarray(sb, dtype=np.float64))
+    terms = _CenterTerms(xb, sb, params) if center_terms is None else center_terms
+    if terms.n != xb.shape[0] or terms.params != params:
+        raise ValueError("center_terms were built for other centers or kernel parameters")
+    a1, u = params.alpha1, terms.u
     rows_xs = np.concatenate([xa, sa], axis=1)
-    cross = rows_xs @ terms.cross
-    b_prod = rows_xs @ terms.b_part
-    c_prod = rows_xs @ terms.c_part
     sqa = np.einsum("id,id->i", xa, xa)
     a1_sqa = a1 * sqa
     u_xsa = u * np.einsum("id,id->i", xa, sa)
-    step = max(1, _SUB_BLOCK_ENTRIES // terms.n)
+    out = np.empty((xa.shape[0], terms.n))
+    step = max(1, _BLOCK_ENTRIES // terms.n)
     for lo in range(0, xa.shape[0], step):
         rows = slice(lo, lo + step)
-        k, b, c = cross[rows], b_prod[rows], c_prod[rows]
+        block = rows_xs[rows]
+        k = block @ terms.cross
+        b = block @ terms.b_part
+        c = block @ terms.c_part
         r2 = sqa[rows, None] + terms.sq
         r2 += k
         np.maximum(r2, 0.0, out=r2)
@@ -180,33 +195,6 @@ def _gram_block(xa, sa, terms: _CenterTerms, out: np.ndarray) -> None:
         r2 *= -0.5 * u
         np.exp(r2, out=r2)
         np.multiply(k, r2, out=out[rows])
-
-
-def stein_kernel_gram(
-    xa: np.ndarray,
-    sa: np.ndarray,
-    xb: np.ndarray,
-    sb: np.ndarray,
-    params: BaseKernelParams,
-    center_terms: Optional[_CenterTerms] = None,
-) -> np.ndarray:
-    """Pairwise zero-mean kernel matrix, assembled in blocks of ``_ROW_CHUNK``
-    rows to bound the temporary memory at O(_ROW_CHUNK * nb). ``center_terms``
-    are the center-side terms of (xb, sb) under ``params``, built here when not
-    given; a kernel family builds them once."""
-    xa = np.atleast_2d(np.asarray(xa, dtype=np.float64))
-    sa = np.atleast_2d(np.asarray(sa, dtype=np.float64))
-    xb = np.atleast_2d(np.asarray(xb, dtype=np.float64))
-    sb = np.atleast_2d(np.asarray(sb, dtype=np.float64))
-    if center_terms is None:
-        center_terms = _CenterTerms(xb, sb, params)
-    elif center_terms.n != xb.shape[0] or center_terms.params != params:
-        raise ValueError("center_terms were built for other centers or kernel parameters")
-    na, nb = xa.shape[0], xb.shape[0]
-    out = np.empty((na, nb))
-    for start in range(0, na, _ROW_CHUNK):
-        stop = min(start + _ROW_CHUNK, na)
-        _gram_block(xa[start:stop], sa[start:stop], center_terms, out[start:stop])
     return out
 
 

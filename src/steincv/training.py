@@ -59,19 +59,21 @@ class TrainConfig:
             raise ValueError(f"regularizer must be one of {REGULARIZERS}")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        # the bounds are written so that NaN and +-inf fail them
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1 or (self.objective == "variance" and self.batch_size < 2):
             raise ValueError("batch_size must be >= 2 for the variance objective, >= 1 otherwise")
-        if self.beta is not None and self.beta <= 0:
-            raise ValueError("beta must be > 0")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
-        if self.schedule == "constant":
-            if self.alpha is None or self.alpha <= 0:
-                raise ValueError("constant schedule requires alpha > 0")
+        if self.beta is not None and not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+        if self.schedule == "constant" and (self.alpha is None or not 0 < self.alpha < math.inf):
+            raise ValueError(
+                f"alpha must be finite and > 0 for the constant schedule, got {self.alpha}"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -189,6 +189,20 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match=f"^(unknown )?{field}"):
             BenchmarkConfig.from_dict(obj)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["alpha1", "alpha2", "train.lam", "train.gamma"])
+    def test_non_finite_field_rejected_at_load(self, field, value):
+        obj = _small_config("kernel_sgd").to_dict()
+        key = field.removeprefix("train.")
+        (obj["train"] if key != field else obj)[key] = value
+        with pytest.raises(ValueError, match=f"^{key} .*must be finite"):
+            BenchmarkConfig.from_dict(obj)
+
+    def test_multi_kernel_ensemble_exact_rejected_at_load(self):
+        obj = {**_small_config("ensemble_exact").to_dict(), "multi_kernel": True}
+        with pytest.raises(ValueError, match="^multi_kernel"):
+            BenchmarkConfig.from_dict(obj)
+
     def test_genz_d_disagreeing_with_a_rejected_at_load(self):
         spec = {"problem": "genz", "kind": "product_peak", "d": 1, "a": [1.0, 1.0], "u": [0.5, 0.5]}
         with pytest.raises(ValueError, match=r"^problem genz: len\(a\)=2, len\(u\)=2, d=1 disagree"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import linalg
@@ -51,6 +53,12 @@ class TestBaseKernel:
             BaseKernelParams(-0.1, 1.0)
         with pytest.raises(ValueError):
             BaseKernelParams(0.1, 0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["alpha1", "alpha2"])
+    def test_non_finite_params_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} .*must be finite"):
+            BaseKernelParams(**{"alpha1": 0.1, "alpha2": 1.0, field: value})
 
 
 class TestBaseKernelDerivatives:
@@ -171,31 +179,35 @@ class TestSteinKernel:
                 oracle[i, j] = div + gx @ sb[j] + gy @ sa[i] + k * (sa[i] @ sb[j])
         np.testing.assert_allclose(gram, oracle, rtol=0, atol=1e-12 * np.max(np.abs(gram)))
 
-    def test_gram_chunking_consistent(self, monkeypatch):
-        from steincv import kernels
-
-        target = GaussianTarget(np.zeros(2), 1.0)
-        ss = sample_target(target, 300, seed=6)
-        params = BaseKernelParams(0.2, 0.9)
-        full = stein_kernel_gram(ss.states, ss.scores, ss.states, ss.scores, params)
-        monkeypatch.setattr(kernels, "_ROW_CHUNK", 37)
-        chunked = stein_kernel_gram(ss.states, ss.scores, ss.states, ss.scores, params)
-        # BLAS blocking differs with the row count, so only bitwise-close
-        np.testing.assert_allclose(full, chunked, rtol=1e-12, atol=1e-14)
-
     @pytest.mark.parametrize("entries", [1, 300, 10**9])
-    def test_gram_sub_blocks_bitwise_identical(self, monkeypatch, entries):
-        # the elementwise terms are computed per entry, so splitting a row
-        # block into sub-blocks (1 row, a few rows, all rows) changes nothing
+    def test_gram_blocks_consistent(self, monkeypatch, entries):
+        # one row per block, a few rows, all rows in one block; each block's
+        # products take their BLAS rounding from its shape, so only close
         from steincv import kernels
 
         rng = np.random.default_rng(8)
-        xa, sa = rng.normal(size=(70, 10)), rng.normal(size=(70, 10))
-        xb, sb = rng.normal(size=(40, 10)), rng.normal(size=(40, 10))
+        xa, sa = rng.normal(size=(300, 3)), rng.normal(size=(300, 3))
+        xb, sb = rng.normal(size=(60, 3)), rng.normal(size=(60, 3))
         params = BaseKernelParams(0.2, 1.3)
         default = stein_kernel_gram(xa, sa, xb, sb, params)
-        monkeypatch.setattr(kernels, "_SUB_BLOCK_ENTRIES", entries)
-        np.testing.assert_array_equal(stein_kernel_gram(xa, sa, xb, sb, params), default)
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", entries)
+        blocked = stein_kernel_gram(xa, sa, xb, sb, params)
+        np.testing.assert_allclose(blocked, default, rtol=1e-12, atol=1e-14)
+
+    def test_gram_temporaries_bounded_whatever_the_row_count(self):
+        # 5,000 x 2,000 at d = 3: the output is 80 MB, every temporary one
+        # row block
+        rng = np.random.default_rng(9)
+        xa, sa = rng.normal(size=(5000, 3)), rng.normal(size=(5000, 3))
+        xb, sb = rng.normal(size=(2000, 3)), rng.normal(size=(2000, 3))
+        params = BaseKernelParams(0.1, 1.0)
+        tracemalloc.start()
+        try:
+            gram = stein_kernel_gram(xa, sa, xb, sb, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - gram.nbytes < 4 * 2**20
 
     def test_gram_psd_with_jitter(self):
         rng = np.random.default_rng(7)

@@ -72,6 +72,17 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(lam=-1e-3)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "field,extra",
+        [("lam", {}), ("beta", {}), ("gamma", {}), ("alpha", {"schedule": "constant"})],
+    )
+    def test_non_finite_field_rejected(self, field, extra, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            TrainConfig(**extra, **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            TrainConfig.from_dict({**extra, field: value})
+
     def test_json_roundtrip(self):
         cfg = TrainConfig(objective="variance", lam=0.5, epochs=7, beta=2.0, seed=11)
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
