@@ -179,6 +179,19 @@ class TestSteinKernel:
                 oracle[i, j] = div + gx @ sb[j] + gy @ sa[i] + k * (sa[i] @ sb[j])
         np.testing.assert_allclose(gram, oracle, rtol=0, atol=1e-12 * np.max(np.abs(gram)))
 
+    def test_gram_chunking_consistent(self, monkeypatch):
+        from steincv import kernels
+
+        target = GaussianTarget(np.zeros(2), 1.0)
+        ss = sample_target(target, 300, seed=6)
+        params = BaseKernelParams(0.2, 0.9)
+        full = stein_kernel_gram(ss.states, ss.scores, ss.states, ss.scores, params)
+        # 37 rows of 300 columns per block: blocks that do not divide the rows
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 37 * 300)
+        chunked = stein_kernel_gram(ss.states, ss.scores, ss.states, ss.scores, params)
+        # BLAS blocking differs with the row count, so only bitwise-close
+        np.testing.assert_allclose(full, chunked, rtol=1e-12, atol=1e-14)
+
     @pytest.mark.parametrize("entries", [1, 300, 10**9])
     def test_gram_blocks_consistent(self, monkeypatch, entries):
         # one row per block, a few rows, all rows in one block; each block's
