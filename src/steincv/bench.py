@@ -7,6 +7,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import InitVar, dataclass, field
@@ -78,6 +80,10 @@ class BenchmarkConfig:
     def __post_init__(self, parsed):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
+        for key in ("n", "m", "repetitions", "degree", "workers"):
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if not 1 <= self.m <= self.n:
@@ -90,15 +96,17 @@ class BenchmarkConfig:
         object.__setattr__(self, "_problem", problem)
         if problem.n not in (None, self.n):
             raise ValueError(f"n={self.n} but the ingested file has {problem.n} rows")
-        # the bounds are written so that NaN fails them; None keeps the default rule
-        for key, low in (("degree", 1), ("ridge", 0), ("jitter", 0)):
+        if self.degree < 1:
+            raise ValueError(f"degree must be >= 1, got {self.degree}")
+        # the bounds are written so that NaN and +inf fail them; None keeps the default rule
+        for key in ("ridge", "jitter"):
             value = getattr(self, key)
-            if value is not None and not value >= low:
-                raise ValueError(f"{key} must be >= {low}, got {value}")
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(f"{key} must be finite and >= 0, got {value}")
         # the kernel checks alpha1 and alpha2 (None: the median heuristic)
         BaseKernelParams(self.alpha1, 1.0 if self.alpha2 is None else self.alpha2)
-        if self.multi_kernel and self.method == "ensemble_exact":
-            raise ValueError("multi_kernel is not supported by ensemble_exact (one kernel)")
+        if self.multi_kernel and self.method != "ensemble_sgd":
+            raise ValueError(f"multi_kernel is read only by ensemble_sgd, not by {self.method}")
         if self.nn_widths:
             try:
                 MlpControlFunction(list(self.nn_widths))

@@ -26,23 +26,11 @@ __all__ = [
 ]
 
 
-def _activation_derivatives(preact: np.ndarray, kind: str):
-    """Values and first three derivatives of the activation at the preactivation.
-
-    For relu the second and third derivatives are zero almost everywhere and the
-    subgradient at 0 is taken as 0.
-    """
-    if kind == "tanh":
-        t = np.tanh(preact)
-        one_m_t2 = 1.0 - t * t
-        s1 = one_m_t2
-        s2 = -2.0 * t * one_m_t2
-        s3 = one_m_t2 * (6.0 * t * t - 2.0)
-        return t, s1, s2, s3
-    if kind == "relu":
-        on = (preact > 0).astype(np.float64)
-        return preact * on, on, np.zeros_like(preact), np.zeros_like(preact)
-    raise ValueError(f"unknown activation: {kind!r}")
+def _activation_derivatives(preact: np.ndarray):
+    """Values and first three derivatives of tanh at the preactivation."""
+    t = np.tanh(preact)
+    one_m_t2 = 1.0 - t * t
+    return t, one_m_t2, -2.0 * t * one_m_t2, one_m_t2 * (6.0 * t * t - 2.0)
 
 
 @dataclass
@@ -50,7 +38,8 @@ class MlpControlFunction:
     """Fully connected network R^d -> R with a linear output layer.
 
     ``widths`` is the full layer list [d, h_1, ..., h_L, 1]; activations are
-    applied after every affine layer except the last.
+    applied after every affine layer except the last. The activation is tanh,
+    since the Langevin operator needs a twice-differentiable network.
     """
 
     widths: list[int]
@@ -61,8 +50,12 @@ class MlpControlFunction:
     def __post_init__(self):
         if len(self.widths) < 2 or self.widths[-1] != 1 or min(self.widths) < 1:
             raise ValueError("widths must be [d, h_1, ..., 1] with every width >= 1")
-        if self.activation not in ("tanh", "relu"):
-            raise ValueError(f"unknown activation: {self.activation!r}")
+        if self.activation != "tanh":
+            raise ValueError(
+                f"activation {self.activation!r} is not supported, only 'tanh': the "
+                "Langevin operator needs a twice-differentiable network (a ReLU "
+                "network's Laplacian has point masses, so its output is not mean-zero)"
+            )
         if not self.weights:
             self.weights = [
                 np.zeros((o, i)) for i, o in zip(self.widths[:-1], self.widths[1:])
@@ -162,7 +155,7 @@ def _forward(net: MlpControlFunction, states: np.ndarray, keep: bool = False):
         z[:, 0] += b
         act = None
         if i < len(net.weights) - 1:
-            val, s1, s2, s3 = _activation_derivatives(z[:, 0], net.activation)
+            val, s1, s2, s3 = _activation_derivatives(z[:, 0])
             jac = z[:, 1 : d + 1]
             rowsq = np.einsum("ndw,ndw->nw", jac, jac)
             act = (z, s1, s2, s3, rowsq)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -18,7 +19,6 @@ from .core import _derived_seed
 from .targets import (
     GaussianTarget,
     MixtureTarget,
-    _gaussian_logpdf,
     load_scored_samples,
     mixture_from_json,
     random_mixture,
@@ -227,7 +227,7 @@ def _sq_dists(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
 
 
 def _mvn_pdf(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    return np.exp(_gaussian_logpdf(np.atleast_2d(points) - mean, np.linalg.cholesky(cov)))
+    return np.exp(GaussianTarget(mean, cov).log_density(np.atleast_2d(points)))
 
 
 def gp_mean_embedding(
@@ -343,9 +343,14 @@ def _finite(value, key: str):
 
 
 def _positive(spec: dict, key: str, default, cast=float):
-    value = cast(spec.get(key, default))
-    if not value > 0:
-        raise ValueError(f"{key} must be > 0, got {value}")
+    value = spec.get(key, default)
+    if cast is not int:
+        value = cast(value)
+    elif not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    # written so that NaN and +inf fail it
+    if not 0 < value < math.inf:
+        raise ValueError(f"{key} must be > 0 and finite, got {value}")
     return value
 
 

@@ -25,76 +25,6 @@ __all__ = [
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def _gaussian_logpdf(centered: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """log N(x | mu, L L^T) for each row x - mu of ``centered``, given the lower
-    Cholesky factor L."""
-    y = linalg.solve_triangular(chol, centered.T, lower=True)
-    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-    return -0.5 * (centered.shape[1] * _LOG_2PI + log_det + np.sum(y * y, axis=0))
-
-
-def _spd_cholesky(cov: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"{what} is not symmetric positive definite") from exc
-
-
-@dataclass(frozen=True)
-class GaussianTarget:
-    """Gaussian distribution known through its score -cov^{-1}(x - mean).
-
-    ``covariance`` may be given as a scalar (isotropic sigma^2), a length-d
-    vector of diagonal entries, or a full SPD matrix.
-    """
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
-        d = mean.shape[0]
-        cov = np.asarray(self.covariance, dtype=np.float64)
-        if cov.ndim == 0:
-            cov = float(cov) * np.eye(d)
-        elif cov.ndim == 1:
-            if cov.shape[0] != d:
-                raise ValueError("diagonal covariance length must match mean")
-            cov = np.diag(cov)
-        if cov.shape != (d, d):
-            raise ValueError(f"covariance shape {cov.shape} incompatible with d={d}")
-        if not np.allclose(cov, cov.T):
-            raise ValueError("covariance must be symmetric")
-        chol = _spd_cholesky(cov, "covariance")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "_chol", chol)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-    def score(self, x: np.ndarray) -> np.ndarray:
-        """Gradient of the log density: -cov^{-1}(x - mean)."""
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        centered = pts - self.mean
-        sol = linalg.cho_solve((self._chol, True), centered.T).T
-        return -sol[0] if single else -sol
-
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        out = _gaussian_logpdf(np.atleast_2d(x) - self.mean, self._chol)
-        return out[0] if single else out
-
-    def sample(self, count: int, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((count, self.dim))
-        return self.mean + z @ self._chol.T
-
-
 @dataclass(frozen=True)
 class MixtureTarget:
     """Gaussian mixture sum_l rho_l N(mu_l, Sigma_l) with a numerically stable score.
@@ -112,18 +42,24 @@ class MixtureTarget:
         w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
         covs = np.asarray(self.covariances, dtype=np.float64)
-        L = w.shape[0]
+        L, d = w.shape[0], means.shape[1]
         if covs.ndim == 2:
             covs = covs[None, :, :] if L == 1 else covs
-        if means.shape[0] != L or covs.shape[0] != L:
-            raise ValueError("weights, means and covariances must agree on component count")
+        if means.shape[0] != L or covs.shape != (L, d, d):
+            raise ValueError(
+                f"{L} weights, means of shape {means.shape} and covariances of shape "
+                f"{covs.shape} disagree (need ({L}, d) and ({L}, d, d))"
+            )
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must be non-negative and sum to 1 within 1e-12")
         chols = np.empty_like(covs)
         for l in range(L):
             if not np.allclose(covs[l], covs[l].T):
                 raise ValueError(f"covariance {l} must be symmetric")
-            chols[l] = _spd_cholesky(covs[l], f"covariance {l}")
+            try:
+                chols[l] = np.linalg.cholesky(covs[l])
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(f"covariance {l} is not symmetric positive definite") from exc
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covariances", covs)
@@ -152,8 +88,10 @@ class MixtureTarget:
     def _component_logpdf(self, pts: np.ndarray) -> np.ndarray:
         """Per-component log densities (n, L) plus the log mixture weights."""
         logpdf = np.empty((pts.shape[0], self.n_components))
-        for l in range(self.n_components):
-            logpdf[:, l] = _gaussian_logpdf(pts - self.means[l], self._chols[l])
+        for l, (mu, chol) in enumerate(zip(self.means, self._chols)):
+            y = linalg.solve_triangular(chol, (pts - mu).T, lower=True)
+            log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+            logpdf[:, l] = -0.5 * (self.dim * _LOG_2PI + log_det + np.sum(y * y, axis=0))
         return logpdf + self._log_weights
 
     def score(self, x: np.ndarray) -> np.ndarray:
@@ -161,22 +99,26 @@ class MixtureTarget:
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         pts = np.atleast_2d(x)
-        shifted = self._component_logpdf(pts)
-        shifted -= shifted.max(axis=1, keepdims=True)
-        resp = np.exp(shifted)
-        resp /= resp.sum(axis=1, keepdims=True)
-        pulls = np.stack([
+        pulls = [
             linalg.cho_solve((chol, True), (pts - mu).T).T
             for mu, chol in zip(self.means, self._chols)
-        ])
-        out = -np.einsum("nl,lnd->nd", resp, pulls)
+        ]
+        if self.n_components == 1:  # the responsibilities are exactly 1
+            out = -pulls[0]
+        else:
+            shifted = self._component_logpdf(pts)
+            shifted -= shifted.max(axis=1, keepdims=True)
+            resp = np.exp(shifted)
+            resp /= resp.sum(axis=1, keepdims=True)
+            out = -np.einsum("nl,lnd->nd", resp, np.stack(pulls))
         return out[0] if single else out
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         shifted = self._component_logpdf(np.atleast_2d(x))
-        m = shifted.max(axis=1)
+        # a finite shift, so a point where every component is -inf gets -inf, not NaN
+        m = np.maximum(shifted.max(axis=1), np.finfo(np.float64).min)
         out = m + np.log(np.sum(np.exp(shifted - m[:, None]), axis=1))
         return out[0] if single else out
 
@@ -190,6 +132,29 @@ class MixtureTarget:
             if np.any(mask):
                 out[mask] = self.means[l] + z[mask] @ self._chols[l].T
         return out
+
+
+class GaussianTarget(MixtureTarget):
+    """Gaussian N(mean, covariance), the one-component mixture, known through
+    its score -covariance^{-1}(x - mean).
+
+    ``covariance`` may be given as a scalar (isotropic sigma^2), a length-d
+    vector of diagonal entries, or a full SPD matrix.
+    """
+
+    def __init__(self, mean, covariance):
+        mean = np.asarray(mean, dtype=np.float64).reshape(-1)
+        cov = np.asarray(covariance, dtype=np.float64)
+        if cov.ndim == 0:
+            cov = float(cov) * np.eye(mean.shape[0])
+        elif cov.ndim == 1:
+            cov = np.diag(cov)
+        super().__init__(np.ones(1), mean, cov)
+
+    def sample(self, count: int, seed: int) -> np.ndarray:
+        """mean + z L^T, with no component index drawn."""
+        z = np.random.default_rng(seed).standard_normal((count, self.dim))
+        return self.means[0] + z @ self._chols[0].T
 
 
 def random_mixture(d: int, n_components: int, seed: int, mean_scale: float = 3.0) -> MixtureTarget:

@@ -3,6 +3,7 @@ inverse-time learning-rate schedule, and the design-matrix spectrum diagnostic."
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -131,18 +132,15 @@ class SpectrumDiagnostics:
     suggested_beta: float
 
 
-def design_matrix_spectrum(train: ScoredSampleSet, family) -> SpectrumDiagnostics:
-    """Spectrum of the second-moment matrix of the basis (1, psi_1, ..., psi_p).
+def design_matrix_spectrum(feats: np.ndarray) -> SpectrumDiagnostics:
+    """Spectrum of the second-moment matrix of the basis (1, psi_1, ..., psi_p),
+    given the (m, p) feature matrix ``feats`` of a linear family on the training
+    set, e.g. ``family.feature_matrix(train.states, train.scores)``.
 
     Only meaningful for families linear in their parameters; the suggested
     learning-rate scale is 1/sigma_min, which satisfies the stability lower
     bound beta > 1/(2 sigma_min).
     """
-    return _spectrum(family.feature_matrix(train.states, train.scores))
-
-
-def _spectrum(feats: np.ndarray) -> SpectrumDiagnostics:
-    """``design_matrix_spectrum`` of the (m, p) feature matrix ``feats``."""
     m, p = feats.shape
     if p + 1 > m:
         raise ValueError(f"need p+1 = {p + 1} <= m = {m} for a non-singular moment matrix")
@@ -199,10 +197,11 @@ class LinearFeatureModel:
 
 
 class MlpModel:
-    """SGD surface for a network control function (parameters owned here)."""
+    """SGD surface for a network control function. It trains its own copy of
+    the network, so the caller's keeps its parameters."""
 
     def __init__(self, net: MlpControlFunction, train: ScoredSampleSet):
-        self.net = net
+        self.net = copy.deepcopy(net)
         self.n_params = net.n_params
         self._train = train
 
@@ -259,7 +258,7 @@ def _resolve_beta(model, train: ScoredSampleSet, config: TrainConfig, wrapped) -
     is_net = isinstance(model, MlpControlFunction)
     if not is_net and model.n_params + 1 <= train.n:
         try:
-            return _spectrum(wrapped.rows(np.arange(train.n))).suggested_beta
+            return design_matrix_spectrum(wrapped.rows(np.arange(train.n))).suggested_beta
         except ValueError:
             pass
     # Families too large for the full spectrum (kernel translates, ensembles,

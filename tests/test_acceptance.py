@@ -340,7 +340,8 @@ def test_criterion_8_schedule_convergence():
         j_exact = objective_least_squares(
             train.f_values - exact(train.states, train.scores) - exact.offset
         )
-        beta = design_matrix_spectrum(train, fam).suggested_beta
+        feats = fam.feature_matrix(train.states, train.scores)
+        beta = design_matrix_spectrum(feats).suggested_beta
         report = sgd_train(
             fam, train, TrainConfig(epochs=200, beta=beta, gamma=10.0, seed=seed)
         )

@@ -198,6 +198,31 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match=f"^{key} .*must be finite"):
             BenchmarkConfig.from_dict(obj)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("ridge", float("inf")),
+            ("jitter", float("inf")),
+            ("n", 120.0),
+            ("m", 60.0),
+            ("degree", 2.5),
+            ("repetitions", 2.0),
+            ("workers", 1.5),
+        ],
+    )
+    def test_unusable_field_rejected_at_load(self, field, value):
+        # each of these used to load and then fail every repetition or the run
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            _small_config("poly_exact", **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            BenchmarkConfig.from_dict({**_small_config("poly_exact").to_dict(), field: value})
+
+    @pytest.mark.parametrize("method", [m for m in METHODS if m != "ensemble_sgd"])
+    def test_multi_kernel_rejected_unless_ensemble_sgd(self, method):
+        # only ensemble_sgd fits two kernels; any other method would drop one
+        with pytest.raises(ValueError, match=f"^multi_kernel .*{method}"):
+            _small_config(method, multi_kernel=True)
+
     def test_multi_kernel_ensemble_exact_rejected_at_load(self):
         obj = {**_small_config("ensemble_exact").to_dict(), "multi_kernel": True}
         with pytest.raises(ValueError, match="^multi_kernel"):
@@ -446,10 +471,10 @@ class TestCli:
         assert main(["ingest", "--samples", str(path), "--method", "mc"]) == 0
         problem = {"problem": "ingest", "path": str(path)}
         assert seen[-1] == BenchmarkConfig(problem, "mc", n=50, m=25, repetitions=1)
-        main(["run", "--problem", json.dumps(GENZ1), "--method", "mc", "--reps", "2", "--seed", "4",
-              "--train-seed", "7", "--batch-size", "4", "--multi-kernel"])
+        main(["run", "--problem", json.dumps(GENZ1), "--method", "ensemble_sgd", "--reps", "2",
+              "--seed", "4", "--train-seed", "7", "--batch-size", "4", "--multi-kernel"])
         assert seen[-1] == BenchmarkConfig(
-            GENZ1, "mc", repetitions=2, base_seed=4, multi_kernel=True,
+            GENZ1, "ensemble_sgd", repetitions=2, base_seed=4, multi_kernel=True,
             train=TrainConfig(seed=7, batch_size=4),
         )
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -38,13 +40,9 @@ def _reference_cv_and_vjp(net, x, s, upstream):
         h, jac, lap = h @ w.T + b, np.einsum("ow,nwd->nod", w, jac), lap @ w.T
         act = None
         if i < len(net.weights) - 1:
-            if net.activation == "tanh":
-                val = np.tanh(h)
-                s1 = 1.0 - val * val
-                s2, s3 = -2.0 * val * s1, s1 * (6.0 * val * val - 2.0)
-            else:
-                s1 = (h > 0).astype(np.float64)
-                val, s2, s3 = h * s1, np.zeros_like(h), np.zeros_like(h)
+            val = np.tanh(h)
+            s1 = 1.0 - val * val
+            s2, s3 = -2.0 * val * s1, s1 * (6.0 * val * val - 2.0)
             rowsq = np.einsum("nwd,nwd->nw", jac, jac)
             act = (jac, lap, s1, s2, s3, rowsq)
             h, jac, lap = val, s1[:, :, None] * jac, s2 * rowsq + s1 * lap
@@ -106,14 +104,6 @@ class TestForwardWithDerivatives:
 
 
 class TestCvValues:
-    def test_relu_reduces_to_gradient_term(self):
-        rng = np.random.default_rng(1)
-        net = MlpControlFunction.initialize([2, 6, 1], "relu", seed=1)
-        x, s = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
-        _, grad, lap = forward_with_derivatives(net, x)
-        np.testing.assert_array_equal(lap, np.zeros(8))
-        np.testing.assert_allclose(cv_values(net, x, s), np.einsum("nd,nd->n", grad, s))
-
     def test_linear_map_under_gaussian_score(self):
         w = np.array([[0.7, -1.2]])
         net = MlpControlFunction([2, 1], "tanh", [w], [np.zeros(1)])
@@ -166,7 +156,7 @@ class TestParamGradient:
         net.set_params(theta0)
         assert np.linalg.norm(grad - fd) <= 1e-4 * max(np.linalg.norm(fd), 1e-8)
 
-    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("activation", ["tanh"])
     @pytest.mark.parametrize("d", [1, 4])
     def test_stacked_pass_matches_three_array_reference(self, activation, d):
         rng = np.random.default_rng(d)
@@ -179,30 +169,8 @@ class TestParamGradient:
         np.testing.assert_allclose(cv_param_vjp(net, cache, w), ref_grad, rtol=1e-12, atol=1e-14)
         np.testing.assert_array_equal(cv_values(net, x, s), g)
 
-    def test_relu_vjp_matches_finite_differences(self):
-        rng = np.random.default_rng(31)
-        net = MlpControlFunction.initialize([2, 8, 1], "relu", seed=31)
-        x, s = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
-        w = rng.normal(size=6)
-        _, cache = cv_values_with_cache(net, x, s)
-        grad = cv_param_vjp(net, cache, w)
-        theta0 = net.get_params()
-        h = 1e-6
-        fd = np.empty_like(theta0)
-        for j in range(theta0.size):
-            tp = theta0.copy()
-            tp[j] += h
-            net.set_params(tp)
-            up = float(w @ cv_values(net, x, s))
-            tp[j] -= 2 * h
-            net.set_params(tp)
-            dn = float(w @ cv_values(net, x, s))
-            fd[j] = (up - dn) / (2 * h)
-        net.set_params(theta0)
-        assert np.linalg.norm(grad - fd) <= 1e-4 * np.linalg.norm(fd)
-
     def test_non_finite_gradient_raises(self):
-        net = MlpControlFunction.initialize([1, 4, 4, 1], "relu", seed=0)
+        net = MlpControlFunction.initialize([1, 4, 4, 1], "tanh", seed=0)
         net.set_params(net.get_params() * 1e200)
         x = np.array([[1.0]])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -233,6 +201,17 @@ class TestCheckpoint:
             MlpControlFunction([2, 1], "tanh", [np.array([[np.inf, 0.0]])], [np.zeros(1)])
         with pytest.raises(ValueError, match="width >= 1"):
             MlpControlFunction.initialize([1, 0, 1])  # an empty hidden layer
+
+    def test_relu_rejected_at_construction_and_load(self, tmp_path):
+        # a ReLU network's Laplacian has point masses, so its CV is not mean-zero
+        with pytest.raises(ValueError, match="'relu' is not supported.*mean-zero"):
+            MlpControlFunction.initialize([2, 4, 1], "relu", seed=0)
+        path = tmp_path / "net.json"
+        MlpControlFunction.initialize([2, 4, 1], seed=0).save(path)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, "activation": "relu"}))
+        with pytest.raises(ValueError, match="'relu' is not supported"):
+            MlpControlFunction.load(path)
 
     def test_initialize_deterministic(self):
         a = MlpControlFunction.initialize([2, 5, 1], seed=7)

@@ -287,3 +287,20 @@ class TestProblemSpecs:
         np.testing.assert_array_equal(a.f_values, b.f_values)
         assert ta == tb
         assert not np.array_equal(a.states, c.states)
+
+    @pytest.mark.parametrize(
+        "spec,key",
+        [
+            ({"problem": "gp", "lam": float("inf")}, "lam"),
+            ({"problem": "gp", "sigma": float("inf")}, "sigma"),
+            ({"problem": "gp", "d": float("inf")}, "d"),
+            ({"problem": "gp", "components": float("inf")}, "components"),
+            ({"problem": "gp", "d": 2.5}, "d"),
+            ({"problem": "gp", "components": 2.0}, "components"),
+            ({"problem": "genz", "kind": "continuous", "d": float("inf")}, "d"),
+        ],
+    )
+    def test_unusable_value_rejected_and_named(self, spec, key):
+        # each would load and then fail every draw, or overflow in int()
+        with pytest.raises(ValueError, match=f"^problem {spec['problem']}: {key} must be"):
+            parse_problem(spec)

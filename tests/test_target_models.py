@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import linalg
 
 from steincv.targets import (
     GaussianTarget,
@@ -39,6 +40,85 @@ class TestGaussianScore:
     def test_non_spd_rejected_at_construction(self):
         with pytest.raises(ValueError, match="positive definite"):
             GaussianTarget(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+class TestGaussianIsOneComponentMixture:
+    """Stream guards: these pin every Gaussian and mixture draw bit for bit."""
+
+    @staticmethod
+    def _full(d=3, seed=3):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(d, d))
+        return rng.normal(size=d), a @ a.T + 0.5 * np.eye(d)
+
+    def test_one_component_of_weight_one(self):
+        mu, cov = self._full()
+        t = GaussianTarget(mu, cov)
+        assert isinstance(t, MixtureTarget)
+        assert (t.n_components, t.dim) == (1, 3)
+        np.testing.assert_array_equal(t.weights, [1.0])
+        np.testing.assert_array_equal(t.means, mu[None, :])
+        np.testing.assert_array_equal(t.covariances, cov[None, :, :])
+
+    def test_sample_and_score_bitwise(self):
+        mu, cov = self._full()
+        t = GaussianTarget(mu, cov)
+        x = t.sample(200, seed=11)
+        z = np.random.default_rng(11).standard_normal((200, 3))
+        np.testing.assert_array_equal(x, mu + z @ np.linalg.cholesky(cov).T)
+        chol = np.linalg.cholesky(cov)
+        expected = -linalg.cho_solve((chol, True), (x - mu).T).T
+        np.testing.assert_array_equal(t.score(x), expected)
+        np.testing.assert_array_equal(t.score(x[0]), expected[0])
+
+    def test_one_component_mixture_draws_component_indices(self):
+        mu, cov = self._full()
+        mix = MixtureTarget([1.0], mu[None, :], cov[None, :, :])
+        rng = np.random.default_rng(11)
+        rng.choice(1, size=200, p=[1.0])
+        z = rng.standard_normal((200, 3))
+        np.testing.assert_array_equal(mix.sample(200, 11), mu + z @ np.linalg.cholesky(cov).T)
+        gauss = GaussianTarget(mu, cov)
+        x = gauss.sample(200, 11)
+        np.testing.assert_array_equal(mix.score(x), gauss.score(x))
+        np.testing.assert_array_equal(mix.log_density(x), gauss.log_density(x))
+
+    def test_scalar_diagonal_and_full_covariances_agree(self):
+        mu = np.array([0.5, -1.0, 2.0])
+        targets = [
+            GaussianTarget(mu, 2.0),
+            GaussianTarget(mu, np.full(3, 2.0)),
+            GaussianTarget(mu, 2.0 * np.eye(3)),
+        ]
+        x = targets[0].sample(50, seed=4)
+        for t in targets[1:]:
+            np.testing.assert_array_equal(t.covariances, targets[0].covariances)
+            np.testing.assert_array_equal(t.sample(50, seed=4), x)
+            np.testing.assert_array_equal(t.score(x), targets[0].score(x))
+            np.testing.assert_array_equal(t.log_density(x), targets[0].log_density(x))
+
+    def test_log_density_matches_closed_form(self):
+        mu, cov = self._full()
+        x = np.random.default_rng(5).normal(size=(7, 3))
+        diff = x - mu
+        expected = -0.5 * (
+            3 * np.log(2 * np.pi)
+            + np.linalg.slogdet(cov)[1]
+            + np.einsum("ni,ni->n", diff, np.linalg.solve(cov, diff.T).T)
+        )
+        np.testing.assert_allclose(GaussianTarget(mu, cov).log_density(x), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "cov,match",
+        [
+            (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
+            (np.ones(3), "covariances of shape"),
+            (np.eye(3), "covariances of shape"),
+        ],
+    )
+    def test_bad_covariance_rejected(self, cov, match):
+        with pytest.raises(ValueError, match=match):
+            GaussianTarget(np.zeros(2), cov)
 
 
 class TestMixtureScore:
@@ -87,6 +167,13 @@ class TestMixtureScore:
         mix = random_mixture(2, 3, seed=0)
         score = mix.score(np.full(2, 40.0))
         assert np.all(np.isfinite(score))
+
+    def test_log_density_minus_inf_where_every_component_underflows(self):
+        x = np.array([[1e200, 1e200], [1.0, 1.0]])
+        for target in (random_mixture(2, 3, seed=0), GaussianTarget(np.zeros(2), 1.0)):
+            with np.errstate(over="ignore", divide="ignore"):
+                out = target.log_density(x)
+            assert out[0] == -np.inf and np.isfinite(out[1])
 
     def test_unnormalized_weights_rejected_by_constructor(self):
         with pytest.raises(ValueError, match="sum to 1"):

@@ -114,7 +114,25 @@ class TestSgdTrain:
         monkeypatch.setattr(poly, "stein_poly_basis", recording_basis)
         report = sgd_train(fam, train, TrainConfig(epochs=2, seed=0))
         assert calls == [200]
-        assert report.resolved_beta == design_matrix_spectrum(train, fam).suggested_beta
+        feats = fam.feature_matrix(train.states, train.scores)
+        assert report.resolved_beta == design_matrix_spectrum(feats).suggested_beta
+
+    def test_poly_default_beta_goes_through_the_spectrum_function(self, monkeypatch):
+        # one call of the exported function, so a trace of it sees the spectrum
+        from steincv import training
+
+        train = _toy_train(d=2, n=200, seed=1)
+        fam = PolynomialFamily(enumerate_multi_indices(2, 2))
+        calls = []
+        spectrum = training.design_matrix_spectrum
+
+        def recording_spectrum(feats):
+            calls.append(feats.shape)
+            return spectrum(feats)
+
+        monkeypatch.setattr(training, "design_matrix_spectrum", recording_spectrum)
+        sgd_train(fam, train, TrainConfig(epochs=2, seed=0))
+        assert calls == [(200, fam.n_params)]
 
     def test_huge_l2_shrinks_network(self):
         # dominant regularizer contracts theta (step chosen inside 1/(2 lam))
@@ -127,6 +145,21 @@ class TestSgdTrain:
             TrainConfig(epochs=2, lam=1e12, regularizer="l2_theta", beta=1e-13, seed=0),
         )
         assert np.linalg.norm(report.theta) <= init_norm
+
+    def test_network_left_unchanged_by_training(self):
+        # the network trains a copy, so a second call starts from the same init
+        train = _toy_train(d=2, n=100, seed=2)
+        net = MlpControlFunction.initialize([2, 6, 1], seed=3)
+        init = net.get_params()
+        r1 = sgd_train(net, train, TrainConfig(epochs=2, seed=0))
+        np.testing.assert_array_equal(net.get_params(), init)
+        r2 = sgd_train(net, train, TrainConfig(epochs=2, seed=0))
+        assert not np.array_equal(r1.theta, init)
+        np.testing.assert_array_equal(r1.theta, r2.theta)
+        assert (r1.offset, r1.resolved_beta, r1.final_objective) == (
+            r2.offset, r2.resolved_beta, r2.final_objective
+        )
+        np.testing.assert_array_equal(r1.objective_trace, r2.objective_trace)
 
     def test_seed_determinism(self):
         train = _toy_train(d=2, n=200, seed=4)
@@ -179,7 +212,8 @@ class TestSgdTrain:
             d=1, n=300, seed=9, f=lambda x: GenzProblem.default("continuous", 1)(x)
         )
         fam = PolynomialFamily(enumerate_multi_indices(1, 2))
-        beta = design_matrix_spectrum(train, fam).suggested_beta
+        feats = fam.feature_matrix(train.states, train.scores)
+        beta = design_matrix_spectrum(feats).suggested_beta
         violations = 0
         for seed in range(20):
             rep = sgd_train(fam, train, TrainConfig(epochs=10, beta=beta, seed=seed))
@@ -296,21 +330,9 @@ class TestGradientAssembly:
             np.testing.assert_allclose(g2 - g0, 2.0 * (g1 - g0), rtol=1e-9, atol=1e-12)
 
 
-class _StubFamily:
-    """Family with a fixed feature matrix, for spectrum tests."""
-
-    def __init__(self, feats):
-        self._feats = feats
-        self.n_params = feats.shape[1]
-
-    def feature_matrix(self, states, scores):
-        return self._feats
-
-
 class TestDesignMatrixSpectrum:
     def test_constant_only(self):
-        train = _toy_train(d=1, n=50, seed=15)
-        spec = design_matrix_spectrum(train, _StubFamily(np.empty((50, 0))))
+        spec = design_matrix_spectrum(np.empty((50, 0)))
         assert spec.sigma_min == pytest.approx(1.0)
         assert spec.sigma_max == pytest.approx(1.0)
         assert spec.suggested_beta == pytest.approx(1.0)
@@ -320,26 +342,22 @@ class TestDesignMatrixSpectrum:
         m = 64
         raw = np.concatenate([np.ones((m, 1)), rng.normal(size=(m, 3))], axis=1)
         q, _ = np.linalg.qr(raw)
-        feats = np.sqrt(m) * q[:, 1:] * np.sign(q[0, 0]) * np.sign(q[0, 0])
-        train = _toy_train(d=1, n=m, seed=17)
-        spec = design_matrix_spectrum(train, _StubFamily(np.sqrt(m) * q[:, 1:]))
+        spec = design_matrix_spectrum(np.sqrt(m) * q[:, 1:])
         assert spec.sigma_min == pytest.approx(1.0, abs=1e-10)
         assert spec.sigma_max == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_svd_oracle(self):
         rng = np.random.default_rng(18)
         feats = rng.normal(size=(80, 4))
-        train = _toy_train(d=1, n=80, seed=19)
-        spec = design_matrix_spectrum(train, _StubFamily(feats))
+        spec = design_matrix_spectrum(feats)
         design = np.concatenate([np.ones((80, 1)), feats], axis=1)
         svals = np.linalg.svd(design / np.sqrt(80), compute_uv=False)
         assert spec.sigma_max == pytest.approx(svals[0] ** 2, abs=1e-10)
         assert spec.sigma_min == pytest.approx(svals[-1] ** 2, abs=1e-10)
 
     def test_underdetermined_rejected(self):
-        train = _toy_train(d=1, n=5, seed=20)
         with pytest.raises(ValueError, match="m = 5"):
-            design_matrix_spectrum(train, _StubFamily(np.random.default_rng(0).normal(size=(5, 5))))
+            design_matrix_spectrum(np.random.default_rng(0).normal(size=(5, 5)))
 
 
 class TestKernelFamilyTraining:
