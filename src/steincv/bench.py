@@ -8,7 +8,6 @@ import csv
 import dataclasses
 import json
 import math
-import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import InitVar, dataclass, field
@@ -23,6 +22,7 @@ from .core import (
     LinearCV,
     ScoredSampleSet,
     _check_config_keys,
+    _check_integer_fields,
     _derived_seed,
     estimate_mc,
     estimate_with_cv,
@@ -80,10 +80,7 @@ class BenchmarkConfig:
     def __post_init__(self, parsed):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        for key in ("n", "m", "repetitions", "degree", "workers"):
-            value = getattr(self, key)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
+        _check_integer_fields(self, ("n", "m", "repetitions", "base_seed", "degree", "workers"))
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if not 1 <= self.m <= self.n:
@@ -92,6 +89,8 @@ class BenchmarkConfig:
             raise ValueError(f"unknown split {self.split!r}; choose from {SPLIT_POLICIES}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         problem = parse_problem(self.problem) if parsed is None else parsed
         object.__setattr__(self, "_problem", problem)
         if problem.n not in (None, self.n):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -43,6 +44,15 @@ def _check_config_keys(cls, obj: dict) -> None:
     unknown = sorted(set(obj) - set(valid))
     if unknown:
         raise ValueError(f"unknown {cls.__name__} field(s) {unknown}; valid fields: {valid}")
+
+
+def _check_integer_fields(config, keys) -> None:
+    """Reject a non-integer (or bool) value of each named field of ``config``:
+    a float epoch count or seed would load and then fail every repetition."""
+    for key in keys:
+        value = getattr(config, key)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 def _derived_seed(seed: int, tag: int) -> int:

@@ -3,11 +3,15 @@
 The forward pass propagates, for every unit, its value, input Jacobian and
 input Laplacian, so that applying the Langevin operator to the network output
 is exact rather than approximated. The three are stacked in one array of shape
-(n, d+2, width): row 0 the values, rows 1..d the partial derivatives, row d+1
-the Laplacian. All rows are linear in the weights, so each affine layer is one
-matrix product over the n(d+2) rows. A matching manual reverse pass carries an
-adjoint of the same layout and accumulates gradients of weighted sums of the
-operator output with respect to every weight and bias.
+(d+2, n, width): block 0 the values, blocks 1..d the partial derivatives,
+block d+1 the Laplacian, each block a contiguous (n, width) array. All blocks
+are linear in the weights, so each affine layer is one matrix product over the
+(d+2)n rows. A matching manual reverse pass carries an adjoint of the same
+layout and accumulates gradients of weighted sums of the operator output with
+respect to every weight and bias, written into one flat array in get_params
+order. The forward pass that feeds it also stores, per hidden layer, the
+activation's reverse coefficients, so the reverse pass takes a few
+elementwise products per layer.
 """
 
 from __future__ import annotations
@@ -24,13 +28,6 @@ __all__ = [
     "cv_values_with_cache",
     "cv_param_vjp",
 ]
-
-
-def _activation_derivatives(preact: np.ndarray):
-    """Values and first three derivatives of tanh at the preactivation."""
-    t = np.tanh(preact)
-    one_m_t2 = 1.0 - t * t
-    return t, one_m_t2, -2.0 * t * one_m_t2, one_m_t2 * (6.0 * t * t - 2.0)
 
 
 @dataclass
@@ -96,15 +93,17 @@ class MlpControlFunction:
         return np.concatenate(parts)
 
     def set_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
+        """Copy ``flat`` once; the weights and biases become views of the copy,
+        so the caller's array stays the caller's."""
+        flat = np.array(flat, dtype=np.float64)
         if flat.shape != (self.n_params,):
             raise ValueError(f"expected {self.n_params} parameters, got {flat.shape}")
         pos = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = flat[pos : pos + w.size].reshape(w.shape).copy()
-            pos += w.size
-            self.biases[i] = flat[pos : pos + b.size].copy()
-            pos += b.size
+        for i, (o, k) in enumerate(zip(self.widths[1:], self.widths[:-1])):
+            self.weights[i] = flat[pos : pos + o * k].reshape(o, k)
+            pos += o * k
+            self.biases[i] = flat[pos : pos + o]
+            pos += o
 
     def save(self, path) -> None:
         payload = {
@@ -131,47 +130,67 @@ class MlpControlFunction:
         return cv_values(self, states, scores)
 
 
+def _block_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of a stack (k, ...) over its k blocks, added in order. One or two
+    blocks take no reduction call, which costs more than an add at small n."""
+    if len(a) == 1:
+        return a[0]
+    if len(a) == 2:
+        return a[0] + a[1]
+    return a.sum(0)
+
+
 def _forward(net: MlpControlFunction, states: np.ndarray, keep: bool = False):
-    """Layer-wise propagation of z (n, d+2, w): row 0 the units h, rows 1..d
-    dh/dx_k, row d+1 lap h.
+    """Layer-wise propagation of the stack z (d+2, n, w): z[0] the units h,
+    z[1..d] the partials J = dh/dx_k, z[d+1] the Laplacian L = lap h, each a
+    contiguous (n, w) block.
 
-    Affine layer:      z' = z W^T (one GEMM over the n(d+2) rows), row 0 += b
-    Activation layer:  z' = s'(h) . z, then row 0 = s(h), row d+1 += s''(h) |J|^2
+    Affine layer:      z' = z W^T (one GEMM over the (d+2)n rows), z'[0] += b
+    Activation layer:  with t = tanh(h), s1 = 1 - t^2, s2 = -2 t s1 and
+                       u = -2 s1 |J|^2: z'[0] = t, z'[1:] = s1 z[1:], then
+                       z'[d+1] += t u, so that L' = s1 L + s2 |J|^2
 
-    Returns the output rows (n, d+2) and, with ``keep``, the per-layer
-    (z_in, activation terms) the reverse pass needs.
+    Returns the output rows (d+2, n) and, with ``keep``, per layer the input
+    stack z_in and, for a hidden layer, (s1, coef): the reverse coefficients
+    coef (d+1, n, w) are s2 J and q = s2 L + s3 |J|^2, where s3 = s1 (6 t^2 - 2)
+    is the third derivative of tanh; from the new rows they are -2 t J' and
+    -2 t L' + s1 u.
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     n, d = states.shape
     if d != net.dim:
         raise ValueError(f"input dimension {d} != network dimension {net.dim}")
-    z = np.zeros((n, d + 2, d))
-    z[:, 0] = states
-    z[:, 1 : d + 1] = np.eye(d)
+    z = np.zeros((d + 2, n, d))
+    z[0] = states
+    z[1 : d + 1] = np.eye(d)[:, None, :]
     layers = []
+    last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z_in = z
-        z = (z_in.reshape(-1, w.shape[1]) @ w.T).reshape(n, d + 2, w.shape[0])
-        z[:, 0] += b
+        z = np.dot(z_in.reshape(-1, w.shape[1]), w.T).reshape(d + 2, n, w.shape[0])
+        np.add(z[0], b, out=z[0])
         act = None
-        if i < len(net.weights) - 1:
-            val, s1, s2, s3 = _activation_derivatives(z[:, 0])
-            jac = z[:, 1 : d + 1]
-            rowsq = np.einsum("ndw,ndw->nw", jac, jac)
-            act = (z, s1, s2, s3, rowsq)
-            # the reverse pass needs the preactivation rows; evaluation does not
-            z = z * s1[:, None, :] if keep else np.multiply(z, s1[:, None, :], out=z)
-            z[:, 0] = val
-            z[:, d + 1] += s2 * rowsq
+        if i < last:
+            # in place: no pass reads the preactivation rows once |J|^2 is taken
+            jac_sq = _block_sum(np.square(z[1 : d + 1]))
+            t = np.tanh(z[0], out=z[0])
+            s1 = 1.0 - t * t
+            np.multiply(z[1:], s1, out=z[1:])
+            u = -2.0 * s1 * jac_sq
+            np.add(z[d + 1], t * u, out=z[d + 1])
+            if keep:
+                coef = np.multiply(z[1:], -2.0 * t, out=np.empty_like(z[1:]))
+                np.add(coef[d], s1 * u, out=coef[d])
+                act = (s1, coef)
         if keep:
             layers.append((z_in, act))
     return z[:, :, 0], layers
 
 
 def _langevin(out: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """lap u + grad u . score from the stacked output rows (n, d+2)."""
+    """lap u + grad u . score from the stacked output rows (d+2, n)."""
     scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    return out[:, -1] + np.einsum("nd,nd->n", out[:, 1:-1], scores)
+    return out[-1] + _block_sum(out[1:-1] * scores.T)
 
 
 def forward_with_derivatives(
@@ -179,7 +198,7 @@ def forward_with_derivatives(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Network value, input gradient and input Laplacian at each sample row."""
     out, _ = _forward(net, states)
-    return out[:, 0], out[:, 1:-1], out[:, -1]
+    return out[0], out[1:-1].T, out[-1]
 
 
 def cv_values(
@@ -195,39 +214,62 @@ def cv_values_with_cache(net: MlpControlFunction, states: np.ndarray, scores: np
     return _langevin(out, scores), (layers, scores)
 
 
+def _reverse(net: MlpControlFunction, cache: tuple, upstream: np.ndarray, grad: np.ndarray):
+    """Reverse the stacked forward pass with an adjoint z_bar of the layout of
+    z, writing the parameter gradient into ``grad`` in get_params order: the
+    sum over rows of upstream_i * dg(x_i) when ``grad`` is flat, one row per
+    sample when it is (n, n_params)."""
+    layers, scores = cache
+    n, d = scores.shape
+    per_row = grad.ndim == 2
+    # g depends on the output only through (grad, lap); the value adjoint is 0
+    z_bar = np.zeros((d + 2, n, 1))
+    z_bar[1 : d + 1, :, 0] = scores.T * upstream
+    z_bar[d + 1, :, 0] = upstream
+    end = grad.shape[-1]
+    for i in range(len(net.weights) - 1, -1, -1):
+        z_in, act = layers[i]
+        if act is not None:
+            # preactivation adjoint: s1 z_bar, plus sum_r z_bar[r] coef[r-1] in
+            # block 0 and 2 L_bar s2 J in the Jacobian blocks
+            s1, coef = act
+            head = _block_sum(z_bar[1:] * coef)
+            lap_bar2 = 2.0 * z_bar[d + 1]
+            np.multiply(z_bar, s1, out=z_bar)
+            np.add(z_bar[0], head, out=z_bar[0])
+            jac_bar = z_bar[1 : d + 1]
+            np.add(jac_bar, lap_bar2 * coef[:d], out=jac_bar)
+        w = net.weights[i]
+        o, k = w.shape
+        w_cols, b_cols = slice(end - o * (k + 1), end - o), slice(end - o, end)
+        end = w_cols.start
+        rows_bar = z_bar.reshape(-1, o)
+        if per_row:
+            grad[:, b_cols] = z_bar[0]
+            np.einsum("rno,rnk->nok", z_bar, z_in, out=grad[:, w_cols].reshape(n, o, k))
+        else:
+            z_bar[0].sum(0, out=grad[b_cols])
+            np.dot(rows_bar.T, z_in.reshape(-1, k), out=grad[w_cols].reshape(o, k))
+        if i:  # the network input needs no adjoint
+            z_bar = np.dot(rows_bar, w).reshape(d + 2, n, k)
+    if not np.isfinite(grad).all():
+        raise ValueError("non-finite parameter gradient (exploding parameters)")
+    return grad
+
+
 def cv_param_vjp(
     net: MlpControlFunction, cache: tuple, upstream: np.ndarray
 ) -> np.ndarray:
     """Gradient of sum_i upstream_i * g(x_i) with respect to the flat parameters,
-    accumulated by reversing the stacked forward pass: the adjoint z_bar has the
-    layout of z, so each affine layer takes one GEMM for its weight gradient
-    z_bar^T z_in and one for the input adjoint z_bar W."""
-    layers, scores = cache
+    accumulated by reversing the stacked forward pass: each affine layer takes
+    one GEMM for its weight gradient z_bar^T z_in, written straight into its
+    slice of the returned array, and one for the input adjoint z_bar W."""
     upstream = np.asarray(upstream, dtype=np.float64).reshape(-1)
-    n, d = scores.shape
-    # g depends on the output only through (grad, lap); the value adjoint is 0
-    z_bar = np.zeros((n, d + 2, 1))
-    z_bar[:, 1 : d + 1, 0] = upstream[:, None] * scores
-    z_bar[:, d + 1, 0] = upstream
-    parts = []
-    for i in range(len(net.weights) - 1, -1, -1):
-        z_in, act = layers[i]
-        if act is not None:
-            pre, s1, s2, s3, rowsq = act
-            jac_pre, jac_bar, lap_bar = pre[:, 1 : d + 1], z_bar[:, 1 : d + 1], z_bar[:, d + 1]
-            z_bar = z_bar * s1[:, None, :]
-            z_bar[:, 0] += (
-                np.einsum("ndw,ndw->nw", jac_bar, jac_pre) * s2
-                + lap_bar * (s3 * rowsq + s2 * pre[:, d + 1])
-            )
-            z_bar[:, 1 : d + 1] += 2.0 * (lap_bar * s2)[:, None, :] * jac_pre
-        w = net.weights[i]
-        rows_bar = z_bar.reshape(-1, w.shape[0])
-        parts.append(z_bar[:, 0].sum(axis=0))
-        parts.append((rows_bar.T @ z_in.reshape(-1, w.shape[1])).ravel())
-        if i:  # the network input needs no adjoint
-            z_bar = (rows_bar @ w).reshape(n, d + 2, w.shape[1])
-    flat = np.concatenate(parts[::-1])  # W_0, b_0, W_1, ... as in get_params
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("non-finite parameter gradient (exploding parameters)")
-    return flat
+    return _reverse(net, cache, upstream, np.empty(net.n_params))
+
+
+def _cv_param_rows(net: MlpControlFunction, cache: tuple) -> np.ndarray:
+    """Per-sample parameter gradients (n, n_params) of g at the cached rows,
+    from one reverse pass: row i is cv_param_vjp with upstream e_i."""
+    n = cache[1].shape[0]
+    return _reverse(net, cache, np.ones(n), np.empty((n, net.n_params)))

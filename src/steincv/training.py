@@ -11,8 +11,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _EVAL_BLOCK, ScoredSampleSet, _check_config_keys
-from .mlp import MlpControlFunction, cv_param_vjp, cv_values_with_cache
+from .core import _EVAL_BLOCK, ScoredSampleSet, _check_config_keys, _check_integer_fields
+from .mlp import MlpControlFunction, _cv_param_rows, cv_param_vjp, cv_values_with_cache
 
 __all__ = [
     "TrainConfig",
@@ -38,8 +38,9 @@ class TrainConfig:
     ``beta`` left as None selects a data-driven default: 1/sigma_min of the
     design-matrix second-moment spectrum for linear families with
     n_params + 1 <= m, otherwise 1.5 (gamma + 1) / sigma_max, with sigma_max
-    estimated from 256 probe rows of the features (64 rows of per-sample
-    parameter gradients for a network).
+    estimated from 256 probe rows of the features (for a network, 64 rows of
+    per-sample parameter gradients at the initial parameters, taken in one
+    batched forward and reverse pass).
     """
 
     objective: str = "least_squares"
@@ -63,6 +64,9 @@ class TrainConfig:
         # the bounds are written so that NaN and +-inf fail them
         if not 0 <= self.lam < math.inf:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        _check_integer_fields(self, ("batch_size", "epochs", "seed"))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1 or (self.objective == "variance" and self.batch_size < 2):
@@ -202,11 +206,17 @@ class MlpModel:
 
     def __init__(self, net: MlpControlFunction, train: ScoredSampleSet):
         self.net = copy.deepcopy(net)
-        self.n_params = net.n_params
         self._train = train
 
     def initial_params(self) -> np.ndarray:
         return self.net.get_params()
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """Tangent features of the training points ``idx``: the per-sample
+        parameter gradients of g at the current parameters, from one forward
+        and one reverse pass over the rows."""
+        _, cache = cv_values_with_cache(self.net, self._train.states[idx], self._train.scores[idx])
+        return _cv_param_rows(self.net, cache)
 
     def batch_eval(self, theta: np.ndarray, idx: np.ndarray):
         self.net.set_params(theta)
@@ -263,7 +273,8 @@ def _resolve_beta(model, train: ScoredSampleSet, config: TrainConfig, wrapped) -
             pass
     # Families too large for the full spectrum (kernel translates, ensembles,
     # networks): size the schedule so that alpha_1 * sigma_max = 1.5, with
-    # sigma_max of the second-moment matrix M estimated from a row subsample.
+    # sigma_max of the second-moment matrix M estimated from a row subsample
+    # (for a network, its tangent features at the initial parameters).
     # The least-squares objective has Hessian 2M, so a step is stable only for
     # alpha_t * sigma_max < 1: this default starts above that limit, and at
     # gamma = 10, alpha_t * sigma_max = 16.5 / (10 + t) stays above it for
@@ -271,17 +282,8 @@ def _resolve_beta(model, train: ScoredSampleSet, config: TrainConfig, wrapped) -
     # subsampled moment matrix, so only an s x s Gram is ever formed and the
     # cost stays O(s * n_params).
     rng = np.random.default_rng(config.seed ^ 0x5EED)
-    if not is_net:
-        probe = rng.choice(train.n, size=min(256, train.n), replace=False)
-        rows = wrapped.rows(probe)
-    else:
-        # tangent features: per-sample parameter gradient of g at the init
-        probe = rng.choice(train.n, size=min(64, train.n), replace=False)
-        theta0 = wrapped.initial_params()
-        rows = np.empty((probe.size, wrapped.n_params))
-        for pos, i in enumerate(probe):
-            _, vjp = wrapped.batch_eval(theta0, np.array([i]))
-            rows[pos] = vjp(np.ones(1))
+    probe = rng.choice(train.n, size=min(64 if is_net else 256, train.n), replace=False)
+    rows = wrapped.rows(probe)
     design = np.concatenate([np.ones((rows.shape[0], 1)), rows], axis=1)
     gram = design @ design.T / rows.shape[0]
     sigma_max = float(np.linalg.eigvalsh(gram)[-1])

@@ -208,6 +208,8 @@ class TestRunBenchmark:
             ("degree", 2.5),
             ("repetitions", 2.0),
             ("workers", 1.5),
+            ("base_seed", 1.5),
+            ("base_seed", -1),
         ],
     )
     def test_unusable_field_rejected_at_load(self, field, value):
@@ -216,6 +218,14 @@ class TestRunBenchmark:
             _small_config("poly_exact", **{field: value})
         with pytest.raises(ValueError, match=f"^{field} must be"):
             BenchmarkConfig.from_dict({**_small_config("poly_exact").to_dict(), field: value})
+
+    @pytest.mark.parametrize("field,value", [("epochs", 2.5), ("batch_size", 2.5), ("seed", 1.5)])
+    def test_unusable_train_field_rejected_at_load(self, field, value):
+        # a float epoch count used to load and then fail every repetition
+        obj = _small_config("poly_sgd").to_dict()
+        obj["train"] = {**obj["train"], field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            BenchmarkConfig.from_dict(obj)
 
     @pytest.mark.parametrize("method", [m for m in METHODS if m != "ensemble_sgd"])
     def test_multi_kernel_rejected_unless_ensemble_sgd(self, method):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from steincv.kernels import BaseKernelParams, KernelFamily
-from steincv.mlp import MlpControlFunction
+from steincv.mlp import MlpControlFunction, cv_param_vjp, cv_values_with_cache
 from steincv.poly import PolynomialFamily, enumerate_multi_indices
 from steincv.problems import GenzProblem
 from steincv.targets import GaussianTarget, sample_target
@@ -83,6 +83,26 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             TrainConfig.from_dict({**extra, field: value})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("epochs", 2.5),
+            ("epochs", 2.0),
+            ("epochs", True),
+            ("batch_size", 2.5),
+            ("batch_size", 8.0),
+            ("seed", 1.5),
+            ("seed", -1),
+        ],
+    )
+    def test_unusable_integer_field_rejected(self, field, value):
+        # each of these used to load and then fail every repetition (a float
+        # epoch count or batch size, a negative seed) or run on a float seed
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainConfig.from_dict({field: value})
+
     def test_json_roundtrip(self):
         cfg = TrainConfig(objective="variance", lam=0.5, epochs=7, beta=2.0, seed=11)
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
@@ -145,6 +165,25 @@ class TestSgdTrain:
             TrainConfig(epochs=2, lam=1e12, regularizer="l2_theta", beta=1e-13, seed=0),
         )
         assert np.linalg.norm(report.theta) <= init_norm
+
+    def test_network_beta_probe_matches_single_row_passes(self):
+        # the default beta probes 64 rows of per-sample parameter gradients at
+        # the initial parameters in one batched pass; the reference takes one
+        # forward and one reverse pass per row, as the probe used to
+        train = _toy_train(d=2, n=150, seed=4, f=lambda x: np.cos(x[:, 0]) * x[:, 1])
+        net = MlpControlFunction.initialize([2, 7, 5, 1], seed=5)
+        cfg = TrainConfig(epochs=1, seed=3)
+        probe = np.random.default_rng(cfg.seed ^ 0x5EED).choice(train.n, size=64, replace=False)
+        ref_rows = np.array([
+            cv_param_vjp(net, cv_values_with_cache(net, train.states[[i]], train.scores[[i]])[1], np.ones(1))
+            for i in probe
+        ])
+        np.testing.assert_allclose(wrap_model(net, train).rows(probe), ref_rows, rtol=1e-12, atol=1e-15)
+        design = np.concatenate([np.ones((probe.size, 1)), ref_rows], axis=1)
+        sigma_max = np.linalg.eigvalsh(design @ design.T / probe.size)[-1]
+        ref_beta = 1.5 * (cfg.gamma + 1.0) / sigma_max
+        report = sgd_train(net, train, cfg)
+        assert report.resolved_beta == pytest.approx(ref_beta, rel=1e-12)
 
     def test_network_left_unchanged_by_training(self):
         # the network trains a copy, so a second call starts from the same init
