@@ -18,12 +18,12 @@ import numpy as np
 from . import __version__
 from .core import (
     SPLIT_POLICIES,
-    _EVAL_BLOCK,
     LinearCV,
     ScoredSampleSet,
     _check_config_keys,
     _check_integer_fields,
     _derived_seed,
+    _eval_in_blocks,
     estimate_mc,
     estimate_with_cv,
     split_samples,
@@ -254,12 +254,7 @@ def run_repetition(config: BenchmarkConfig, rep: int) -> RepetitionResult:
             model, offset = _fit_model(config, train, rep)
             train_seconds = time.perf_counter() - t0
             t0 = time.perf_counter()
-            # in row blocks, so no kernel Gram or network pass spans the eval set
-            x, s = eval_set.states, eval_set.scores
-            g_eval = np.concatenate([
-                model(x[lo : lo + _EVAL_BLOCK], s[lo : lo + _EVAL_BLOCK])
-                for lo in range(0, eval_set.n, _EVAL_BLOCK)
-            ])
+            g_eval = _eval_in_blocks(model, eval_set.states, eval_set.scores)
             est = estimate_with_cv(eval_set.f_values, g_eval, offset)
             estimate_seconds = time.perf_counter() - t0
         abs_error = None if truth is None else abs(est.value - float(truth))

@@ -23,9 +23,17 @@ __all__ = [
 
 SPLIT_POLICIES = ("first_m", "random", "same_set")
 
-# Rows per block when a model is evaluated over many rows: bounds the
-# temporaries of a kernel Gram or a network pass at O(_EVAL_BLOCK) rows.
+# Rows per block of _eval_in_blocks: bounds the temporaries of a kernel Gram
+# or a network pass at O(_EVAL_BLOCK) rows.
 _EVAL_BLOCK = 256
+
+
+def _eval_in_blocks(fn, *arrays) -> np.ndarray:
+    """g over many rows: ``fn`` over consecutive row blocks of ``arrays``, concatenated."""
+    return np.concatenate([
+        fn(*(a[lo : lo + _EVAL_BLOCK] for a in arrays))
+        for lo in range(0, arrays[0].shape[0], _EVAL_BLOCK)
+    ])
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

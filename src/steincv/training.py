@@ -4,6 +4,7 @@ inverse-time learning-rate schedule, and the design-matrix spectrum diagnostic."
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -11,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _EVAL_BLOCK, ScoredSampleSet, _check_config_keys, _check_integer_fields
+from .core import ScoredSampleSet, _check_config_keys, _check_integer_fields, _eval_in_blocks
 from .mlp import MlpControlFunction, _cv_param_rows, cv_param_vjp, cv_values_with_cache
 
 __all__ = [
@@ -190,14 +191,12 @@ class LinearFeatureModel:
     def initial_params(self) -> np.ndarray:
         return np.zeros(self.n_params)
 
+    def values(self, theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return self.rows(idx) @ theta
+
     def batch_eval(self, theta: np.ndarray, idx: np.ndarray):
         feats = self.rows(idx)
-        g = feats @ theta
-
-        def vjp(upstream: np.ndarray) -> np.ndarray:
-            return feats.T @ upstream
-
-        return g, vjp
+        return feats @ theta, functools.partial(np.matmul, feats.T)
 
 
 class MlpModel:
@@ -218,14 +217,14 @@ class MlpModel:
         _, cache = cv_values_with_cache(self.net, self._train.states[idx], self._train.scores[idx])
         return _cv_param_rows(self.net, cache)
 
+    def values(self, theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        self.net.set_params(theta)
+        return self.net(self._train.states[idx], self._train.scores[idx])
+
     def batch_eval(self, theta: np.ndarray, idx: np.ndarray):
         self.net.set_params(theta)
         g, cache = cv_values_with_cache(self.net, self._train.states[idx], self._train.scores[idx])
-
-        def vjp(upstream: np.ndarray) -> np.ndarray:
-            return cv_param_vjp(self.net, cache, upstream)
-
-        return g, vjp
+        return g, functools.partial(cv_param_vjp, self.net, cache)
 
 
 def wrap_model(model, train: ScoredSampleSet):
@@ -246,13 +245,14 @@ def batch_objective_and_gradient(
     g, vjp = wrapped.batch_eval(theta, idx)
     if config.objective == "least_squares":
         resid = f[idx] - g - c
-        obj = float(np.mean(resid * resid))
+        obj = float(resid @ resid) / b
         upstream = (-2.0 / b) * resid
-        grad_c = -2.0 * float(np.mean(resid))
+        # add.reduce over b, as np.mean takes it: grad_c is bit-identical to -2 mean
+        grad_c = -2.0 * (float(resid.sum()) / b)
     else:
         resid = f[idx] - g
         obj = objective_variance(resid)
-        upstream = (-4.0 / (b - 1)) * (resid - resid.mean())
+        upstream = (-4.0 / (b - 1)) * (resid - float(resid.sum()) / b)
         grad_c = 0.0
     if config.lam > 0 and config.regularizer == "mean_g_squared":
         upstream = upstream + (2.0 * config.lam / b) * g
@@ -293,14 +293,17 @@ def _resolve_beta(model, train: ScoredSampleSet, config: TrainConfig, wrapped) -
 def sgd_train(model, train: ScoredSampleSet, config: TrainConfig) -> TrainReport:
     """Minibatch SGD on the chosen objective plus lam * regularizer.
 
-    Batches of size b are drawn uniformly with replacement from the training
-    indices at every step; the schedule is alpha_t = beta / (gamma + t) or the
-    given constant. For the least-squares objective the constant offset is a
-    trained parameter (initialized at the training mean of f); the variance
-    objective has no offset and the training-mean residual is reported instead.
-    The objective trace records the per-epoch mean of minibatch objectives
-    (regularizer excluded); ``final_objective`` is the full-train objective of
-    the final parameters.
+    Training runs in epochs of ceil(m / b) steps, each on b indices drawn
+    uniformly with replacement from the training set. An epoch's batches are
+    drawn in one call from the same stream, which gives the indices of one
+    draw per step. The schedule is alpha_t = beta / (gamma + t) or the given
+    constant. For the least-squares objective the constant offset is a trained
+    parameter (initialized at the training mean of f); the variance objective
+    has no offset and the training-mean residual is reported instead.
+    The objective trace records, at the end of each epoch, the mean of its
+    minibatch objectives (regularizer excluded; entries can differ from earlier
+    versions at rounding level); ``final_objective`` is the full-train
+    objective of the final parameters.
     """
     if train.f_values is None:
         raise ValueError("training set must carry f_values")
@@ -311,6 +314,7 @@ def sgd_train(model, train: ScoredSampleSet, config: TrainConfig) -> TrainReport
     m = train.n
     b = config.batch_size
     is_ls = config.objective == "least_squares"
+    inverse_time = config.schedule == "inverse_time"
     theta = wrapped.initial_params().astype(np.float64).copy()
     c = float(np.mean(f)) if is_ls else 0.0
     steps_per_epoch = math.ceil(m / b)
@@ -319,27 +323,20 @@ def sgd_train(model, train: ScoredSampleSet, config: TrainConfig) -> TrainReport
     start = time.perf_counter()
     for epoch in range(config.epochs):
         epoch_obj = 0.0
-        for _ in range(steps_per_epoch):
+        for idx in rng.integers(0, m, size=(steps_per_epoch, b)):
             t += 1
-            idx = rng.integers(0, m, size=b)
             obj, grad, grad_c = batch_objective_and_gradient(wrapped, f, idx, theta, c, config)
-            if not np.isfinite(obj):
+            if not math.isfinite(obj):
                 raise RuntimeError(f"non-finite objective at SGD step {t}")
-            if config.schedule == "inverse_time":
-                alpha_t = beta / (config.gamma + t)
-            else:
-                alpha_t = config.alpha
+            alpha_t = beta / (config.gamma + t) if inverse_time else config.alpha
             theta -= alpha_t * grad
             if is_ls:
                 c -= alpha_t * grad_c
             epoch_obj += obj
+        # end of epoch: the trace entry, and any check on a whole epoch, go here
         trace[epoch] = epoch_obj / steps_per_epoch
     wall = time.perf_counter() - start
-    # in row blocks: for kernel families the full set at once is the m x m Gram
-    g_full = np.concatenate([
-        wrapped.batch_eval(theta, np.arange(lo, min(lo + _EVAL_BLOCK, m)))[0]
-        for lo in range(0, m, _EVAL_BLOCK)
-    ])
+    g_full = _eval_in_blocks(lambda idx: wrapped.values(theta, idx), np.arange(m))
     if is_ls:
         final = objective_least_squares(f - g_full - c)
     else:
@@ -352,6 +349,6 @@ def sgd_train(model, train: ScoredSampleSet, config: TrainConfig) -> TrainReport
         final_objective=final,
         wall_time=wall,
         n_steps=t,
-        resolved_beta=beta if config.schedule == "inverse_time" else None,
+        resolved_beta=beta if inverse_time else None,
         config=config,
     )

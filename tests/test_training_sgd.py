@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from oracle_utils import per_step_sgd
+from steincv.ensemble import EnsembleFamily
 from steincv.kernels import BaseKernelParams, KernelFamily
 from steincv.mlp import MlpControlFunction, cv_param_vjp, cv_values_with_cache
 from steincv.poly import PolynomialFamily, enumerate_multi_indices
@@ -258,6 +262,109 @@ class TestSgdTrain:
             rep = sgd_train(fam, train, TrainConfig(epochs=10, beta=beta, seed=seed))
             violations += rep.objective_trace[-1] > rep.objective_trace[0]
         assert violations <= 2
+
+
+class TestEpochLoop:
+    @pytest.mark.parametrize("b", [1, 2, 3, 7, 8, 16])
+    @pytest.mark.parametrize("m", [100, 250, 500, 4001])
+    def test_epoch_draw_matches_per_step_draws(self, m, b):
+        # sgd_train draws an epoch's batches in one call; that must give the
+        # indices of one draw per step and leave the generator where they do,
+        # or every SGD estimate changes with the numpy version
+        steps_per_epoch = math.ceil(m / b)
+        for seed in (0, 1, 2):
+            per_step = np.random.default_rng(seed)
+            per_epoch = np.random.default_rng(seed)
+            for _ in range(2):
+                expected = np.stack([per_step.integers(0, m, size=b) for _ in range(steps_per_epoch)])
+                np.testing.assert_array_equal(
+                    per_epoch.integers(0, m, size=(steps_per_epoch, b)), expected
+                )
+                assert per_epoch.bit_generator.state == per_step.bit_generator.state
+
+    @pytest.mark.parametrize("family", ["poly", "kernel_fixed_centers", "ensemble"])
+    @pytest.mark.parametrize("objective", ["least_squares", "variance"])
+    @pytest.mark.parametrize("regularizer", ["l2_theta", "mean_g_squared"])
+    def test_matches_the_per_step_loop(self, family, objective, regularizer):
+        # theta and offset bit-identical to the per-step reference; the trace
+        # sums each batch objective in another order, so only rounding may differ
+        train = _toy_train(d=2, n=205, seed=10, f=lambda x: np.cos(x[:, 0]) + x[:, 1] ** 2)
+        params = BaseKernelParams(0.1, 1.0)
+        mi = enumerate_multi_indices(2, 2)
+        model = {
+            "poly": PolynomialFamily(mi),
+            "kernel_fixed_centers": KernelFamily(params, train.subset(np.arange(12))),
+            "ensemble": EnsembleFamily(mi, (params,), train),
+        }[family]
+        # an explicit beta: the data-driven one starts this fixed-centre kernel
+        # above the stability limit, and the run diverges
+        cfg = TrainConfig(
+            objective=objective, regularizer=regularizer, lam=0.05, batch_size=8, epochs=3,
+            beta=1.0, seed=4,
+        )
+        report = sgd_train(model, train, cfg)
+        theta, offset, trace, final = per_step_sgd(model, train, cfg)
+        assert np.all(np.isfinite(theta))
+        np.testing.assert_array_equal(report.theta, theta)
+        assert report.offset == offset
+        np.testing.assert_allclose(report.objective_trace, trace, rtol=1e-12, atol=0)
+        assert report.final_objective == pytest.approx(final, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("objective", ["least_squares", "variance"])
+    def test_network_matches_the_per_step_loop(self, objective):
+        # the final objective runs the plain forward pass, not the caching one
+        train = _toy_train(d=2, n=150, seed=11, f=lambda x: np.sin(x[:, 0]) * x[:, 1])
+        net = MlpControlFunction.initialize([2, 6, 5, 1], seed=2)
+        cfg = TrainConfig(objective=objective, batch_size=8, epochs=2, seed=1)
+        report = sgd_train(net, train, cfg)
+        theta, offset, trace, final = per_step_sgd(net, train, cfg)
+        np.testing.assert_array_equal(report.theta, theta)
+        assert report.offset == pytest.approx(offset, rel=1e-12, abs=0)
+        np.testing.assert_allclose(report.objective_trace, trace, rtol=1e-12, atol=0)
+        assert report.final_objective == pytest.approx(final, rel=1e-12, abs=0)
+
+    def test_network_final_objective_runs_the_plain_pass(self, monkeypatch):
+        from steincv import mlp, training
+
+        train = _toy_train(d=2, n=300, seed=12)
+        net = MlpControlFunction.initialize([2, 5, 1], seed=6)
+        cached, plain_rows = [0], []
+        with_cache, plain = training.cv_values_with_cache, mlp.cv_values
+
+        def counting_with_cache(*args, **kwargs):
+            cached[0] += 1
+            return with_cache(*args, **kwargs)
+
+        def recording_plain(net, states, scores):
+            plain_rows.append(states.shape[0])
+            return plain(net, states, scores)
+
+        monkeypatch.setattr(training, "cv_values_with_cache", counting_with_cache)
+        monkeypatch.setattr(mlp, "cv_values", recording_plain)
+        report = sgd_train(net, train, TrainConfig(epochs=2, seed=0))
+        assert cached[0] == report.n_steps + 1  # every step, and the beta probe
+        assert plain_rows == [256, 44]
+
+    @pytest.mark.parametrize("family", ["poly", "network"])
+    def test_one_batch_objective_call_per_step(self, family, monkeypatch):
+        # the benchmark's layer trace counts SGD steps by these calls
+        from steincv import training
+
+        train = _toy_train(d=2, n=200, seed=13)
+        if family == "poly":
+            model = PolynomialFamily(enumerate_multi_indices(2, 2))
+        else:
+            model = MlpControlFunction.initialize([2, 5, 1], seed=7)
+        calls = [0]
+        inner = training.batch_objective_and_gradient
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(training, "batch_objective_and_gradient", counting)
+        report = sgd_train(model, train, TrainConfig(epochs=3, batch_size=7, seed=0))
+        assert calls[0] == report.n_steps == 3 * math.ceil(200 / 7)
 
 
 class TestGradientAssembly:
