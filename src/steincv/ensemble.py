@@ -90,8 +90,8 @@ def fit_semi_exact(
     basis = stein_poly_basis(train.states, train.scores, mi)
     b_mat = np.concatenate([np.ones((m, 1)), basis], axis=1)
     _check_full_rank(b_mat)
-    theta_k, beta = _solve_interpolant(train, params, b_mat, jitter)
     family = EnsembleFamily(mi, (params,), ScoredSampleSet(train.states, train.scores))
+    theta_k, beta = _solve_interpolant(train, family._kernels[0], b_mat, jitter)
     return LinearCV(family, np.concatenate([beta[1:], theta_k]), float(beta[0]))
 
 

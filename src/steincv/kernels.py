@@ -87,29 +87,21 @@ def base_kernel_derivatives(
 
 
 def stein_kernel(
-    x: np.ndarray,
-    y: np.ndarray,
-    score_x: np.ndarray,
-    score_y: np.ndarray,
-    params: BaseKernelParams,
+    x: np.ndarray, y: np.ndarray, score_x: np.ndarray, score_y: np.ndarray, params: BaseKernelParams
 ) -> float:
     """Zero-mean kernel: div_x grad_y k + grad_x k . score_y + grad_y k . score_x
     + k(x, y) score_x . score_y."""
-    return float(
-        stein_kernel_gram(
-            np.atleast_2d(x), np.atleast_2d(score_x), np.atleast_2d(y), np.atleast_2d(score_y), params
-        )[0, 0]
-    )
+    return float(stein_kernel_gram(x, score_x, y, score_y, params)[0, 0])
 
 
-# Entries per row block of the Gram: 128 KiB of float64. Every temporary of a
-# block (its three products and the elementwise terms) stays at or below the
-# size up to which glibc malloc recycles arrays from its heap instead of
+# Entries per row block of the Gram, and per chunk of SGD feature rows: 128 KiB
+# of float64. Every temporary of a block (its five products) stays at or below
+# the size up to which glibc malloc recycles arrays from its heap instead of
 # mapping, and page-faulting, fresh memory for each one, and far below the
-# 4 MiB at which numpy asks for hugepages, whatever the row count. The three
-# products stay separate arrays: one stacked product was slower on 8-row
-# blocks. A block's shape fixes the BLAS rounding of its products, so the
-# estimates depend on this value at rounding level.
+# 4 MiB at which numpy asks for hugepages, whatever the row count. The products
+# stay separate arrays: one stacked product was slower on 8-row blocks. A
+# block's shape fixes the BLAS rounding of its products, so the estimates
+# depend on this value at rounding level.
 _BLOCK_ENTRIES = 16384
 
 
@@ -121,80 +113,75 @@ class _CenterTerms:
 
         A = 8 a1^2 (x.y)
         B = -2 a1 (u|x-y|^2 + x.s_y + y.s_x)
-        C = d u - u^2|x-y|^2 - u(x-y).s_y + u(x-y).s_x + s_x.s_y,
+        C = d u - u^2|x-y|^2 - u(x-y).s_y + u(x-y).s_x + s_x.s_y.
 
-    whose cross terms are linear in the row [x, s_x]. ``cross``, ``b_part`` and
-    ``c_part`` are the (2d, n) matrices that row multiplies to give -2 x.y, the
-    cross part of B and the cross part of C; the rest are per-center terms.
-    ``cross`` has a zero lower half rather than being x @ (-2 y)^T: at d = 1
-    numpy's matmul over an inner dimension of 1 is about three times slower.
+    As |x-y|^2 = |x|^2 - 2 x.y + |y|^2, each of the exponent -u|x-y|^2/2, 1/p,
+    A, B and C is linear in the augmented row z = [x, s_x, |x|^2, x.s_x, 1]:
+    ``products`` holds, in that order, the five (2d + 3, n) matrices whose
+    column for the center (y, s_y) holds the coefficients of z's parts
+
+                  x                s_x         |x|^2     x.s_x   1
+        exponent  u y              0           -u/2      0       -u|y|^2/2
+        1/p       0                0           a1        0       1 + a1|y|^2
+        A         8 a1^2 y         0           0         0       0
+        B         2 a1(2u y - s_y) -2 a1 y     -2 a1 u   0       -2 a1 u|y|^2
+        C         2u^2 y - u s_y   s_y - u y   -u^2      u       d u - u^2|y|^2 + u y.s_y
     """
 
     def __init__(self, xb: np.ndarray, sb: np.ndarray, params: BaseKernelParams):
         a1, u = params.alpha1, 1.0 / (params.alpha2 * params.alpha2)
-        self.params, self.u = params, u
-        self.n = xb.shape[0]
-        self.sq = np.einsum("id,id->i", xb, xb)
-        self.pref = 1.0 + a1 * self.sq
-        self.c_center = xb.shape[1] * u + u * np.einsum("id,id->i", xb, sb)
-        self.cross = np.concatenate([-2.0 * xb, np.zeros_like(xb)], axis=1).T
-        self.b_part = (-2.0 * a1) * np.concatenate([sb, xb], axis=1).T
-        self.c_part = np.concatenate([-u * sb, sb - u * xb], axis=1).T
+        self.params, (self.n, d) = params, xb.shape
+        sq, ys = np.einsum("id,id->i", xb, xb), np.einsum("id,id->i", xb, sb)
+        zero, b = np.zeros_like(xb), -2.0 * a1  # b: the factor of B
+
+        def product(x, s, *coeffs):
+            # C order: BLAS then rounds a row of a product the same whatever the
+            # block's row count, which SGD's chunks of rows rely on
+            rows = [x.T, s.T, *(np.broadcast_to(c, (self.n,)) for c in coeffs)]
+            return np.ascontiguousarray(np.vstack(rows))
+
+        self.products = (
+            product(u * xb, zero, -0.5 * u, 0.0, -0.5 * u * sq),
+            product(zero, zero, a1, 0.0, 1.0 + a1 * sq),
+            product(8.0 * a1 * a1 * xb, zero, 0.0, 0.0, 0.0),
+            product(b * (sb - 2.0 * u * xb), b * xb, b * u, 0.0, b * u * sq),
+            product(2.0 * u * u * xb - u * sb, sb - u * xb, -u * u, u, d * u - u * u * sq + u * ys),
+        )
 
 
 def stein_kernel_gram(
-    xa: np.ndarray,
-    sa: np.ndarray,
-    xb: np.ndarray,
-    sb: np.ndarray,
-    params: BaseKernelParams,
+    xa: np.ndarray, sa: np.ndarray, xb: np.ndarray, sb: np.ndarray, params: BaseKernelParams,
     center_terms: Optional[_CenterTerms] = None,
 ) -> np.ndarray:
     """Pairwise zero-mean kernel matrix, assembled in row blocks of at most
     ``_BLOCK_ENTRIES`` entries (one row when a row is longer). Each block takes
-    its own three products of the rows [x, s] with the center matrices and
-    then runs the elementwise epilogue in place, so the temporary memory is
-    O(_BLOCK_ENTRIES) whatever the row count. ``center_terms`` are the
-    center-side terms of (xb, sb) under ``params``, built here when not given;
-    a kernel family builds them once."""
-    xa = np.atleast_2d(np.asarray(xa, dtype=np.float64))
-    sa = np.atleast_2d(np.asarray(sa, dtype=np.float64))
-    xb = np.atleast_2d(np.asarray(xb, dtype=np.float64))
-    sb = np.atleast_2d(np.asarray(sb, dtype=np.float64))
+    one product of its augmented rows [x, s, |x|^2, x.s, 1] with each of the
+    five center matrices of ``_CenterTerms`` and then runs the elementwise
+    epilogue (clamp, reciprocal, Horner in p, exp, multiply) in place, so the
+    temporary memory is O(_BLOCK_ENTRIES) whatever the row count.
+    ``center_terms`` are the center-side terms of (xb, sb) under ``params``,
+    built here when not given; a kernel family builds them once."""
+    xa, sa, xb, sb = (np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (xa, sa, xb, sb))
     terms = _CenterTerms(xb, sb, params) if center_terms is None else center_terms
     if terms.n != xb.shape[0] or terms.params != params:
         raise ValueError("center_terms were built for other centers or kernel parameters")
-    a1, u = params.alpha1, terms.u
-    rows_xs = np.concatenate([xa, sa], axis=1)
-    sqa = np.einsum("id,id->i", xa, xa)
-    a1_sqa = a1 * sqa
-    u_xsa = u * np.einsum("id,id->i", xa, sa)
+    sq, xs = np.einsum("id,id->i", xa, xa), np.einsum("id,id->i", xa, sa)
+    rows_z = np.column_stack([xa, sa, sq, xs, np.ones(xa.shape[0])])
     out = np.empty((xa.shape[0], terms.n))
     step = max(1, _BLOCK_ENTRIES // terms.n)
     for lo in range(0, xa.shape[0], step):
         rows = slice(lo, lo + step)
-        block = rows_xs[rows]
-        k = block @ terms.cross
-        b = block @ terms.b_part
-        c = block @ terms.c_part
-        r2 = sqa[rows, None] + terms.sq
-        r2 += k
-        np.maximum(r2, 0.0, out=r2)
-        p = a1_sqa[rows, None] + terms.pref
+        exponent, p, k, b, c = (rows_z[rows] @ m for m in terms.products)
+        # |x-y|^2 >= 0, which its expanded form can miss by rounding
+        np.minimum(exponent, 0.0, out=exponent)
         np.reciprocal(p, out=p)
-        k *= -4.0 * a1 * a1  # A
+        k *= p  # A p
+        k += b
         k *= p
-        b += (-2.0 * a1 * u) * r2
-        k += b  # A p + B
-        k *= p
-        c += terms.c_center
-        c += u_xsa[rows, None]
-        c += (-u * u) * r2
         k += c  # (A p + B) p + C
         k *= p
-        r2 *= -0.5 * u
-        np.exp(r2, out=r2)
-        np.multiply(k, r2, out=out[rows])
+        np.exp(exponent, out=exponent)
+        np.multiply(k, exponent, out=out[rows])
     return out
 
 
@@ -213,8 +200,8 @@ def median_heuristic(states: np.ndarray) -> float:
 class KernelFamily:
     """Feature map psi_i(x) = k0(x, x_i) of the kernel family: the zero-mean
     kernel against each stored center x_i, one column per center. When the
-    centers are as many as the training points, SGD computes the rows per batch
-    (see ``training.LinearFeatureModel``), so one step costs O(batch * centers).
+    centers are as many as the training points, SGD computes the rows of a few
+    batches at a time (``training.LinearFeatureModel``): O(batch * centers) a step.
     The center side of the Gram is built once, here.
     """
 
@@ -225,20 +212,17 @@ class KernelFamily:
         self._center_terms = _CenterTerms(centers.states, centers.scores, params)
 
     def feature_matrix(self, states: np.ndarray, scores: np.ndarray) -> np.ndarray:
+        centers = self.centers
         return stein_kernel_gram(
-            states,
-            scores,
-            self.centers.states,
-            self.centers.scores,
-            self.params,
-            self._center_terms,
+            states, scores, centers.states, centers.scores, self.params, self._center_terms
         )
 
 
-def _solve_interpolant(train: ScoredSampleSet, params: BaseKernelParams, b_mat, jitter):
+def _solve_interpolant(train: ScoredSampleSet, kernel: KernelFamily, b_mat, jitter):
     """(theta, beta) solving the saddle-point system of ``fit_semi_exact`` for
-    an (m, q) basis block B, with eps defaulting to 1e-10 times the mean
-    diagonal of K. K + eps*I is factored once by Cholesky; the (q, q) Schur
+    an (m, q) basis block B, with K the Gram of ``kernel``, whose centers are
+    the training points, and eps defaulting to 1e-10 times the mean diagonal
+    of K. K + eps*I is factored once by Cholesky; the (q, q) Schur
     system (B^T K^{-1} B) beta = B^T K^{-1} f gives beta, then
     theta = K^{-1}(f - B beta). One round of iterative refinement on the block
     system keeps the interpolation and exactness constraints tight.
@@ -248,7 +232,7 @@ def _solve_interpolant(train: ScoredSampleSet, params: BaseKernelParams, b_mat, 
         raise ValueError(
             "closed-form solve is quadratic in memory; use SGD training beyond m = 20000"
         )
-    gram = stein_kernel_gram(train.states, train.scores, train.states, train.scores, params)
+    gram = kernel.feature_matrix(train.states, train.scores)
     eps = 1e-10 * float(np.mean(np.diag(gram))) if jitter is None else float(jitter)
     gram.flat[:: m + 1] += eps
     try:
@@ -271,9 +255,7 @@ def _solve_interpolant(train: ScoredSampleSet, params: BaseKernelParams, b_mat, 
 
 
 def fit_control_functional(
-    train: ScoredSampleSet,
-    params: BaseKernelParams,
-    jitter: Optional[float] = None,
+    train: ScoredSampleSet, params: BaseKernelParams, jitter: Optional[float] = None
 ) -> LinearCV:
     """Closed-form kernel interpolant control variate.
 
@@ -286,6 +268,6 @@ def fit_control_functional(
         raise ValueError("training set must carry f_values")
     if train.n < 2:
         raise ValueError("control functional needs at least 2 training samples")
-    theta, beta = _solve_interpolant(train, params, np.ones((train.n, 1)), jitter)
-    centers = ScoredSampleSet(train.states, train.scores)
-    return LinearCV(KernelFamily(params, centers), theta, float(beta[0]))
+    family = KernelFamily(params, ScoredSampleSet(train.states, train.scores))
+    theta, beta = _solve_interpolant(train, family, np.ones((train.n, 1)), jitter)
+    return LinearCV(family, theta, float(beta[0]))

@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .core import ScoredSampleSet, _check_config_keys, _check_integer_fields, _eval_in_blocks
+from .kernels import _BLOCK_ENTRIES
 from .mlp import MlpControlFunction, _cv_param_rows, cv_param_vjp, cv_values_with_cache
 
 __all__ = [
@@ -165,28 +166,35 @@ class LinearFeatureModel:
     A linear family exposes ``n_params`` and ``feature_matrix(states, scores)
     -> (n, n_params)``. When n_params + 1 <= m (the rule ``_resolve_beta`` uses
     for the full spectrum), the (m, n_params) training feature matrix is
-    smaller than an m x m Gram, so it is computed once and indexed per step
-    (polynomials, kernels on a few fixed centers). Otherwise the family grows
-    with m (kernel translates on the training points, ensembles) and rows are
-    computed per batch: a step costs O(batch * n_params) and never forms the
-    m x m Gram.
+    smaller than an m x m Gram, so it is computed once and indexed (polynomials,
+    kernels on a few fixed centers). Otherwise the family grows with m (kernel
+    translates on the training points, ensembles) and rows are computed from
+    the family. SGD takes the rows of a chunk of steps at once (``batch_rows``),
+    at most ``_BLOCK_ENTRIES`` entries or one batch: a step costs
+    O(batch * n_params) and never forms the m x m Gram.
     """
 
     def __init__(self, family, train: ScoredSampleSet):
         self.family = family
         self.n_params = family.n_params
         self._train = train
-        self._full = (
-            family.feature_matrix(train.states, train.scores)
-            if family.n_params + 1 <= train.n
-            else None
-        )
+        full = family.n_params + 1 <= train.n
+        self._full = family.feature_matrix(train.states, train.scores) if full else None
 
     def rows(self, idx: np.ndarray) -> np.ndarray:
         """Feature rows of the training points ``idx``."""
         if self._full is not None:
             return self._full[idx]
         return self.family.feature_matrix(self._train.states[idx], self._train.scores[idx])
+
+    def batch_rows(self, batches: np.ndarray):
+        """(idx, feature rows) of each batch (row of ``batches``). Rows do not depend
+        on theta: those of as many consecutive batches as fit in ``_BLOCK_ENTRIES``
+        entries (at least one batch) are taken at once."""
+        chunk = max(1, _BLOCK_ENTRIES // (batches.shape[1] * self.n_params))
+        for lo in range(0, len(batches), chunk):
+            part = batches[lo : lo + chunk]
+            yield from zip(part, self.rows(part.reshape(-1)).reshape(*part.shape, -1))
 
     def initial_params(self) -> np.ndarray:
         return np.zeros(self.n_params)
@@ -217,6 +225,10 @@ class MlpModel:
         _, cache = cv_values_with_cache(self.net, self._train.states[idx], self._train.scores[idx])
         return _cv_param_rows(self.net, cache)
 
+    def batch_rows(self, batches: np.ndarray):
+        # a network's rows depend on its parameters: each step takes its own pass
+        return ((idx, None) for idx in batches)
+
     def values(self, theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
         self.net.set_params(theta)
         return self.net(self._train.states[idx], self._train.scores[idx])
@@ -234,15 +246,17 @@ def wrap_model(model, train: ScoredSampleSet):
 
 
 def batch_objective_and_gradient(
-    wrapped, f: np.ndarray, idx: np.ndarray, theta: np.ndarray, c: float, config: TrainConfig
+    wrapped, f: np.ndarray, idx: np.ndarray, theta: np.ndarray, c: float, config: TrainConfig,
+    rows: Optional[np.ndarray] = None,
 ):
-    """Objective value and its gradient on one batch, exactly as SGD uses them.
+    """Objective value and its gradient on one batch, exactly as SGD uses them;
+    ``rows`` are a linear family's feature rows of the batch, if the caller has them.
 
     Returns (objective, grad_theta, grad_c); the objective value excludes the
     regularizer, whose gradient is folded into grad_theta.
     """
     b = idx.size
-    g, vjp = wrapped.batch_eval(theta, idx)
+    g, vjp = wrapped.batch_eval(theta, idx) if rows is None else (rows @ theta, rows.T.__matmul__)
     if config.objective == "least_squares":
         resid = f[idx] - g - c
         obj = float(resid @ resid) / b
@@ -251,8 +265,10 @@ def batch_objective_and_gradient(
         grad_c = -2.0 * (float(resid.sum()) / b)
     else:
         resid = f[idx] - g
-        obj = objective_variance(resid)
-        upstream = (-4.0 / (b - 1)) * (resid - float(resid.sum()) / b)
+        # objective_variance, from the two sums without its checks and copies
+        s1 = float(resid.sum())
+        obj = 2.0 * (b * float(resid @ resid) - s1 * s1) / (b * (b - 1))
+        upstream = (-4.0 / (b - 1)) * (resid - s1 / b)
         grad_c = 0.0
     if config.lam > 0 and config.regularizer == "mean_g_squared":
         upstream = upstream + (2.0 * config.lam / b) * g
@@ -296,10 +312,12 @@ def sgd_train(model, train: ScoredSampleSet, config: TrainConfig) -> TrainReport
     Training runs in epochs of ceil(m / b) steps, each on b indices drawn
     uniformly with replacement from the training set. An epoch's batches are
     drawn in one call from the same stream, which gives the indices of one
-    draw per step. The schedule is alpha_t = beta / (gamma + t) or the given
-    constant. For the least-squares objective the constant offset is a trained
-    parameter (initialized at the training mean of f); the variance objective
-    has no offset and the training-mean residual is reported instead.
+    draw per step; a linear family's feature rows are taken a chunk of steps
+    at a time (``LinearFeatureModel.batch_rows``). The schedule is
+    alpha_t = beta / (gamma + t) or the given constant. For the least-squares
+    objective the constant offset is a trained parameter (initialized at the
+    training mean of f); the variance objective has no offset and the
+    training-mean residual is reported instead.
     The objective trace records, at the end of each epoch, the mean of its
     minibatch objectives (regularizer excluded; entries can differ from earlier
     versions at rounding level); ``final_objective`` is the full-train
@@ -323,9 +341,9 @@ def sgd_train(model, train: ScoredSampleSet, config: TrainConfig) -> TrainReport
     start = time.perf_counter()
     for epoch in range(config.epochs):
         epoch_obj = 0.0
-        for idx in rng.integers(0, m, size=(steps_per_epoch, b)):
+        for idx, rows in wrapped.batch_rows(rng.integers(0, m, size=(steps_per_epoch, b))):
             t += 1
-            obj, grad, grad_c = batch_objective_and_gradient(wrapped, f, idx, theta, c, config)
+            obj, grad, grad_c = batch_objective_and_gradient(wrapped, f, idx, theta, c, config, rows)
             if not math.isfinite(obj):
                 raise RuntimeError(f"non-finite objective at SGD step {t}")
             alpha_t = beta / (config.gamma + t) if inverse_time else config.alpha

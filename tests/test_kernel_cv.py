@@ -5,7 +5,7 @@ import pytest
 from scipy import linalg
 
 from steincv.core import LinearCV
-from steincv.ensemble import EnsembleFamily
+from steincv.ensemble import EnsembleFamily, fit_semi_exact
 from steincv.kernels import (
     BaseKernelParams,
     KernelFamily,
@@ -170,6 +170,10 @@ class TestSteinKernel:
             return x, -x + rng.normal(size=(n, d))
 
         (xa, sa), (xb, sb) = batch(23), batch(17)
+        # duplicated and near-coincident rows, where |x-y|^2, formed as
+        # |x|^2 - 2 x.y + |y|^2, cancels to rounding level and is clamped at 0
+        xa[:4], sa[:4] = xb[:4], sb[:4]
+        xa[4:8], sa[4:8] = xb[4:8] + 1e-8, sb[4:8] - 1e-8
         gram = stein_kernel_gram(xa, sa, xb, sb, params)
         oracle = np.empty_like(gram)
         for i in range(xa.shape[0]):
@@ -371,36 +375,48 @@ class TestKernelFamily:
         rows = wrapped.rows(np.array([4, 1, 1]))
         np.testing.assert_array_equal(rows, feats[[4, 1, 1]])
 
-    def test_sgd_steps_never_form_more_than_a_batch_of_gram_rows(self, monkeypatch):
+    @pytest.mark.parametrize("m, b", [(40, 4), (40, 3), (3000, 8)])
+    def test_sgd_never_forms_the_m_by_m_gram(self, monkeypatch, m, b):
+        # SGD takes the Gram rows of a chunk of steps per call: at most
+        # _BLOCK_ENTRIES entries or one batch, n_steps * b rows over the run,
+        # and one batch per call once a batch alone fills the budget
         from steincv import kernels, training
 
         target = GaussianTarget(np.zeros(1), 1.0)
-        ss = sample_target(target, 40, seed=16)
+        ss = sample_target(target, m, seed=16)
         train = ss.with_f_values(np.cos(ss.states[:, 0]))
         fam = KernelFamily(BaseKernelParams(0.1, 1.0), train)
-        in_step = [False]
+        outside_steps = [False]
         step_rows = []
         gram = kernels.stein_kernel_gram
-        step = training.batch_objective_and_gradient
 
         def recording_gram(xa, *args, **kwargs):
-            if in_step[0]:
+            if not outside_steps[0]:
                 step_rows.append(np.atleast_2d(xa).shape[0])
             return gram(xa, *args, **kwargs)
 
-        def flagged_step(*args, **kwargs):
-            in_step[0] = True
-            try:
-                return step(*args, **kwargs)
-            finally:
-                in_step[0] = False
+        def flagged(fn):
+            # the beta probe and the final objective are not steps
+            def run(*args):
+                outside_steps[0] = True
+                try:
+                    return fn(*args)
+                finally:
+                    outside_steps[0] = False
+
+            return run
 
         monkeypatch.setattr(kernels, "stein_kernel_gram", recording_gram)
-        monkeypatch.setattr(training, "batch_objective_and_gradient", flagged_step)
-        cfg = TrainConfig(batch_size=4, epochs=2, seed=0)
+        monkeypatch.setattr(training, "_resolve_beta", flagged(training._resolve_beta))
+        monkeypatch.setattr(training, "_eval_in_blocks", flagged(training._eval_in_blocks))
+        cfg = TrainConfig(batch_size=b, epochs=2 if m < 1000 else 1, seed=0)
         report = training.sgd_train(fam, train, cfg)
-        assert len(step_rows) == report.n_steps
-        assert max(step_rows) <= cfg.batch_size
+        assert sum(step_rows) == report.n_steps * b
+        assert max(step_rows) <= max(b, kernels._BLOCK_ENTRIES // fam.n_params)
+        if kernels._BLOCK_ENTRIES // m < b:
+            assert set(step_rows) == {b}
+        else:
+            assert len(step_rows) < report.n_steps
 
     def test_cached_center_terms_match_the_per_call_gram(self):
         target = GaussianTarget(np.zeros(2), 1.0)
@@ -438,6 +454,13 @@ class TestKernelFamily:
         for family in families:
             assert sgd_train(family, train, cfg).n_steps > 0
         assert builds == [params[0], *params]
+        # an exact fit's square Gram takes the terms of the family it returns
+        builds.clear()
+        fit_control_functional(train, params[0])
+        assert builds == [params[0]]
+        builds.clear()
+        fit_semi_exact(train, enumerate_multi_indices(1, 2), params[1])
+        assert builds == [params[1]]
 
     def test_center_terms_of_other_centers_rejected(self):
         from steincv import kernels

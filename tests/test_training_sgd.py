@@ -282,19 +282,27 @@ class TestEpochLoop:
                 )
                 assert per_epoch.bit_generator.state == per_step.bit_generator.state
 
-    @pytest.mark.parametrize("family", ["poly", "kernel_fixed_centers", "ensemble"])
+    @pytest.mark.parametrize(
+        "family",
+        ["poly", "kernel_fixed_centers", "kernel_translates", "ensemble", "ensemble_two_kernels"],
+    )
     @pytest.mark.parametrize("objective", ["least_squares", "variance"])
     @pytest.mark.parametrize("regularizer", ["l2_theta", "mean_g_squared"])
     def test_matches_the_per_step_loop(self, family, objective, regularizer):
-        # theta and offset bit-identical to the per-step reference; the trace
-        # sums each batch objective in another order, so only rounding may differ
+        # theta and offset bit-identical to the per-step reference, which
+        # computes each batch's rows alone where sgd_train takes a chunk of
+        # batches per call; the trace sums each batch objective in another
+        # order, so only rounding may differ
         train = _toy_train(d=2, n=205, seed=10, f=lambda x: np.cos(x[:, 0]) + x[:, 1] ** 2)
         params = BaseKernelParams(0.1, 1.0)
+        two_kernels = (params, BaseKernelParams(0.1, 1.4))
         mi = enumerate_multi_indices(2, 2)
         model = {
             "poly": PolynomialFamily(mi),
             "kernel_fixed_centers": KernelFamily(params, train.subset(np.arange(12))),
+            "kernel_translates": KernelFamily(params, train),
             "ensemble": EnsembleFamily(mi, (params,), train),
+            "ensemble_two_kernels": EnsembleFamily(mi, two_kernels, train),
         }[family]
         # an explicit beta: the data-driven one starts this fixed-centre kernel
         # above the stability limit, and the run diverges
