@@ -1,5 +1,14 @@
 """Score-function oracles for Gaussian and Gaussian-mixture targets, exact sampling,
-and CSV ingestion of externally scored samples."""
+and CSV ingestion of externally scored samples.
+
+A draw makes no LAPACK call. numpy and scipy each ship their own OpenBLAS, so
+two BLAS thread pools can be live in one process, and a threaded call into one
+pool waits while the other pool's workers still spin (about a scheduler tick
+on a 2-CPU host). Draws stay in numpy: each component keeps the inverse of its
+Cholesky factor and its precision matrix, both computed once with numpy, and
+the score and log density are products with them. For an identity covariance
+both are exactly I, so the score is exactly mu - x.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +16,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .core import ScoredSampleSet
 
@@ -63,7 +71,14 @@ class MixtureTarget:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covariances", covs)
+        inv_chol_ts = np.swapaxes(np.linalg.inv(chols), 1, 2)  # L^-T
         object.__setattr__(self, "_chols", chols)
+        object.__setattr__(self, "_inv_chol_ts", inv_chol_ts)
+        # L^-T L^-1 = Sigma^-1
+        object.__setattr__(self, "_precisions", inv_chol_ts @ np.swapaxes(inv_chol_ts, 1, 2))
+        object.__setattr__(
+            self, "_log_dets", 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+        )
         object.__setattr__(
             self,
             "_log_weights",
@@ -88,10 +103,9 @@ class MixtureTarget:
     def _component_logpdf(self, pts: np.ndarray) -> np.ndarray:
         """Per-component log densities (n, L) plus the log mixture weights."""
         logpdf = np.empty((pts.shape[0], self.n_components))
-        for l, (mu, chol) in enumerate(zip(self.means, self._chols)):
-            y = linalg.solve_triangular(chol, (pts - mu).T, lower=True)
-            log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-            logpdf[:, l] = -0.5 * (self.dim * _LOG_2PI + log_det + np.sum(y * y, axis=0))
+        for l, (mu, inv_chol_t) in enumerate(zip(self.means, self._inv_chol_ts)):
+            y = (pts - mu) @ inv_chol_t  # rows L^-1 (x - mu)
+            logpdf[:, l] = -0.5 * (self.dim * _LOG_2PI + self._log_dets[l] + np.sum(y * y, axis=1))
         return logpdf + self._log_weights
 
     def score(self, x: np.ndarray) -> np.ndarray:
@@ -99,18 +113,16 @@ class MixtureTarget:
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         pts = np.atleast_2d(x)
-        pulls = [
-            linalg.cho_solve((chol, True), (pts - mu).T).T
-            for mu, chol in zip(self.means, self._chols)
-        ]
+        # the precisions are symmetric, so each row is (mu_l - x) Sigma_l^{-1}
+        pulls = [(mu - pts) @ prec for mu, prec in zip(self.means, self._precisions)]
         if self.n_components == 1:  # the responsibilities are exactly 1
-            out = -pulls[0]
+            out = pulls[0]
         else:
             shifted = self._component_logpdf(pts)
             shifted -= shifted.max(axis=1, keepdims=True)
             resp = np.exp(shifted)
             resp /= resp.sum(axis=1, keepdims=True)
-            out = -np.einsum("nl,lnd->nd", resp, np.stack(pulls))
+            out = np.einsum("nl,lnd->nd", resp, np.stack(pulls))
         return out[0] if single else out
 
     def log_density(self, x: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from scipy import linalg
+import scipy.linalg
 
+from steincv.problems import parse_problem
 from steincv.targets import (
     GaussianTarget,
     MixtureTarget,
@@ -61,15 +62,21 @@ class TestGaussianIsOneComponentMixture:
         np.testing.assert_array_equal(t.covariances, cov[None, :, :])
 
     def test_sample_and_score_bitwise(self):
+        """Draws are pinned bitwise; a full covariance's score matches an
+        independent solve to rounding, and an identity covariance's score is
+        exactly -x, which keeps every standard-normal draw bit for bit."""
         mu, cov = self._full()
         t = GaussianTarget(mu, cov)
         x = t.sample(200, seed=11)
         z = np.random.default_rng(11).standard_normal((200, 3))
         np.testing.assert_array_equal(x, mu + z @ np.linalg.cholesky(cov).T)
-        chol = np.linalg.cholesky(cov)
-        expected = -linalg.cho_solve((chol, True), (x - mu).T).T
-        np.testing.assert_array_equal(t.score(x), expected)
-        np.testing.assert_array_equal(t.score(x[0]), expected[0])
+        expected = np.linalg.solve(cov, (mu - x).T).T
+        np.testing.assert_allclose(t.score(x), expected, rtol=1e-12)
+        np.testing.assert_array_equal(t.score(x[0]), t.score(x)[0])
+        standard = GaussianTarget(np.zeros(10), 1.0)
+        y = standard.sample(500, seed=11)
+        np.testing.assert_array_equal(y, np.random.default_rng(11).standard_normal((500, 10)))
+        np.testing.assert_array_equal(standard.score(y), -y)
 
     def test_one_component_mixture_draws_component_indices(self):
         mu, cov = self._full()
@@ -272,3 +279,22 @@ class TestSteinIdentityDeskScale:
         values = lap + np.einsum("nd,nd->n", grad, ss.scores)
         se = values.std(ddof=1) / np.sqrt(values.size)
         assert abs(values.mean()) < 4 * se
+
+
+def test_draws_make_no_scipy_linalg_call(monkeypatch):
+    """numpy and scipy each ship their own OpenBLAS; a draw stays in numpy's,
+    so it never hands off between the two thread pools."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a draw called scipy.linalg")
+
+    for name in ("cho_factor", "cho_solve", "solve_triangular", "cholesky", "solve"):
+        monkeypatch.setattr(scipy.linalg, name, refuse)
+    genz = parse_problem({"problem": "genz", "kind": "gaussian_peak", "d": 10})
+    samples, _ = genz.draw(2000, 0)
+    np.testing.assert_array_equal(samples.scores, -samples.states)
+    parse_problem({"problem": "gp", "d": 2, "components": 2}).draw(200, 0)
+    mix = random_mixture(3, 2, seed=1)
+    x = mix.sample(100, seed=2)
+    assert np.all(np.isfinite(mix.score(x)))
+    assert np.all(np.isfinite(mix.log_density(x)))
