@@ -46,6 +46,21 @@ class EnsembleFamily:
         return np.concatenate(blocks, axis=1)
 
 
+def _check_full_rank(b_mat: np.ndarray) -> None:
+    svals = np.linalg.svd(b_mat, compute_uv=False)
+    if svals[-1] > 1e-10 * svals[0]:
+        return
+    # identify which basis columns load on the (near) null space
+    _, _, vt = np.linalg.svd(b_mat, full_matrices=False)
+    null = vt[svals <= 1e-10 * svals[0]]
+    loaded = sorted(set(np.where(np.abs(null) > 0.3)[1].tolist()))
+    names = ["constant" if j == 0 else f"b_{j}" for j in loaded]
+    raise ValueError(
+        "polynomial block is rank-deficient on the training points; dependent "
+        f"columns: {', '.join(names)}"
+    )
+
+
 def fit_semi_exact(
     train: ScoredSampleSet,
     mi: MultiIndexSet,
@@ -74,6 +89,7 @@ def fit_semi_exact(
         raise ValueError(f"need m >= p + 2 training samples (m={m}, p={p})")
     basis = stein_poly_basis(train.states, train.scores, mi)
     b_mat = np.concatenate([np.ones((m, 1)), basis], axis=1)
+    _check_full_rank(b_mat)
     family = EnsembleFamily(mi, (params,), ScoredSampleSet(train.states, train.scores))
     theta_k, beta = _solve_interpolant(train, family._kernels[0], b_mat, jitter)
     return LinearCV(family, np.concatenate([beta[1:], theta_k]), float(beta[0]))

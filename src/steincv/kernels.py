@@ -5,11 +5,9 @@ of centers), the closed-form interpolation solve, and the median heuristic for
 length-scales. A fitted kernel CV is a ``core.LinearCV`` over ``KernelFamily``.
 
 numpy and scipy each ship their own OpenBLAS, so a process can hold two BLAS
-thread pools, and a threaded call into one waits while the other's workers
-still spin. The Gram and its products run in numpy; an exact fit then enters
-scipy once, after its Gram and basis exist, and stays there until theta is
-returned (``_solve_interpolant``): every factor, solve and product from the
-rank check on is a scipy LAPACK or BLAS call.
+thread pools (see ``targets``). The Gram is built in numpy and the exact solve
+factors it with scipy's Cholesky, so an exact fit hands off between the two
+pools a few times; a draw stays in numpy's.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 from scipy import linalg
-from scipy.linalg import blas, lapack
 from scipy.spatial.distance import pdist
 
 from .core import LinearCV, ScoredSampleSet
@@ -227,36 +224,14 @@ class KernelFamily:
         )
 
 
-def _check_full_rank(b_mat: np.ndarray) -> None:
-    svals = linalg.svd(b_mat, compute_uv=False)
-    if svals[-1] > 1e-10 * svals[0]:
-        return
-    # identify which basis columns load on the (near) null space
-    _, _, vt = linalg.svd(b_mat, full_matrices=False)
-    null = vt[svals <= 1e-10 * svals[0]]
-    loaded = sorted(set(np.where(np.abs(null) > 0.3)[1].tolist()))
-    names = ["constant" if j == 0 else f"b_{j}" for j in loaded]
-    raise ValueError(
-        "polynomial block is rank-deficient on the training points; dependent "
-        f"columns: {', '.join(names)}"
-    )
-
-
 def _solve_interpolant(train: ScoredSampleSet, kernel: KernelFamily, b_mat, jitter):
     """(theta, beta) solving the saddle-point system of ``fit_semi_exact`` for
-    an (m, q) basis block B of full column rank, with K the Gram of ``kernel``,
-    whose centers are the training points, and eps defaulting to 1e-10 times
-    the mean diagonal of K. K + eps*I is factored once by Cholesky; the (q, q)
-    Schur system (B^T K^{-1} B) beta = B^T K^{-1} f gives beta, then
+    an (m, q) basis block B, with K the Gram of ``kernel``, whose centers are
+    the training points, and eps defaulting to 1e-10 times the mean diagonal
+    of K. K + eps*I is factored once by Cholesky; the (q, q) Schur
+    system (B^T K^{-1} B) beta = B^T K^{-1} f gives beta, then
     theta = K^{-1}(f - B beta). One round of iterative refinement on the block
     system keeps the interpolation and exactness constraints tight.
-
-    Once K exists, every step up to theta is a scipy LAPACK or BLAS call (see
-    the module docstring). The factor is made in place in the Gram: LAPACK
-    reads the C-ordered Gram as its Fortran-ordered transpose, so the factor
-    overwrites the lower triangle and the diagonal, and the strict upper
-    triangle keeps K for the refinement's K theta (``dsymv``, with the
-    diagonal of K + eps*I put back for that one product).
     """
     m = train.n
     if m > 20_000:
@@ -264,33 +239,24 @@ def _solve_interpolant(train: ScoredSampleSet, kernel: KernelFamily, b_mat, jitt
             "closed-form solve is quadratic in memory; use SGD training beyond m = 20000"
         )
     gram = kernel.feature_matrix(train.states, train.scores)
-    _check_full_rank(b_mat)
-    eps = 1e-10 * float(np.mean(gram.diagonal())) if jitter is None else float(jitter)
+    eps = 1e-10 * float(np.mean(np.diag(gram))) if jitter is None else float(jitter)
     gram.flat[:: m + 1] += eps
-    diag = gram.diagonal().copy()  # of K + eps*I, which the factor overwrites
-    factor, info = lapack.dpotrf(gram.T, clean=False, overwrite_a=True)
-    chol_diag = gram.diagonal().copy()
-    if info != 0 or not np.all(np.isfinite(chol_diag)):
+    try:
+        factor = linalg.cho_factor(gram, lower=True)
+    except np.linalg.LinAlgError:
         raise ValueError(
             f"kernel matrix factorization failed at jitter={eps:g}; increase the jitter"
-        )
-    bt = b_mat.T  # Fortran-ordered, so BLAS takes it without a copy
-    k_inv_b = lapack.dpotrs(factor, b_mat)[0]
-    schur = blas.dgemm(1.0, bt, k_inv_b)
-
-    def minus_b(beta, y):  # y - B beta
-        return blas.dgemv(-1.0, bt, beta, beta=1.0, y=y, trans=1)
+        ) from None
+    k_inv_b = linalg.cho_solve(factor, b_mat)
+    schur = b_mat.T @ k_inv_b
 
     def solve(top, bottom):
-        beta = lapack.dgesv(schur, blas.dgemv(1.0, k_inv_b, top, trans=1) - bottom)[2]
-        return lapack.dpotrs(factor, minus_b(beta, top))[0], beta
+        beta = np.linalg.solve(schur, k_inv_b.T @ top - bottom)
+        return linalg.cho_solve(factor, top - b_mat @ beta), beta
 
     f = train.f_values
     theta, beta = solve(f, np.zeros(b_mat.shape[1]))
-    gram.flat[:: m + 1] = diag
-    k_theta = blas.dsymv(1.0, factor, theta, lower=True)
-    gram.flat[:: m + 1] = chol_diag
-    d_theta, d_beta = solve(minus_b(beta, f - k_theta), -blas.dgemv(1.0, bt, theta))
+    d_theta, d_beta = solve(f - gram @ theta - b_mat @ beta, -(b_mat.T @ theta))
     return theta + d_theta, beta + d_beta
 
 

@@ -1,13 +1,13 @@
 """Score-function oracles for Gaussian and Gaussian-mixture targets, exact sampling,
 and CSV ingestion of externally scored samples.
 
-A draw makes no LAPACK call. numpy and scipy each ship their own OpenBLAS, so
+A draw makes no scipy call. numpy and scipy each ship their own OpenBLAS, so
 two BLAS thread pools can be live in one process, and a threaded call into one
 pool waits while the other pool's workers still spin (about a scheduler tick
 on a 2-CPU host). Draws stay in numpy: each component keeps the inverse of its
-Cholesky factor and its precision matrix, both computed once with numpy, and
-the score and log density are products with them. For an identity covariance
-both are exactly I, so the score is exactly mu - x.
+Cholesky factor, computed once with numpy, and the score and log density are
+products with it. For an identity covariance that inverse is exactly I, so the
+score is exactly mu - x.
 """
 
 from __future__ import annotations
@@ -74,8 +74,6 @@ class MixtureTarget:
         inv_chol_ts = np.swapaxes(np.linalg.inv(chols), 1, 2)  # L^-T
         object.__setattr__(self, "_chols", chols)
         object.__setattr__(self, "_inv_chol_ts", inv_chol_ts)
-        # L^-T L^-1 = Sigma^-1
-        object.__setattr__(self, "_precisions", inv_chol_ts @ np.swapaxes(inv_chol_ts, 1, 2))
         object.__setattr__(
             self, "_log_dets", 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
         )
@@ -100,11 +98,14 @@ class MixtureTarget:
     def n_components(self) -> int:
         return self.weights.shape[0]
 
-    def _component_logpdf(self, pts: np.ndarray) -> np.ndarray:
+    def _whiten(self, pts: np.ndarray) -> list:
+        """Per component l, the rows L_l^{-1}(x - mu_l) as an (n, d) array."""
+        return [(pts - mu) @ inv_chol_t for mu, inv_chol_t in zip(self.means, self._inv_chol_ts)]
+
+    def _component_logpdf(self, whitened: list) -> np.ndarray:
         """Per-component log densities (n, L) plus the log mixture weights."""
-        logpdf = np.empty((pts.shape[0], self.n_components))
-        for l, (mu, inv_chol_t) in enumerate(zip(self.means, self._inv_chol_ts)):
-            y = (pts - mu) @ inv_chol_t  # rows L^-1 (x - mu)
+        logpdf = np.empty((whitened[0].shape[0], self.n_components))
+        for l, y in enumerate(whitened):
             logpdf[:, l] = -0.5 * (self.dim * _LOG_2PI + self._log_dets[l] + np.sum(y * y, axis=1))
         return logpdf + self._log_weights
 
@@ -113,22 +114,23 @@ class MixtureTarget:
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         pts = np.atleast_2d(x)
-        # the precisions are symmetric, so each row is (mu_l - x) Sigma_l^{-1}
-        pulls = [(mu - pts) @ prec for mu, prec in zip(self.means, self._precisions)]
+        whitened = self._whiten(pts)
+        # Sigma_l^{-1}(x - mu_l) = L_l^{-T} y_l, the row y_l L_l^{-1}
+        pulls = [y @ inv_chol_t.T for y, inv_chol_t in zip(whitened, self._inv_chol_ts)]
         if self.n_components == 1:  # the responsibilities are exactly 1
-            out = pulls[0]
+            out = -pulls[0]
         else:
-            shifted = self._component_logpdf(pts)
+            shifted = self._component_logpdf(whitened)
             shifted -= shifted.max(axis=1, keepdims=True)
             resp = np.exp(shifted)
             resp /= resp.sum(axis=1, keepdims=True)
-            out = np.einsum("nl,lnd->nd", resp, np.stack(pulls))
+            out = -np.einsum("nl,lnd->nd", resp, np.stack(pulls))
         return out[0] if single else out
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
-        shifted = self._component_logpdf(np.atleast_2d(x))
+        shifted = self._component_logpdf(self._whiten(np.atleast_2d(x)))
         # a finite shift, so a point where every component is -inf gets -inf, not NaN
         m = np.maximum(shifted.max(axis=1), np.finfo(np.float64).min)
         out = m + np.log(np.sum(np.exp(shifted - m[:, None]), axis=1))

@@ -315,19 +315,6 @@ class TestControlFunctional:
         )
         assert cv.offset == pytest.approx(cv_perm.offset, abs=1e-8)
 
-    def test_exact_fit_holds_one_m_by_m_array(self):
-        # the Gram is factored in place and K theta read from the triangle the
-        # factor leaves, so no second m x m array is ever allocated
-        m = 1500
-        train = self._train(m, 6)
-        tracemalloc.start()
-        try:
-            fit_control_functional(train, BaseKernelParams(0.1, 1.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * m * m * 8
-
     def test_failure_advises_jitter(self):
         target = GaussianTarget(np.zeros(1), 1.0)
         one = sample_target(target, 2, seed=5)
