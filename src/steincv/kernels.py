@@ -5,11 +5,9 @@ of centers), the closed-form interpolation solve, and the median heuristic for
 length-scales. A fitted kernel CV is a ``core.LinearCV`` over ``KernelFamily``.
 
 numpy and scipy each ship their own OpenBLAS, so a process can hold two BLAS
-thread pools (see ``targets``), and a threaded call into one waits while the
-other's workers still spin. A draw and the Gram run in numpy, so the exact
-solve factors the Gram with numpy's Cholesky too: scipy's threaded factor,
-right after numpy work, took 40-90 ms at m = 250 instead of about 1 ms. Only
-the triangular solves (``cho_solve``) are scipy's.
+thread pools (see ``targets``). The Gram is built in numpy and the exact solve
+factors it with scipy's Cholesky, so an exact fit hands off between the two
+pools a few times; a draw stays in numpy's.
 """
 
 from __future__ import annotations
@@ -244,8 +242,7 @@ def _solve_interpolant(train: ScoredSampleSet, kernel: KernelFamily, b_mat, jitt
     eps = 1e-10 * float(np.mean(np.diag(gram))) if jitter is None else float(jitter)
     gram.flat[:: m + 1] += eps
     try:
-        # numpy's factor, in the BLAS pool that just built the Gram
-        factor = (np.linalg.cholesky(gram), True)
+        factor = linalg.cho_factor(gram, lower=True)
     except np.linalg.LinAlgError:
         raise ValueError(
             f"kernel matrix factorization failed at jitter={eps:g}; increase the jitter"
