@@ -5,9 +5,9 @@ of centers), the closed-form interpolation solve, and the median heuristic for
 length-scales. A fitted kernel CV is a ``core.LinearCV`` over ``KernelFamily``.
 
 numpy and scipy each ship their own OpenBLAS, so a process can hold two BLAS
-thread pools (see ``targets``). The Gram is built in numpy and the exact solve
-factors it with scipy's Cholesky, so an exact fit hands off between the two
-pools a few times; a draw stays in numpy's.
+thread pools (see ``targets``). An exact fit stays in numpy's: the Gram is
+built with numpy products, and ``_BlockCholesky`` factors and solves with it
+with numpy alone.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import linalg
 from scipy.spatial.distance import pdist
 
 from .core import LinearCV, ScoredSampleSet
@@ -224,14 +223,70 @@ class KernelFamily:
         )
 
 
+# Columns per block of ``_BlockCholesky``: of the widths 16 to 64 tried, 32
+# factored 250- and 500-row Grams fastest.
+_FACTOR_BLOCK = 32
+
+
+def _refined_solve(tri: np.ndarray, inv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """tri^{-1} rhs for a small triangle through its inverse ``inv``, with one
+    step of refinement against ``tri``."""
+    x = inv @ rhs
+    x += inv @ (rhs - tri @ x)
+    return x
+
+
+class _BlockCholesky:
+    """Cholesky factor L of a positive definite matrix, and solves with it,
+    in numpy alone (np.linalg.LinAlgError if the matrix does not factor).
+
+    numpy and scipy each ship their own OpenBLAS. The Gram is built with
+    numpy's, and a threaded scipy factor right after it waited on numpy's
+    spinning worker: 25 ms for 250 rows instead of 1 ms, in some processes
+    only, and a scipy solve with one right-hand side took three times as long.
+    numpy has no triangular solve, so the factor is left-looking by block
+    columns of ``_FACTOR_BLOCK``. One product updates a block column, numpy
+    factors and inverts its diagonal block, and every solve against a diagonal
+    block goes through that inverse with one step of refinement. Without the
+    refinement an ill-conditioned d = 1 Gram lost three digits of
+    interpolation accuracy.
+    """
+
+    def __init__(self, a: np.ndarray):
+        m = a.shape[0]
+        self.blocks = [(j, min(j + _FACTOR_BLOCK, m)) for j in range(0, m, _FACTOR_BLOCK)]
+        self.inverses = []
+        low = a.copy()  # its lower triangle becomes L; the strict upper one is never read
+        for j, k in self.blocks:
+            low[j:, j:k] -= low[j:, :j] @ low[j:k, :j].T
+            diag = np.linalg.cholesky(low[j:k, j:k])
+            inv = np.linalg.inv(diag)
+            low[j:k, j:k] = diag
+            low[k:, j:k] = _refined_solve(diag, inv, low[k:, j:k].T).T
+            self.inverses.append(inv)
+        self.low = low
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A^{-1} rhs for an (m,) or (m, q) rhs, by block forward and back
+        substitution."""
+        low, x = self.low, np.array(rhs, dtype=np.float64)
+        for (j, k), inv in zip(self.blocks, self.inverses):
+            x[j:k] = _refined_solve(low[j:k, j:k], inv, x[j:k])
+            x[k:] -= low[k:, j:k] @ x[j:k]
+        for (j, k), inv in zip(self.blocks[::-1], self.inverses[::-1]):
+            x[j:k] = _refined_solve(low[j:k, j:k].T, inv.T, x[j:k] - low[k:, j:k].T @ x[k:])
+        return x
+
+
 def _solve_interpolant(train: ScoredSampleSet, kernel: KernelFamily, b_mat, jitter):
     """(theta, beta) solving the saddle-point system of ``fit_semi_exact`` for
     an (m, q) basis block B, with K the Gram of ``kernel``, whose centers are
     the training points, and eps defaulting to 1e-10 times the mean diagonal
-    of K. K + eps*I is factored once by Cholesky; the (q, q) Schur
-    system (B^T K^{-1} B) beta = B^T K^{-1} f gives beta, then
-    theta = K^{-1}(f - B beta). One round of iterative refinement on the block
-    system keeps the interpolation and exactness constraints tight.
+    of K. K + eps*I is factored once by Cholesky (``_BlockCholesky``) and
+    solved once against [B, f]; the (q, q) Schur system
+    (B^T K^{-1} B) beta = B^T K^{-1} f gives beta, then
+    theta = K^{-1} f - K^{-1} B beta. One round of iterative refinement on the
+    block system keeps the interpolation and exactness constraints tight.
     """
     m = train.n
     if m > 20_000:
@@ -242,21 +297,23 @@ def _solve_interpolant(train: ScoredSampleSet, kernel: KernelFamily, b_mat, jitt
     eps = 1e-10 * float(np.mean(np.diag(gram))) if jitter is None else float(jitter)
     gram.flat[:: m + 1] += eps
     try:
-        factor = linalg.cho_factor(gram, lower=True)
+        factor = _BlockCholesky(gram)
     except np.linalg.LinAlgError:
         raise ValueError(
             f"kernel matrix factorization failed at jitter={eps:g}; increase the jitter"
         ) from None
-    k_inv_b = linalg.cho_solve(factor, b_mat)
+    f, q = train.f_values, b_mat.shape[1]
+    k_inv = factor.solve(np.column_stack([b_mat, f]))
+    k_inv_b, k_inv_f = k_inv[:, :q], k_inv[:, q]
     schur = b_mat.T @ k_inv_b
 
-    def solve(top, bottom):
+    def solve(top, k_inv_top, bottom):
         beta = np.linalg.solve(schur, k_inv_b.T @ top - bottom)
-        return linalg.cho_solve(factor, top - b_mat @ beta), beta
+        return k_inv_top - k_inv_b @ beta, beta
 
-    f = train.f_values
-    theta, beta = solve(f, np.zeros(b_mat.shape[1]))
-    d_theta, d_beta = solve(f - gram @ theta - b_mat @ beta, -(b_mat.T @ theta))
+    theta, beta = solve(f, k_inv_f, np.zeros(q))
+    resid = f - gram @ theta - b_mat @ beta
+    d_theta, d_beta = solve(resid, factor.solve(resid), -(b_mat.T @ theta))
     return theta + d_theta, beta + d_beta
 
 

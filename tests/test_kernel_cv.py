@@ -3,6 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import linalg
+from scipy.linalg import lapack
+
+import steincv.kernels as kernels
 
 from steincv.core import LinearCV
 from steincv.ensemble import EnsembleFamily, fit_semi_exact
@@ -322,6 +325,48 @@ class TestControlFunctional:
         dup = dup.with_f_values(np.ones(3))
         with pytest.raises(ValueError, match="jitter"):
             fit_control_functional(dup, BaseKernelParams(0.1, 1.0), jitter=0.0)
+
+    @pytest.mark.parametrize("m", [1, 31, 32, 33, 100, 257])
+    def test_block_factor_matches_scipy(self, m):
+        """``_BlockCholesky`` works by block columns; its factor agrees with
+        scipy's one-call factor, and its solves with a dense solve, on one
+        block, on a partial last block and on several blocks."""
+        rng = np.random.default_rng(m)
+        a = rng.standard_normal((m, m))
+        spd = a @ a.T + m * np.eye(m)
+        factor = kernels._BlockCholesky(spd)
+        want = linalg.cholesky(spd, lower=True)
+        np.testing.assert_allclose(
+            np.tril(factor.low), want, rtol=0.0, atol=1e-12 * np.abs(want).max()
+        )
+        rhs = rng.standard_normal((m, 3))
+        np.testing.assert_allclose(factor.solve(rhs), np.linalg.solve(spd, rhs), rtol=1e-10)
+        np.testing.assert_allclose(
+            factor.solve(rhs[:, 0]), np.linalg.solve(spd, rhs[:, 0]), rtol=1e-10
+        )
+
+    def test_block_factor_rejects_indefinite(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            kernels._BlockCholesky(np.diag([1.0] * 40 + [-1.0] + [1.0] * 10))
+
+    def test_exact_fits_make_no_scipy_linalg_call(self, monkeypatch):
+        """numpy and scipy each ship their own OpenBLAS. The Gram is built with
+        numpy's, so the exact fits factor and solve with numpy too and never
+        hand off to scipy's thread pool."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exact fit called scipy.linalg")
+
+        for name in ("cho_factor", "cho_solve", "cholesky", "solve_triangular", "solve"):
+            monkeypatch.setattr(linalg, name, refuse)
+        for name in ("dpotrf", "dpotrs", "dtrtri", "dtrtrs"):
+            monkeypatch.setattr(lapack, name, refuse)
+        train = self._train(300, 7)
+        params = BaseKernelParams(0.01, median_heuristic(train.states))
+        cv = fit_control_functional(train, params)
+        resid = train.f_values - cv.offset - cv(train.states, train.scores)
+        assert np.max(np.abs(resid)) <= 1e-6
+        fit_semi_exact(train, enumerate_multi_indices(1, 2), params)
 
 
 class TestMedianHeuristic:
