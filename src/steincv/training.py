@@ -208,12 +208,18 @@ class LinearFeatureModel:
 
 
 class MlpModel:
-    """SGD surface for a network control function. It trains its own copy of
-    the network, so the caller's keeps its parameters."""
+    """SGD surface for a network control function. It trains its own network,
+    whose weights are views of one flat vector bound once, so the caller's
+    network keeps its parameters and a step copies theta in with one copy. A
+    step hands the pass buffers of the previous step back to
+    ``cv_values_with_cache``, which refills them."""
 
     def __init__(self, net: MlpControlFunction, train: ScoredSampleSet):
-        self.net = copy.deepcopy(net)
+        self._theta = net.get_params()
+        self.net = MlpControlFunction(list(net.widths), net.activation)
+        self.net._bind(self._theta)
         self._train = train
+        self._cache = None
 
     def initial_params(self) -> np.ndarray:
         return self.net.get_params()
@@ -230,13 +236,15 @@ class MlpModel:
         return ((idx, None) for idx in batches)
 
     def values(self, theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        self.net.set_params(theta)
+        np.copyto(self._theta, theta)
         return self.net(self._train.states[idx], self._train.scores[idx])
 
     def batch_eval(self, theta: np.ndarray, idx: np.ndarray):
-        self.net.set_params(theta)
-        g, cache = cv_values_with_cache(self.net, self._train.states[idx], self._train.scores[idx])
-        return g, functools.partial(cv_param_vjp, self.net, cache)
+        np.copyto(self._theta, theta)
+        g, self._cache = cv_values_with_cache(
+            self.net, self._train.states[idx], self._train.scores[idx], cache=self._cache
+        )
+        return g, functools.partial(cv_param_vjp, self.net, self._cache)
 
 
 def wrap_model(model, train: ScoredSampleSet):

@@ -8,6 +8,7 @@ bound of the expanded form (``_rounding_bound``).
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg
@@ -109,3 +110,14 @@ def test_square_gram_factors_with_the_default_jitter(seed, n, d, params):
     gram = stein_kernel_gram(x, s, x, s, params)
     gram.flat[:: n + 1] += 1e-10 * np.mean(np.diag(gram))
     linalg.cho_factor(gram, lower=True)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_coincident_points_far_out_keep_the_gram_finite(seed):
+    # 20 points at |x| ~ 1e5 against themselves with a length-scale of 1e-5: the
+    # expanded |x - y|^2 of a coincident pair rounds to about +-1e-6, which the
+    # factor u / 2 = 5e9 turns into an exponent of order +1e4, past exp's
+    # overflow, unless the exponent is clamped at 0
+    x = np.random.default_rng(seed).normal(0.0, 1e5, size=(20, 2))
+    gram = stein_kernel_gram(x, -x, x, -x, BaseKernelParams(0.0, 1e-5))
+    assert np.isfinite(gram).all()

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from steincv.mlp import (
     MlpControlFunction,
+    _cv_param_rows,
     cv_param_vjp,
     cv_values,
     cv_values_with_cache,
@@ -203,6 +205,93 @@ class TestParameterStorage:
         assert not np.shares_memory(first, second)
         second[:] = 0.0
         np.testing.assert_array_equal(first, kept)
+
+
+class TestPassBuffers:
+    """A cache handed back to cv_values_with_cache is refilled in place; the
+    results must be those of a fresh pass, bit for bit."""
+
+    @staticmethod
+    def _batch(rng, n, d):
+        return rng.normal(size=(n, d)), rng.normal(size=(n, d)), rng.normal(size=n)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    @pytest.mark.parametrize("n", [1, 8, 256])
+    def test_reused_cache_matches_a_fresh_pass(self, d, n):
+        rng = np.random.default_rng(10 * d + n)
+        net = MlpControlFunction.initialize([d, 6, 5, 4, 1], seed=d)
+        theta = net.get_params()
+        cache = None
+        for _ in range(3):  # new rows and parameters on every call
+            theta = theta + 0.2 * rng.normal(size=theta.size)
+            net.set_params(theta)
+            x, s, w = self._batch(rng, n, d)
+            g, cache_again = cv_values_with_cache(net, x, s, cache=cache)
+            assert cache is None or cache_again is cache
+            cache = cache_again
+            fresh_g, fresh = cv_values_with_cache(net, x, s)
+            np.testing.assert_array_equal(g, fresh_g)
+            np.testing.assert_array_equal(cv_param_vjp(net, cache, w), cv_param_vjp(net, fresh, w))
+            np.testing.assert_array_equal(_cv_param_rows(net, cache), _cv_param_rows(net, fresh))
+            np.testing.assert_array_equal(cv_values(net, x, s), g)
+
+    def test_a_kept_cache_is_not_overwritten(self):
+        rng = np.random.default_rng(1)
+        net = MlpControlFunction.initialize([3, 5, 5, 1], seed=1)
+        theta = net.get_params()
+        x, s, w = self._batch(rng, 8, 3)
+        _, kept = cv_values_with_cache(net, x, s)
+        vjp, rows = cv_param_vjp(net, kept, w), _cv_param_rows(net, kept)
+        net.set_params(theta + 0.5)
+        _, handed_back = cv_values_with_cache(net, *self._batch(rng, 8, 3)[:2])
+        for _ in range(2):
+            cv_values_with_cache(net, *self._batch(rng, 8, 3)[:2])
+            cv_values_with_cache(net, *self._batch(rng, 8, 3)[:2], cache=handed_back)
+        net.set_params(theta)
+        np.testing.assert_array_equal(cv_param_vjp(net, kept, w), vjp)
+        np.testing.assert_array_equal(_cv_param_rows(net, kept), rows)
+
+    def test_a_cache_of_another_shape_is_not_refilled(self):
+        rng = np.random.default_rng(2)
+        net = MlpControlFunction.initialize([2, 5, 1], seed=2)
+        x, s, w = self._batch(rng, 8, 2)
+        _, cache = cv_values_with_cache(net, x, s)
+        vjp = cv_param_vjp(net, cache, w)
+        other_net = MlpControlFunction.initialize([2, 4, 1], seed=3)
+        for other, rows in ((net, 4), (net, 9), (other_net, 8)):
+            xo, so, wo = self._batch(rng, rows, 2)
+            g, fresh = cv_values_with_cache(other, xo, so, cache=cache)
+            assert fresh is not cache
+            np.testing.assert_array_equal(g, cv_values(other, xo, so))
+            assert cv_param_vjp(other, fresh, wo).shape == (other.n_params,)
+        np.testing.assert_array_equal(cv_param_vjp(net, cache, w), vjp)
+
+    @staticmethod
+    def _warm_step_memory(hidden):
+        """Numpy data blocks that a warm step (forward with the cache handed back,
+        then one VJP) leaves alive, and its traced peak above its start less the
+        returned gradient and the gradient's finiteness mask."""
+        net = MlpControlFunction.initialize([2] + [20] * hidden + [1], seed=0)
+        x, s, w = TestPassBuffers._batch(np.random.default_rng(0), 8, 2)
+        _, cache = cv_values_with_cache(net, x, s)
+        cv_param_vjp(net, cache, w)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            g, cache = cv_values_with_cache(net, x, s, cache=cache)
+            grad = cv_param_vjp(net, cache, w)
+            peak = tracemalloc.get_traced_memory()[1] - start
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        numpy_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        return len(snapshot.filter_traces([numpy_data]).traces), peak - grad.nbytes - grad.size
+
+    def test_a_warm_step_allocates_nothing_per_layer(self):
+        deep_blocks, deep_peak = self._warm_step_memory(12)
+        shallow_blocks, shallow_peak = self._warm_step_memory(2)
+        assert deep_blocks == shallow_blocks == 2  # g and the gradient
+        assert deep_peak <= shallow_peak
 
 
 # Central differences of the network value u with step h err by about
