@@ -95,13 +95,18 @@ class ScoredSampleSet:
         object.__setattr__(self, "states", _freeze(states.copy()))
         object.__setattr__(self, "scores", _freeze(scores.copy()))
         if self.f_values is not None:
-            f = np.asarray(self.f_values, dtype=np.float64).reshape(-1)
-            if f.shape[0] != states.shape[0]:
-                raise ValueError(
-                    f"f_values has length {f.shape[0]}, expected {states.shape[0]}"
-                )
-            _check_finite(f, "f_values")
-            object.__setattr__(self, "f_values", _freeze(f.copy()))
+            object.__setattr__(self, "f_values", _checked_f_values(self.f_values, self.n))
+
+    @classmethod
+    def _owned(cls, states, scores, f_values) -> "ScoredSampleSet":
+        """A set over checked arrays that no caller can write to: frozen
+        arrays of a set, or fresh rows taken from them. They are frozen in
+        place, not copied or checked again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "states", _freeze(states))
+        object.__setattr__(out, "scores", _freeze(scores))
+        object.__setattr__(out, "f_values", None if f_values is None else _freeze(f_values))
+        return out
 
     @property
     def n(self) -> int:
@@ -113,12 +118,26 @@ class ScoredSampleSet:
 
     def subset(self, indices: np.ndarray) -> "ScoredSampleSet":
         """Row-subset of the sample set (f_values carried along when present)."""
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
+        if idx.ndim != 1 or idx.size < 1:
+            raise ValueError("states must be a non-empty (n, d) matrix")
         f = None if self.f_values is None else self.f_values[idx]
-        return ScoredSampleSet(self.states[idx], self.scores[idx], f)
+        return ScoredSampleSet._owned(self.states[idx], self.scores[idx], f)
 
     def with_f_values(self, f_values: np.ndarray) -> "ScoredSampleSet":
-        return ScoredSampleSet(self.states, self.scores, f_values)
+        """This set's states and scores (shared, not copied) with new f_values."""
+        return ScoredSampleSet._owned(
+            self.states, self.scores, _checked_f_values(f_values, self.n)
+        )
+
+
+def _checked_f_values(f_values, n: int) -> np.ndarray:
+    """A float64 copy of a length-n vector of finite integrand values."""
+    f = np.asarray(f_values, dtype=np.float64).reshape(-1)
+    if f.shape[0] != n:
+        raise ValueError(f"f_values has length {f.shape[0]}, expected {n}")
+    _check_finite(f, "f_values")
+    return f.copy()
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,10 @@ operator to both arguments, the kernel feature map (that kernel against a set
 of centers), the closed-form interpolation solve, and the median heuristic for
 length-scales. A fitted kernel CV is a ``core.LinearCV`` over ``KernelFamily``.
 
-numpy and scipy each ship their own OpenBLAS, so a process can hold two BLAS
-thread pools (see ``targets``). An exact fit stays in numpy's: the Gram is
-built with numpy products, and ``_BlockCholesky`` factors and solves with it
-with numpy alone.
+Everything here runs in numpy alone, so one BLAS thread pool serves the whole
+process: the Gram is built with numpy products, ``_BlockCholesky`` factors and
+solves with it (the polynomial exact fit uses it too), and the median heuristic
+forms its pairwise distances by row blocks.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .core import LinearCV, ScoredSampleSet
 
@@ -190,13 +189,40 @@ def stein_kernel_gram(
     return out
 
 
+def _pair_sq_distances(states: np.ndarray) -> np.ndarray:
+    """|x_i - x_j|^2 for every pair i < j, in no fixed order. Each is summed
+    over the coordinates in turn, as scipy's ``pdist`` sums them, so the values
+    are bitwise its "sqeuclidean" ones. The rows go in blocks of at most
+    ``_BLOCK_ENTRIES`` entries: a block against itself and every later row,
+    of which the strict upper triangle and the rectangle right of it are kept."""
+    m = states.shape[0]
+    cols = np.ascontiguousarray(states.T)
+    out = np.empty(m * (m - 1) // 2)
+    step = max(1, min(m, _BLOCK_ENTRIES // m))
+    upper = np.triu(np.ones((step, step), dtype=bool), 1)
+    pos = 0
+    for lo in range(0, m, step):
+        rows = min(step, m - lo)
+        right = m - lo - rows
+        block = cols[0, lo : lo + rows, None] - cols[0, None, lo:]
+        block *= block
+        for c in cols[1:]:
+            diff = c[lo : lo + rows, None] - c[None, lo:]
+            block += np.square(diff, out=diff)
+        tri = block[:, :rows][upper[:rows, :rows]]
+        out[pos : pos + tri.size] = tri
+        pos += tri.size
+        out[pos : pos + rows * right].reshape(rows, right)[...] = block[:, rows:]
+        pos += rows * right
+    return out
+
+
 def median_heuristic(states: np.ndarray) -> float:
     """Length-scale sqrt(median{|x_i - x_j|^2 : i < j} / 2)."""
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     if states.shape[0] < 2:
         raise ValueError("median heuristic needs at least 2 points")
-    sq = pdist(states, "sqeuclidean")
-    med = float(np.median(sq))
+    med = float(np.median(_pair_sq_distances(states)))
     if med <= 0.0:
         raise ValueError("all points coincide; median heuristic undefined")
     return float(np.sqrt(0.5 * med))
@@ -240,10 +266,6 @@ class _BlockCholesky:
     """Cholesky factor L of a positive definite matrix, and solves with it,
     in numpy alone (np.linalg.LinAlgError if the matrix does not factor).
 
-    numpy and scipy each ship their own OpenBLAS. The Gram is built with
-    numpy's, and a threaded scipy factor right after it waited on numpy's
-    spinning worker: 25 ms for 250 rows instead of 1 ms, in some processes
-    only, and a scipy solve with one right-hand side took three times as long.
     numpy has no triangular solve, so the factor is left-looking by block
     columns of ``_FACTOR_BLOCK``. One product updates a block column, numpy
     factors and inverts its diagonal block, and every solve against a diagonal

@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .core import LinearCV, ScoredSampleSet, _freeze
+from .kernels import _BlockCholesky
 
 __all__ = [
     "MultiIndexSet",
@@ -155,7 +155,8 @@ def fit_poly_exact(
 
     Builds the centered second-moment matrix V and cross-moment vector C of the
     basis over the training set and solves (V + ridge*I) theta = C by Cholesky
-    factorization. The offset is the training mean of f - theta . b.
+    factorization (``kernels._BlockCholesky``, as the kernel exact fit). The
+    offset is the training mean of f - theta . b.
     """
     if train.f_values is None:
         raise ValueError("training set must carry f_values")
@@ -171,7 +172,7 @@ def fit_poly_exact(
     v_hat = (bc.T @ bc) / denom
     c_hat = (bc.T @ fc) / denom
     try:
-        factor = linalg.cho_factor(v_hat + ridge * np.eye(mi.p))
+        factor = _BlockCholesky(v_hat + ridge * np.eye(mi.p))
     except np.linalg.LinAlgError:
         if ridge == 0.0:
             raise ValueError(
@@ -179,6 +180,6 @@ def fit_poly_exact(
                 "use ridge > 0"
             ) from None
         raise
-    theta = linalg.cho_solve(factor, c_hat)
+    theta = factor.solve(c_hat)
     offset = float(np.mean(f - basis @ theta))
     return LinearCV(PolynomialFamily(mi), theta, offset)

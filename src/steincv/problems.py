@@ -13,7 +13,6 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from .core import _derived_seed
 from .targets import (
@@ -51,10 +50,54 @@ GENZ_KINDS = (
 _MAX_SUBSET_DIM = 20
 
 
+# erfc(x) = exp(-x^2) P(x / (x + 3)) for 0 <= x <= 6, P of degree 14 with
+# P(0) = 1, coefficients in ascending order. They come from a minimax fit of
+# erfcx(x) = exp(x^2) erfc(x) with the error weighted by exp(-x^2), so that the
+# absolute error of erfc is leveled (Lawson's iteration on least squares over
+# 240 Chebyshev points in the variable, 40-digit mpmath arithmetic): at most
+# 2e-17 in exact arithmetic, 2.3e-16 in float64 against mpmath's erf.
+_ERFC_SCALE = 3.0
+_ERFC_COEFFS = (
+    1.0, -3.38513750128655, 5.61486249871596, -5.695962509184167,
+    3.1823874819348443, -0.3690577087004081, -0.5882359505024919,
+    0.14771280852747634, 0.15721757020417312, -0.02275855392173296,
+    -0.050476294693589725, -0.008318540003589054, 0.012769767719308218,
+    0.014178195371428398, -0.009292437941511337,
+)
+# erf(6) rounds to 1, as erf does at every larger argument
+_ERF_ONE_AT = 6.0
+# Values per chunk of _erf: its three temporaries stay in cache
+_ERF_CHUNK = 16384
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """The error function elementwise, as sign(x) (1 - erfc|x|), to within
+    2.3e-16 absolute: exactly odd, 0 at 0, +-1 at +-inf, NaN at NaN."""
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.reshape(-1)
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, _ERF_CHUNK):
+        xc = flat[lo : lo + _ERF_CHUNK]
+        a = np.minimum(np.abs(xc), _ERF_ONE_AT)
+        s = a + _ERFC_SCALE
+        np.divide(a, s, out=s)
+        p = _ERFC_COEFFS[-1] * s
+        for c in _ERFC_COEFFS[-2:0:-1]:
+            p += c
+            p *= s
+        p += _ERFC_COEFFS[0]
+        np.multiply(a, a, out=a)
+        np.negative(a, out=a)
+        p *= np.exp(a, out=a)
+        np.subtract(1.0, p, out=p)
+        np.copysign(p, xc, out=out[lo : lo + _ERF_CHUNK])
+    return out.reshape(x.shape)
+
+
 def standard_normal_cdf(x: np.ndarray) -> np.ndarray:
     """Standard normal CDF via the error function."""
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * (1.0 + special.erf(x / np.sqrt(2.0)))
+    return 0.5 * (1.0 + _erf(x / np.sqrt(2.0)))
 
 
 def double_factorial(k: int) -> int:
@@ -199,11 +242,8 @@ class GenzProblem:
         if self.kind == "discontinuous":
             return float(np.prod((np.exp(a * np.minimum(1.0, u)) - 1.0) / a))
         if self.kind == "gaussian_peak":
-            per_dim = (
-                (np.sqrt(np.pi) / 2.0)
-                / a
-                * (special.erf(a * (1.0 - u)) - special.erf(-a * u))
-            )
+            erf = np.vectorize(math.erf, otypes=[float])
+            per_dim = (np.sqrt(np.pi) / 2.0) / a * (erf(a * (1.0 - u)) - erf(-a * u))
             return float(np.prod(per_dim))
         if self.kind == "oscillatory":
             phase = 2.0 * np.pi * u[0]

@@ -1,12 +1,9 @@
 """Score-function oracles for Gaussian and Gaussian-mixture targets, exact sampling,
 and CSV ingestion of externally scored samples.
 
-A draw makes no scipy call. numpy and scipy each ship their own OpenBLAS, so
-two BLAS thread pools can be live in one process, and a threaded call into one
-pool waits while the other pool's workers still spin (about a scheduler tick
-on a 2-CPU host). Draws stay in numpy: each component keeps the inverse of its
-Cholesky factor, computed once with numpy, and the score and log density are
-products with it. For an identity covariance that inverse is exactly I, so the
+Each component keeps the inverse of its Cholesky factor, computed once with
+numpy, and the score and log density are products with it, so a draw takes no
+linear solve. For an identity covariance that inverse is exactly I, so the
 score is exactly mu - x.
 """
 

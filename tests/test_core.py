@@ -43,6 +43,33 @@ class TestScoredSampleSet:
         with pytest.raises(ValueError):
             ss.states[0, 0] = 1.0
 
+    def test_subset_rows_are_frozen_and_checked_for_shape(self):
+        ss = ScoredSampleSet(np.arange(8.0).reshape(4, 2), np.ones((4, 2)), [0, 1, 2, 3])
+        sub = ss.subset([3, 3, 1])
+        for a in (sub.states, sub.scores, sub.f_values):
+            assert not a.flags.writeable
+        np.testing.assert_array_equal(sub.f_values, [3.0, 3.0, 1.0])
+        one = ss.subset(2)  # one index is a one-row set
+        assert one.n == 1 and one.f_values.shape == (1,)
+        for bad in ([], [[0, 1]]):
+            with pytest.raises(ValueError, match="non-empty"):
+                ss.subset(bad)
+        with pytest.raises(IndexError):
+            ss.subset([4])
+
+    def test_with_f_values_shares_rows_and_checks_f(self):
+        ss = ScoredSampleSet(np.zeros((3, 2)), np.ones((3, 2)))
+        f = np.array([1.0, 2.0, 3.0])
+        out = ss.with_f_values(f)
+        assert out.states is ss.states and out.scores is ss.scores
+        f[0] = 9.0  # the set holds a copy of the caller's values
+        np.testing.assert_array_equal(out.f_values, [1.0, 2.0, 3.0])
+        assert not out.f_values.flags.writeable
+        with pytest.raises(ValueError, match="length"):
+            ss.with_f_values([1.0, 2.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            ss.with_f_values([1.0, np.nan, 2.0])
+
 
 class TestEstimateMc:
     def test_constant_input(self):
