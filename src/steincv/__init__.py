@@ -16,7 +16,6 @@ from .core import (
     SplitIndex,
     estimate_mc,
     estimate_with_cv,
-    mean_absolute_error,
     split_samples,
 )
 from .targets import (
@@ -37,11 +36,8 @@ from .poly import (
 from .kernels import (
     BaseKernelParams,
     KernelFamily,
-    base_kernel,
-    base_kernel_derivatives,
     fit_control_functional,
     median_heuristic,
-    stein_kernel,
     stein_kernel_gram,
 )
 from .mlp import MlpControlFunction, cv_values, forward_with_derivatives

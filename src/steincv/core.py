@@ -1,4 +1,4 @@
-"""Shared domain types, control-variate estimators, data splitting and error metrics."""
+"""Shared domain types, control-variate estimators and data splitting."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ __all__ = [
     "estimate_mc",
     "estimate_with_cv",
     "split_samples",
-    "mean_absolute_error",
 ]
 
 
@@ -257,11 +256,3 @@ def split_samples(
     else:
         raise ValueError(f"unknown split policy: {policy!r}; choose from {SPLIT_POLICIES}")
     return SplitIndex(order[:m], order[m:], same_set=False)
-
-
-def mean_absolute_error(estimates: np.ndarray, truth: float) -> float:
-    """Mean of |estimate - truth| over repeated estimates."""
-    e = np.asarray(estimates, dtype=np.float64).reshape(-1)
-    if e.size == 0:
-        raise ValueError("cannot compute MAE of an empty estimate list")
-    return float(np.mean(np.abs(e - truth)))

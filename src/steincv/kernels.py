@@ -1,8 +1,8 @@
 """Kernel control variates: the inverse-quadratic-weighted Gaussian base kernel,
-its analytic derivatives, the zero-mean kernel obtained by applying the Langevin
-operator to both arguments, the kernel feature map (that kernel against a set
-of centers), the closed-form interpolation solve, and the median heuristic for
-length-scales. A fitted kernel CV is a ``core.LinearCV`` over ``KernelFamily``.
+the zero-mean kernel obtained by applying the Langevin operator to both of its
+arguments, the kernel feature map (that kernel against a set of centers), the
+closed-form interpolation solve, and the median heuristic for length-scales.
+A fitted kernel CV is a ``core.LinearCV`` over ``KernelFamily``.
 
 Everything here runs in numpy alone, so one BLAS thread pool serves the whole
 process: the Gram is built with numpy products, ``_BlockCholesky`` factors and
@@ -23,9 +23,6 @@ from .core import LinearCV, ScoredSampleSet
 __all__ = [
     "BaseKernelParams",
     "KernelFamily",
-    "base_kernel",
-    "base_kernel_derivatives",
-    "stein_kernel",
     "stein_kernel_gram",
     "median_heuristic",
     "fit_control_functional",
@@ -45,57 +42,6 @@ class BaseKernelParams:
             raise ValueError(f"alpha1 must be finite and >= 0, got {self.alpha1}")
         if not 0 < self.alpha2 < math.inf:
             raise ValueError(f"alpha2 (length-scale) must be finite and > 0, got {self.alpha2}")
-
-
-def base_kernel(x: np.ndarray, y: np.ndarray, params: BaseKernelParams) -> float:
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    a1, a2 = params.alpha1, params.alpha2
-    pref = 1.0 / (1.0 + a1 * (x @ x) + a1 * (y @ y))
-    diff = x - y
-    return float(pref * np.exp(-(diff @ diff) / (2.0 * a2 * a2)))
-
-
-def base_kernel_derivatives(
-    x: np.ndarray, y: np.ndarray, params: BaseKernelParams
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Analytic (grad_x k, grad_y k, div_x grad_y k) of the base kernel.
-
-    Derived by the product rule on the inverse-quadratic prefactor
-    p = (1 + a1|x|^2 + a1|y|^2)^{-1} and the Gaussian factor
-    q = exp(-|x-y|^2 / (2 a2^2)):
-
-        grad_x k = -p q (2 a1 p x + (x - y) / a2^2)
-        grad_y k = -p q (2 a1 p y - (x - y) / a2^2)
-        div      = 8 a1^2 (x.y) p^3 q - 2 a1 p^2 q |x-y|^2 / a2^2
-                   + p q (d / a2^2 - |x-y|^2 / a2^4)
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    d = x.shape[0]
-    a1, a2 = params.alpha1, params.alpha2
-    inv_a2sq = 1.0 / (a2 * a2)
-    p = 1.0 / (1.0 + a1 * (x @ x) + a1 * (y @ y))
-    diff = x - y
-    r2 = diff @ diff
-    q = np.exp(-0.5 * r2 * inv_a2sq)
-    pq = p * q
-    grad_x = -pq * (2.0 * a1 * p * x + diff * inv_a2sq)
-    grad_y = -pq * (2.0 * a1 * p * y - diff * inv_a2sq)
-    div = (
-        8.0 * a1 * a1 * (x @ y) * p**3 * q
-        - 2.0 * a1 * p * pq * r2 * inv_a2sq
-        + pq * (d * inv_a2sq - r2 * inv_a2sq * inv_a2sq)
-    )
-    return grad_x, grad_y, float(div)
-
-
-def stein_kernel(
-    x: np.ndarray, y: np.ndarray, score_x: np.ndarray, score_y: np.ndarray, params: BaseKernelParams
-) -> float:
-    """Zero-mean kernel: div_x grad_y k + grad_x k . score_y + grad_y k . score_x
-    + k(x, y) score_x . score_y."""
-    return float(stein_kernel_gram(x, score_x, y, score_y, params)[0, 0])
 
 
 # Entries per row block of the Gram, and per chunk of SGD feature rows: 128 KiB

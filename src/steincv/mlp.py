@@ -52,19 +52,12 @@ class MlpControlFunction:
     """
 
     widths: list[int]
-    activation: str = "tanh"
     weights: list[np.ndarray] = field(default_factory=list)
     biases: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
         if len(self.widths) < 2 or self.widths[-1] != 1 or min(self.widths) < 1:
             raise ValueError("widths must be [d, h_1, ..., 1] with every width >= 1")
-        if self.activation != "tanh":
-            raise ValueError(
-                f"activation {self.activation!r} is not supported, only 'tanh': the "
-                "Langevin operator needs a twice-differentiable network (a ReLU "
-                "network's Laplacian has point masses, so its output is not mean-zero)"
-            )
         if not self.weights:
             self.weights = [
                 np.zeros((o, i)) for i, o in zip(self.widths[:-1], self.widths[1:])
@@ -77,9 +70,7 @@ class MlpControlFunction:
                 raise ValueError("network parameters must be finite")
 
     @classmethod
-    def initialize(
-        cls, widths: list[int], activation: str = "tanh", seed: int = 0
-    ) -> "MlpControlFunction":
+    def initialize(cls, widths: list[int], seed: int = 0) -> "MlpControlFunction":
         """Seeded fan-based uniform init: W ~ U(+-sqrt(6/(fan_in+fan_out))), b = 0."""
         rng = np.random.default_rng(seed)
         weights, biases = [], []
@@ -87,7 +78,7 @@ class MlpControlFunction:
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
             biases.append(np.zeros(fan_out))
-        return cls(list(widths), activation, weights, biases)
+        return cls(list(widths), weights, biases)
 
     @property
     def dim(self) -> int:
@@ -125,7 +116,7 @@ class MlpControlFunction:
     def save(self, path) -> None:
         payload = {
             "widths": self.widths,
-            "activation": self.activation,
+            "activation": "tanh",
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
         }
@@ -136,9 +127,14 @@ class MlpControlFunction:
     def load(cls, path) -> "MlpControlFunction":
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+        if payload["activation"] != "tanh":
+            raise ValueError(
+                f"activation {payload['activation']!r} is not supported, only 'tanh': the "
+                "Langevin operator needs a twice-differentiable network (a ReLU "
+                "network's Laplacian has point masses, so its output is not mean-zero)"
+            )
         return cls(
             payload["widths"],
-            payload["activation"],
             [np.asarray(w, dtype=np.float64) for w in payload["weights"]],
             [np.asarray(b, dtype=np.float64) for b in payload["biases"]],
         )

@@ -335,18 +335,22 @@ def sample_gp_problem(
         raise ValueError("lam and sigma must be > 0")
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
-    kernel = lam**2 * np.exp(-_sq_dists(points, points) / (2.0 * sigma**2))
-    emb = gp_mean_embedding(points, mixture, lam, sigma)
-    cov = np.zeros((n + 1, n + 1))
-    cov[:n, :n] = kernel
-    cov[:n, n] = emb
-    cov[n, :n] = emb
+    # every (n+1)^2 array is 50 MB at n = 2,500: the kernel block is formed in
+    # cov, and each try writes its jitter onto cov's diagonal
+    cov = np.empty((n + 1, n + 1))
+    kernel = cov[:n, :n]
+    np.divide(_sq_dists(points, points), -2.0 * sigma**2, out=kernel)
+    np.exp(kernel, out=kernel)
+    kernel *= lam**2
+    cov[:n, n] = cov[n, :n] = gp_mean_embedding(points, mixture, lam, sigma)
     cov[n, n] = gp_double_integral(mixture, lam, sigma)
+    diag = cov.diagonal().copy()
     eps = 1e-10 * lam**2 if jitter is None else float(jitter)
     chol = None
     for _ in range(7):
+        cov.flat[:: n + 2] = diag + eps
         try:
-            chol = np.linalg.cholesky(cov + eps * np.eye(n + 1))
+            chol = np.linalg.cholesky(cov)
             break
         except np.linalg.LinAlgError:
             eps *= 10.0
@@ -422,7 +426,7 @@ def _parse_poly(spec: dict) -> Problem:
     integrand = PolynomialIntegrand(
         np.asarray(spec["alpha"], dtype=np.float64),
         np.asarray(spec["beta"]),
-        float(spec.get("sigma2", 1.0)),
+        _positive(spec, "sigma2", 1.0),
     )
     return _fixed("poly", GaussianTarget(np.zeros(integrand.d), integrand.sigma2), integrand)
 

@@ -168,12 +168,12 @@ class GaussianTarget(MixtureTarget):
         return self.means[0] + z @ self._chols[0].T
 
 
-def random_mixture(d: int, n_components: int, seed: int, mean_scale: float = 3.0) -> MixtureTarget:
-    """Random mixture: means ~ N(0, mean_scale * I), covariances A^T A with A
-    entries uniform on [0, 1) plus a 1e-8 ridge so the Cholesky always succeeds,
+def random_mixture(d: int, n_components: int, seed: int) -> MixtureTarget:
+    """Random mixture: means ~ N(0, 3 I), covariances A^T A with A entries
+    uniform on [0, 1) plus a 1e-8 ridge so the Cholesky always succeeds,
     weights uniform on (0, 1) then normalized."""
     rng = np.random.default_rng(seed)
-    means = rng.normal(0.0, np.sqrt(mean_scale), size=(n_components, d))
+    means = rng.normal(0.0, np.sqrt(3.0), size=(n_components, d))
     covs = np.empty((n_components, d, d))
     for l in range(n_components):
         a = rng.uniform(0.0, 1.0, size=(d, d))
@@ -212,29 +212,26 @@ def save_scored_samples(path, samples: ScoredSampleSet) -> None:
 
 
 def load_scored_samples(path, f_column: bool = True) -> ScoredSampleSet:
-    """Load a scored sample set from CSV, validating the column count 2d+1
-    (2d without the f column) and rejecting non-finite entries by line."""
+    """Load a scored sample set from CSV. The header must be exactly the one
+    ``save_scored_samples`` writes (x_1..x_d, score_1..score_d, then f unless
+    ``f_column`` is False); non-finite entries are rejected by line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = [c.strip() for c in lines[0].split(",")]
-    d = sum(1 for c in header if c.startswith("x_"))
-    expected = 2 * d + (1 if f_column else 0)
-    if d < 1 or len(header) != expected:
-        raise ValueError(
-            f"{path}: header has {len(header)} columns, expected {expected} "
-            f"(x_1..x_{max(d, 1)}, score_1..score_{max(d, 1)}"
-            + (", f)" if f_column else ")")
-        )
+    d = max(1, sum(1 for c in header if c.startswith("x_")))
+    expected = _csv_header(d, f_column)
+    if header != expected:
+        raise ValueError(f"{path}: header {','.join(header)!r} is not {','.join(expected)!r}")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != expected:
+        if len(parts) != len(expected):
             raise ValueError(
-                f"{path}: line {lineno}: {len(parts)} columns, expected {expected}"
+                f"{path}: line {lineno}: {len(parts)} columns, expected {len(expected)}"
             )
         try:
             vals = [float(p) for p in parts]

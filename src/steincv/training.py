@@ -216,7 +216,7 @@ class MlpModel:
 
     def __init__(self, net: MlpControlFunction, train: ScoredSampleSet):
         self._theta = net.get_params()
-        self.net = MlpControlFunction(list(net.widths), net.activation)
+        self.net = MlpControlFunction(list(net.widths))
         self.net._bind(self._theta)
         self._train = train
         self._cache = None

@@ -5,6 +5,77 @@ import itertools
 import numpy as np
 
 
+def base_kernel(x, y, params):
+    """k(x, y) = (1 + a1|x|^2 + a1|y|^2)^{-1} exp(-|x-y|^2 / (2 a2^2)) of one
+    pair of points, for ``params`` a ``kernels.BaseKernelParams``."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    a1, a2 = params.alpha1, params.alpha2
+    pref = 1.0 / (1.0 + a1 * (x @ x) + a1 * (y @ y))
+    diff = x - y
+    return float(pref * np.exp(-(diff @ diff) / (2.0 * a2 * a2)))
+
+
+def base_kernel_derivatives(x, y, params):
+    """Analytic (grad_x k, grad_y k, div_x grad_y k) of the base kernel.
+
+    Derived by the product rule on the inverse-quadratic prefactor
+    p = (1 + a1|x|^2 + a1|y|^2)^{-1} and the Gaussian factor
+    q = exp(-|x-y|^2 / (2 a2^2)):
+
+        grad_x k = -p q (2 a1 p x + (x - y) / a2^2)
+        grad_y k = -p q (2 a1 p y - (x - y) / a2^2)
+        div      = 8 a1^2 (x.y) p^3 q - 2 a1 p^2 q |x-y|^2 / a2^2
+                   + p q (d / a2^2 - |x-y|^2 / a2^4)
+    """
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    d = x.shape[0]
+    a1, a2 = params.alpha1, params.alpha2
+    inv_a2sq = 1.0 / (a2 * a2)
+    p = 1.0 / (1.0 + a1 * (x @ x) + a1 * (y @ y))
+    diff = x - y
+    r2 = diff @ diff
+    q = np.exp(-0.5 * r2 * inv_a2sq)
+    pq = p * q
+    grad_x = -pq * (2.0 * a1 * p * x + diff * inv_a2sq)
+    grad_y = -pq * (2.0 * a1 * p * y - diff * inv_a2sq)
+    div = (
+        8.0 * a1 * a1 * (x @ y) * p**3 * q
+        - 2.0 * a1 * p * pq * r2 * inv_a2sq
+        + pq * (d * inv_a2sq - r2 * inv_a2sq * inv_a2sq)
+    )
+    return grad_x, grad_y, float(div)
+
+
+def fd_base_kernel_derivatives(x, y, params, h):
+    """(grad_x k, grad_y k, div_x grad_y k) by central differences of
+    ``base_kernel`` with step h; the cross stencil of the divergence floors at
+    about eps / h^2 absolute."""
+    d = x.shape[0]
+    fd_gx, fd_gy, fd_div = np.empty(d), np.empty(d), 0.0
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = h
+        fd_gx[i] = (base_kernel(x + e, y, params) - base_kernel(x - e, y, params)) / (2 * h)
+        fd_gy[i] = (base_kernel(x, y + e, params) - base_kernel(x, y - e, params)) / (2 * h)
+        fd_div += (
+            base_kernel(x + e, y + e, params)
+            - base_kernel(x + e, y - e, params)
+            - base_kernel(x - e, y + e, params)
+            + base_kernel(x - e, y - e, params)
+        ) / (4 * h * h)
+    return fd_gx, fd_gy, fd_div
+
+
+def fd_stein_kernel(x, y, sx, sy, params, h):
+    """The zero-mean kernel div_x grad_y k + grad_x k . s_y + grad_y k . s_x
+    + k s_x . s_y of one pair, with the derivatives of the base kernel taken by
+    ``fd_base_kernel_derivatives``."""
+    gx, gy, div = fd_base_kernel_derivatives(x, y, params, h)
+    return div + gx @ sy + gy @ sx + base_kernel(x, y, params) * (sx @ sy)
+
+
 def gauss_legendre_cell(lo, hi, nodes):
     x, w = np.polynomial.legendre.leggauss(nodes)
     half = 0.5 * (hi - lo)

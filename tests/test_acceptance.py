@@ -5,15 +5,18 @@ import time
 
 import numpy as np
 
-from oracle_utils import genz_unit_cube_quadrature
+from oracle_utils import (
+    base_kernel_derivatives,
+    fd_base_kernel_derivatives,
+    fd_stein_kernel,
+    genz_unit_cube_quadrature,
+)
 from steincv.bench import BenchmarkConfig, run_benchmark
 from steincv.core import estimate_with_cv
 from steincv.ensemble import fit_semi_exact
 from steincv.kernels import (
     BaseKernelParams,
     KernelFamily,
-    base_kernel,
-    base_kernel_derivatives,
     fit_control_functional,
     median_heuristic,
     stein_kernel_gram,
@@ -180,7 +183,7 @@ def test_criterion_5_stein_identity_suite():
         assert np.all(np.abs(mean) < 4 * se), f"kernel d={d}: {np.abs(mean / se).max():.2f} SEs"
         # (c) operator applied to 5 random tanh networks
         for k in range(5):
-            net = MlpControlFunction.initialize([d, 20, 20, 1], "tanh", seed=80 + 10 * d + k)
+            net = MlpControlFunction.initialize([d, 20, 20, 1], seed=80 + 10 * d + k)
             mean, se = _chunked_mean_se(
                 lambda x, s: cv_values(net, x, s), target, n, seed=90 + 10 * d + k, width=1
             )
@@ -216,31 +219,27 @@ def test_criterion_6_derivative_correctness():
                 grad[i] = (up - dn) / (2 * h)
                 lap += (up - 2 * np.prod(x**a) + dn) / h**2
             worst = max(worst, _rel_err(b[j], lap + grad @ score))
-    # (ii) base-kernel derivatives
+    # (ii) the test oracle's base-kernel derivatives, and the production Stein
+    # Gram against the zero-mean kernel built from finite differences of the
+    # base kernel, on a 3 x 3 block
     for seed in range(20):
         rng = np.random.default_rng(100 + seed)
         d = int(rng.integers(1, 5))
         params = BaseKernelParams(float(rng.uniform(0, 2)), float(rng.uniform(0.5, 2)))
         x, y = rng.normal(size=d), rng.normal(size=d)
-        gx, gy, div = base_kernel_derivatives(x, y, params)
-        h = 1e-4
-        fd_gx, fd_gy, fd_div = np.empty(d), np.empty(d), 0.0
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = h
-            fd_gx[i] = (base_kernel(x + e, y, params) - base_kernel(x - e, y, params)) / (2 * h)
-            fd_gy[i] = (base_kernel(x, y + e, params) - base_kernel(x, y - e, params)) / (2 * h)
-            fd_div += (
-                base_kernel(x + e, y + e, params)
-                - base_kernel(x + e, y - e, params)
-                - base_kernel(x - e, y + e, params)
-                + base_kernel(x - e, y - e, params)
-            ) / (4 * h * h)
-        worst = max(worst, _rel_err(gx, fd_gx), _rel_err(gy, fd_gy), _rel_err(div, fd_div))
+        analytic = base_kernel_derivatives(x, y, params)
+        fd = fd_base_kernel_derivatives(x, y, params, 1e-4)
+        worst = max(worst, *(_rel_err(a, b) for a, b in zip(analytic, fd)))
+        xa, sa, xb, sb = rng.normal(size=(4, 3, d))
+        fd_gram = [
+            [fd_stein_kernel(xa[i], xb[j], sa[i], sb[j], params, 1e-4) for j in range(3)]
+            for i in range(3)
+        ]
+        worst = max(worst, _rel_err(stein_kernel_gram(xa, sa, xb, sb, params), np.array(fd_gram)))
     # (iii) network gradient and Laplacian
     for seed in range(20):
         rng = np.random.default_rng(200 + seed)
-        net = MlpControlFunction.initialize([3, 12, 8, 1], "tanh", seed=seed)
+        net = MlpControlFunction.initialize([3, 12, 8, 1], seed=seed)
         x = rng.normal(size=3)
         _, grad, lap = forward_with_derivatives(net, x[None, :])
         h = 1e-4
@@ -311,7 +310,8 @@ def test_criterion_6_derivative_correctness():
             worst = max(worst, _rel_err(grad, fd))
     assert worst <= 1e-4, f"worst derivative relative error {worst:.3e}"
     print(f"\n[criterion 6] PASS derivatives: worst relative error {worst:.2e} <= 1e-4 "
-          "across poly basis, kernel derivatives, network forward and parameter gradients")
+          "across poly basis, kernel derivatives and Stein Gram, network forward and "
+          "parameter gradients")
 
 
 def test_criterion_7_objective_identities():

@@ -6,7 +6,6 @@ from steincv.core import (
     ScoredSampleSet,
     estimate_mc,
     estimate_with_cv,
-    mean_absolute_error,
     split_samples,
 )
 from steincv.problems import GenzProblem
@@ -187,14 +186,6 @@ class TestSplitSamples:
 
 
 class TestMeanAbsoluteError:
-    def test_basic(self):
-        assert mean_absolute_error([1, 3], 2.0) == 1.0
-        assert mean_absolute_error([2, 2, 2], 2.0) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean_absolute_error([], 0.0)
-
     def test_genz_continuous_mc_order(self):
         # repeated 500-point MC on the transformed continuous integrand lands at
         # the low-1e-3 scale reported for this setup
@@ -205,7 +196,7 @@ class TestMeanAbsoluteError:
         for rep in range(20):
             ss = sample_target(target, 500, seed=900 + rep)
             estimates.append(estimate_mc(genz(ss.states)).value)
-        mae = mean_absolute_error(estimates, truth)
+        mae = np.mean(np.abs(np.array(estimates) - truth))
         assert 3e-4 < mae < 3e-2
 
 

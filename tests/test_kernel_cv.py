@@ -7,16 +7,19 @@ from scipy.linalg import lapack
 
 import steincv.kernels as kernels
 
+from oracle_utils import (
+    base_kernel,
+    base_kernel_derivatives,
+    fd_base_kernel_derivatives,
+    fd_stein_kernel,
+)
 from steincv.core import LinearCV
 from steincv.ensemble import EnsembleFamily, fit_semi_exact
 from steincv.kernels import (
     BaseKernelParams,
     KernelFamily,
-    base_kernel,
-    base_kernel_derivatives,
     fit_control_functional,
     median_heuristic,
-    stein_kernel,
     stein_kernel_gram,
 )
 from steincv.poly import enumerate_multi_indices, stein_poly_basis
@@ -72,21 +75,7 @@ class TestBaseKernelDerivatives:
         params = BaseKernelParams(float(rng.uniform(0, 2)), float(rng.uniform(0.5, 2)))
         x, y = rng.normal(size=d), rng.normal(size=d)
         gx, gy, div = base_kernel_derivatives(x, y, params)
-        h = 1e-5
-        fd_gx = np.empty(d)
-        fd_gy = np.empty(d)
-        fd_div = 0.0
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = h
-            fd_gx[i] = (base_kernel(x + e, y, params) - base_kernel(x - e, y, params)) / (2 * h)
-            fd_gy[i] = (base_kernel(x, y + e, params) - base_kernel(x, y - e, params)) / (2 * h)
-            fd_div += (
-                base_kernel(x + e, y + e, params)
-                - base_kernel(x + e, y - e, params)
-                - base_kernel(x - e, y + e, params)
-                + base_kernel(x - e, y - e, params)
-            ) / (4 * h * h)
+        fd_gx, fd_gy, fd_div = fd_base_kernel_derivatives(x, y, params, 1e-5)
         np.testing.assert_allclose(gx, fd_gx, rtol=1e-5, atol=1e-8)
         np.testing.assert_allclose(gy, fd_gy, rtol=1e-5, atol=1e-8)
         # the cross second-difference stencil floors at ~eps/h^2 = 1e-6 absolute
@@ -111,13 +100,13 @@ class TestSteinKernel:
         for _ in range(20):
             x, y = rng.normal(size=2), rng.normal(size=2)
             sx, sy = rng.normal(size=2), rng.normal(size=2)
-            a = stein_kernel(x, y, sx, sy, params)
-            b = stein_kernel(y, x, sy, sx, params)
+            a = stein_kernel_gram(x, sx, y, sy, params)[0, 0]
+            b = stein_kernel_gram(y, sy, x, sx, params)[0, 0]
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
     def test_gaussian_origin_value(self):
         params = BaseKernelParams(0.0, 1.4)
-        v = stein_kernel(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), params)
+        v = stein_kernel_gram(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), params)[0, 0]
         assert v == pytest.approx(1.0 / 1.4**2, rel=1e-14)
 
     def test_zero_mean_under_target(self):
@@ -140,23 +129,11 @@ class TestSteinKernel:
         params = BaseKernelParams(float(rng.uniform(0, 1.5)), float(rng.uniform(0.6, 1.8)))
         x, y = rng.normal(size=d), rng.normal(size=d)
         sx, sy = rng.normal(size=d), rng.normal(size=d)
-        h = 1e-5
-        fd_gx, fd_gy = np.empty(d), np.empty(d)
-        fd_div = 0.0
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = h
-            fd_gx[i] = (base_kernel(x + e, y, params) - base_kernel(x - e, y, params)) / (2 * h)
-            fd_gy[i] = (base_kernel(x, y + e, params) - base_kernel(x, y - e, params)) / (2 * h)
-            fd_div += (
-                base_kernel(x + e, y + e, params)
-                - base_kernel(x + e, y - e, params)
-                - base_kernel(x - e, y + e, params)
-                + base_kernel(x - e, y - e, params)
-            ) / (4 * h * h)
-        rebuilt = fd_div + fd_gx @ sy + fd_gy @ sx + base_kernel(x, y, params) * (sx @ sy)
         np.testing.assert_allclose(
-            stein_kernel(x, y, sx, sy, params), rebuilt, rtol=1e-4, atol=1e-6
+            stein_kernel_gram(x, sx, y, sy, params)[0, 0],
+            fd_stein_kernel(x, y, sx, sy, params, 1e-5),
+            rtol=1e-4,
+            atol=1e-6,
         )
 
     @pytest.mark.parametrize("d", [1, 3, 10])

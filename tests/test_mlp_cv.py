@@ -72,7 +72,7 @@ def _reference_cv_and_vjp(net, x, s, upstream):
 
 class TestForwardWithDerivatives:
     def test_zero_weights_constant_output(self):
-        net = MlpControlFunction.initialize([2, 4, 1], "tanh", seed=0)
+        net = MlpControlFunction.initialize([2, 4, 1], seed=0)
         for i in range(len(net.weights)):
             net.weights[i] = np.zeros_like(net.weights[i])
         net.biases[0] = np.array([0.3, -0.1, 0.7, 0.2])
@@ -84,7 +84,7 @@ class TestForwardWithDerivatives:
 
     def test_single_affine_layer(self):
         w = np.array([[1.5, -2.0, 0.5]])
-        net = MlpControlFunction([3, 1], "tanh", [w], [np.array([0.25])])
+        net = MlpControlFunction([3, 1], [w], [np.array([0.25])])
         x = np.array([[1.0, 2.0, 3.0]])
         u, grad, lap = forward_with_derivatives(net, x)
         assert u[0] == pytest.approx(1.5 - 4.0 + 1.5 + 0.25)
@@ -94,7 +94,7 @@ class TestForwardWithDerivatives:
     @pytest.mark.parametrize("seed", range(20))
     def test_tanh_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        net = MlpControlFunction.initialize([3, 10, 8, 1], "tanh", seed=seed)
+        net = MlpControlFunction.initialize([3, 10, 8, 1], seed=seed)
         x = rng.normal(size=3)
         _, grad, lap = forward_with_derivatives(net, x[None, :])
         fd_grad, fd_lap = _fd_grad_lap(net, x)
@@ -110,19 +110,19 @@ class TestForwardWithDerivatives:
 class TestCvValues:
     def test_linear_map_under_gaussian_score(self):
         w = np.array([[0.7, -1.2]])
-        net = MlpControlFunction([2, 1], "tanh", [w], [np.zeros(1)])
+        net = MlpControlFunction([2, 1], [w], [np.zeros(1)])
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 2))
         np.testing.assert_allclose(cv_values(net, x, -x), -(x @ w[0]))
 
     def test_zero_network(self):
-        net = MlpControlFunction([2, 3, 1], "tanh")
+        net = MlpControlFunction([2, 3, 1])
         x = np.random.default_rng(3).normal(size=(4, 2))
         np.testing.assert_array_equal(cv_values(net, x, -x), np.zeros(4))
 
     def test_degree_one_homogeneous_in_output_weights(self):
         rng = np.random.default_rng(4)
-        net = MlpControlFunction.initialize([2, 5, 1], "tanh", seed=4)
+        net = MlpControlFunction.initialize([2, 5, 1], seed=4)
         net.biases[-1] = np.zeros(1)
         x, s = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
         before = cv_values(net, x, s)
@@ -130,7 +130,7 @@ class TestCvValues:
         np.testing.assert_allclose(cv_values(net, x, s), 3.0 * before, rtol=1e-12)
 
     def test_scaled_to_zero_parameters(self):
-        net = MlpControlFunction.initialize([3, 7, 7, 1], "tanh", seed=5)
+        net = MlpControlFunction.initialize([3, 7, 7, 1], seed=5)
         net.set_params(0.0 * net.get_params())
         x = np.random.default_rng(5).normal(size=(4, 3))
         np.testing.assert_array_equal(cv_values(net, x, -x), np.zeros(4))
@@ -140,7 +140,7 @@ class TestParamGradient:
     @pytest.mark.parametrize("seed", range(10))
     def test_vjp_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        net = MlpControlFunction.initialize([2, 6, 5, 1], "tanh", seed=seed)
+        net = MlpControlFunction.initialize([2, 6, 5, 1], seed=seed)
         x, s = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
         w = rng.normal(size=4)
         _, cache = cv_values_with_cache(net, x, s)
@@ -160,11 +160,10 @@ class TestParamGradient:
         net.set_params(theta0)
         assert np.linalg.norm(grad - fd) <= 1e-4 * max(np.linalg.norm(fd), 1e-8)
 
-    @pytest.mark.parametrize("activation", ["tanh"])
     @pytest.mark.parametrize("d", [1, 4])
-    def test_stacked_pass_matches_three_array_reference(self, activation, d):
+    def test_stacked_pass_matches_three_array_reference(self, d):
         rng = np.random.default_rng(d)
-        net = MlpControlFunction.initialize([d, 7, 5, 1], activation, seed=d)
+        net = MlpControlFunction.initialize([d, 7, 5, 1], seed=d)
         net.set_params(net.get_params() + 0.1 * rng.normal(size=net.n_params))
         x, s, w = rng.normal(size=(6, d)), rng.normal(size=(6, d)), rng.normal(size=6)
         ref_g, ref_grad = _reference_cv_and_vjp(net, x, s, w)
@@ -174,7 +173,7 @@ class TestParamGradient:
         np.testing.assert_array_equal(cv_values(net, x, s), g)
 
     def test_non_finite_gradient_raises(self):
-        net = MlpControlFunction.initialize([1, 4, 4, 1], "tanh", seed=0)
+        net = MlpControlFunction.initialize([1, 4, 4, 1], seed=0)
         net.set_params(net.get_params() * 1e200)
         x = np.array([[1.0]])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -335,12 +334,12 @@ def test_langevin_image_matches_central_differences(seed, d, hidden, n):
 
 class TestCheckpoint:
     def test_save_load_roundtrip(self, tmp_path):
-        net = MlpControlFunction.initialize([3, 6, 4, 1], "tanh", seed=9)
+        net = MlpControlFunction.initialize([3, 6, 4, 1], seed=9)
         path = tmp_path / "net.json"
         net.save(path)
         again = MlpControlFunction.load(path)
         assert again.widths == net.widths
-        assert again.activation == net.activation
+        assert json.loads(path.read_text())["activation"] == "tanh"
         for w1, w2 in zip(net.weights, again.weights):
             np.testing.assert_array_equal(w1, w2)
         x = np.random.default_rng(0).normal(size=(3, 3))
@@ -350,21 +349,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             MlpControlFunction([3, 4, 2])  # output width must be 1
         with pytest.raises(ValueError):
-            MlpControlFunction([3, 4, 1], "sigmoid")
-        with pytest.raises(ValueError):
-            MlpControlFunction([2, 1], "tanh", [np.array([[np.inf, 0.0]])], [np.zeros(1)])
+            MlpControlFunction([2, 1], [np.array([[np.inf, 0.0]])], [np.zeros(1)])
         with pytest.raises(ValueError, match="width >= 1"):
             MlpControlFunction.initialize([1, 0, 1])  # an empty hidden layer
 
     def test_relu_rejected_at_construction_and_load(self, tmp_path):
-        # a ReLU network's Laplacian has point masses, so its CV is not mean-zero
-        with pytest.raises(ValueError, match="'relu' is not supported.*mean-zero"):
-            MlpControlFunction.initialize([2, 4, 1], "relu", seed=0)
+        # a ReLU network's Laplacian has point masses, so its CV is not mean-zero;
+        # networks are tanh-only by construction, and a file is checked at load
         path = tmp_path / "net.json"
         MlpControlFunction.initialize([2, 4, 1], seed=0).save(path)
         payload = json.loads(path.read_text())
         path.write_text(json.dumps({**payload, "activation": "relu"}))
-        with pytest.raises(ValueError, match="'relu' is not supported"):
+        with pytest.raises(ValueError, match="'relu' is not supported.*mean-zero"):
             MlpControlFunction.load(path)
 
     def test_initialize_deterministic(self):

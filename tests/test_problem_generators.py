@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import steincv.problems as problems
 
 from oracle_utils import genz_unit_cube_quadrature
 from steincv.problems import (
@@ -257,6 +261,44 @@ class TestGpSampling:
         with pytest.raises(ValueError):
             sample_gp_problem(np.zeros((3, 1)), mixture, lam=0.0, sigma=1.0, seed=0)
 
+    @pytest.mark.parametrize("jitter,factorizations", [(None, 1), (1e-18, 5)])
+    def test_jitter_in_place_draws_as_the_jittered_copy(self, monkeypatch, jitter, factorizations):
+        # each try used to factor cov + eps * I, a fresh (n+1)^2 array and its
+        # identity; the jitter is now written onto cov's diagonal instead
+        mixture = random_mixture(2, 2, seed=0)
+        pts = sample_target(mixture, 300, seed=1).states
+        lam, sigma, n = 1.0, 0.8, 300
+        cov = np.zeros((n + 1, n + 1))
+        cov[:n, :n] = lam**2 * np.exp(-problems._sq_dists(pts, pts) / (2.0 * sigma**2))
+        cov[:n, n] = cov[n, :n] = gp_mean_embedding(pts, mixture, lam, sigma)
+        cov[n, n] = gp_double_integral(mixture, lam, sigma)
+        eps = 1e-10 * lam**2 if jitter is None else jitter
+        for _ in range(factorizations - 1):
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(cov + eps * np.eye(n + 1))
+            eps *= 10.0
+        chol = np.linalg.cholesky(cov + eps * np.eye(n + 1))
+        draw = chol @ np.random.default_rng(2).standard_normal(n + 1)
+
+        calls = []
+        cholesky = np.linalg.cholesky
+        # the mixture embeddings factor their d x d covariances as well
+        monkeypatch.setattr(
+            np.linalg, "cholesky", lambda a: calls.append(a.shape[0]) or cholesky(a)
+        )
+        tracemalloc.start()
+        try:
+            gp = sample_gp_problem(pts, mixture, lam, sigma, seed=2, jitter=jitter)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls.count(n + 1) == factorizations
+        np.testing.assert_array_equal(gp.f_values, draw[:n])
+        assert gp.true_integral == draw[n]
+        # the covariance, its factor and one more (n+1)^2 array at most; the
+        # jittered copy made it four
+        assert peak < 3.5 * 8 * (n + 1) ** 2
+
 
 class TestProblemSpecs:
     def test_genz_spec(self):
@@ -298,6 +340,10 @@ class TestProblemSpecs:
             ({"problem": "gp", "d": 2.5}, "d"),
             ({"problem": "gp", "components": 2.0}, "components"),
             ({"problem": "genz", "kind": "continuous", "d": float("inf")}, "d"),
+            *(
+                ({"problem": "poly", "alpha": [[1.0]], "beta": [[2]], "sigma2": value}, "sigma2")
+                for value in (float("inf"), float("nan"), 0.0, -1.0)
+            ),
         ],
     )
     def test_unusable_value_rejected_and_named(self, spec, key):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -46,3 +47,40 @@ def test_layer_trace_spans_name_traced_functions():
         else:
             assert tuple(rest) in trace.EXTRA_METHODS.get(mod_name, ()), f"{name} is not an extra method"
             assert inspect.isfunction(getattr(module, rest[0]).__dict__[rest[1]]), name
+
+
+# Exported for a file format that no code path of the package writes or reads
+# itself, so no src/ code uses them
+FORMAT_EXPORTS = {
+    "save_scored_samples": "writes the scored-sample CSV that `steincv ingest` reads",
+    "mixture_to_json": "writes the fixed mixture that a gp problem spec reads",
+    "report_from_dict": "reads the JSON report that emit_report writes",
+}
+
+
+def test_every_exported_name_is_used_or_traced():
+    # a public name that only tests reach belongs in the tests; a name counts
+    # as used when src/ code outside __init__.py loads, imports or reads it as
+    # an attribute (so neither a comment nor an __all__ string counts), or when
+    # perfbench/layertrace.py names it as a span
+    used = set()
+    for path in Path(steincv.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    trace = _layertrace()
+    spans = {name for names in trace.LAYERS.values() for name in names} | set(trace.COUNTERS)
+    traced = {name.split(".")[-1] for name in spans}
+    unreached = sorted(
+        f"{name}.{attr}"
+        for name in MODULES
+        for attr in getattr(importlib.import_module(f"steincv.{name}"), "__all__", ())
+        if attr not in used | traced | set(FORMAT_EXPORTS)
+    )
+    assert not unreached, f"exported but used by no code path: {unreached}"

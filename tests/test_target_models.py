@@ -249,6 +249,15 @@ class TestScoredSampleCsv:
         with pytest.raises(ValueError, match="header"):
             load_scored_samples(path, f_column=True)
 
+    @pytest.mark.parametrize("header", ["x_1,score_1,x_2,score_2,f", "x_1,x_2,foo,bar,baz"])
+    def test_header_read_by_name(self, tmp_path, header):
+        # five columns, as x_1,x_2,score_1,score_2,f has: the count alone would
+        # load the first with states and scores mixed up
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n1.0,0.1,2.0,0.2,3.0\n")
+        with pytest.raises(ValueError, match="header .* is not 'x_1,x_2,score_1,score_2,f'"):
+            load_scored_samples(path)
+
     def test_without_f_column(self, tmp_path):
         path = tmp_path / "nof.csv"
         ss = sample_target(GaussianTarget(np.zeros(1), 1.0), 4, seed=1)
