@@ -79,7 +79,8 @@ def fit_semi_exact(
     It is the Cholesky-Schur solve shared with ``fit_control_functional``:
     one Cholesky factorization of K + eps*I, then a (p+1, p+1) Schur system
     for beta. The control variate's theta is (beta[1:], theta_k), in the
-    layout of ``EnsembleFamily``.
+    layout of ``EnsembleFamily``. eps is ``jitter`` (default 1e-10 times the
+    mean diagonal of K), checked finite and >= 0 by ``_factor_spd``, never raised.
     """
     if train.f_values is None:
         raise ValueError("training set must carry f_values")

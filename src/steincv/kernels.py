@@ -246,6 +246,26 @@ class _BlockCholesky:
         return x
 
 
+def _factor_spd(a: np.ndarray, eps, key: str, failure: str, factor=_BlockCholesky, tries=1):
+    """``factor(a + eps*I)``, the one place a nugget is added to an SPD matrix.
+    eps (``key`` in messages) must be finite and >= 0, and > 0 when it may grow.
+    ``diag + eps`` is written onto ``a``'s diagonal in place; on LinAlgError eps
+    grows tenfold, for at most ``tries`` factorizations, so ``a`` keeps the eps
+    that factored. If none does, ValueError(``failure.format(eps)``) names the last."""
+    if not 0 <= eps < math.inf or (eps == 0 and tries > 1):
+        raise ValueError(f"{key} must be finite and {'>=' if tries == 1 else '>'} 0, got {eps}")
+    diag = a.diagonal().copy()
+    for attempt in range(tries):
+        if attempt:
+            eps *= 10.0
+        a.flat[:: a.shape[0] + 1] = diag + eps
+        try:
+            return factor(a)
+        except np.linalg.LinAlgError:
+            pass
+    raise ValueError(failure.format(eps))
+
+
 def _solve_interpolant(train: ScoredSampleSet, kernel: KernelFamily, b_mat, jitter):
     """(theta, beta) solving the saddle-point system of ``fit_semi_exact`` for
     an (m, q) basis block B, with K the Gram of ``kernel``, whose centers are
@@ -255,21 +275,16 @@ def _solve_interpolant(train: ScoredSampleSet, kernel: KernelFamily, b_mat, jitt
     (B^T K^{-1} B) beta = B^T K^{-1} f gives beta, then
     theta = K^{-1} f - K^{-1} B beta. One round of iterative refinement on the
     block system keeps the interpolation and exactness constraints tight.
+    ``_factor_spd`` checks eps (finite, >= 0), adds it to K in place, never raises it.
     """
-    m = train.n
-    if m > 20_000:
+    if train.n > 20_000:
         raise ValueError(
             "closed-form solve is quadratic in memory; use SGD training beyond m = 20000"
         )
     gram = kernel.feature_matrix(train.states, train.scores)
     eps = 1e-10 * float(np.mean(np.diag(gram))) if jitter is None else float(jitter)
-    gram.flat[:: m + 1] += eps
-    try:
-        factor = _BlockCholesky(gram)
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            f"kernel matrix factorization failed at jitter={eps:g}; increase the jitter"
-        ) from None
+    failure = "kernel matrix factorization failed at jitter={:g}; increase the jitter"
+    factor = _factor_spd(gram, eps, "jitter", failure)
     f, q = train.f_values, b_mat.shape[1]
     k_inv = factor.solve(np.column_stack([b_mat, f]))
     k_inv_b, k_inv_f = k_inv[:, :q], k_inv[:, q]
@@ -293,7 +308,8 @@ def fit_control_functional(
     Solves K theta = f - c 1 subject to 1^T theta = 0, which gives
     c = (1^T K^{-1} f) / (1^T K^{-1} 1): the semi-exact saddle-point solve
     (``_solve_interpolant``) with B the ones column. ``jitter * I`` is added to
-    K before the Cholesky factorization (default 1e-10 times the mean diagonal).
+    K before the Cholesky factorization (default 1e-10 times the mean diagonal);
+    ``_factor_spd`` checks that it is finite and >= 0, and never raises it.
     """
     if train.f_values is None:
         raise ValueError("training set must carry f_values")

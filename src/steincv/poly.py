@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LinearCV, ScoredSampleSet, _freeze
-from .kernels import _BlockCholesky
+from .kernels import _factor_spd
 
 __all__ = [
     "MultiIndexSet",
@@ -156,14 +156,13 @@ def fit_poly_exact(
     Builds the centered second-moment matrix V and cross-moment vector C of the
     basis over the training set and solves (V + ridge*I) theta = C by Cholesky
     factorization (``kernels._BlockCholesky``, as the kernel exact fit). The
-    offset is the training mean of f - theta . b.
+    offset is the training mean of f - theta . b. ``kernels._factor_spd`` writes
+    the ridge onto V, checks that it is finite and >= 0, and never raises it.
     """
     if train.f_values is None:
         raise ValueError("training set must carry f_values")
     if train.n < 2:
         raise ValueError("exact solve needs at least 2 training samples")
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
     basis = stein_poly_basis(train.states, train.scores, mi)
     f = train.f_values
     bc = basis - basis.mean(axis=0)
@@ -171,15 +170,8 @@ def fit_poly_exact(
     denom = train.n - 1
     v_hat = (bc.T @ bc) / denom
     c_hat = (bc.T @ fc) / denom
-    try:
-        factor = _BlockCholesky(v_hat + ridge * np.eye(mi.p))
-    except np.linalg.LinAlgError:
-        if ridge == 0.0:
-            raise ValueError(
-                "singular basis moment matrix; increase the training size m or "
-                "use ridge > 0"
-            ) from None
-        raise
+    failure = "singular basis moment matrix at ridge={:g}; increase the training size m or ridge"
+    factor = _factor_spd(v_hat, ridge, "ridge", failure)
     theta = factor.solve(c_hat)
     offset = float(np.mean(f - basis @ theta))
     return LinearCV(PolynomialFamily(mi), theta, offset)

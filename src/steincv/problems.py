@@ -15,6 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import _derived_seed
+from .kernels import _factor_spd
 from .targets import (
     GaussianTarget,
     MixtureTarget,
@@ -127,8 +128,8 @@ class PolynomialIntegrand:
         exps_int = exps.astype(np.int64)
         if np.any(exps_int != exps) or np.any(exps_int < 0):
             raise ValueError("exponents must be non-negative integers")
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be > 0")
+        if not 0 < self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2}")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "exponents", exps_int)
 
@@ -185,9 +186,9 @@ class GenzProblem:
         u = np.asarray(self.u, dtype=np.float64).reshape(-1)
         if a.shape != u.shape:
             raise ValueError("a and u must have the same length")
-        if np.any(a <= 0):
-            raise ValueError("a must be positive elementwise")
-        if np.any((u < 0) | (u > 1)):
+        if not np.all((0 < a) & (a < math.inf)):
+            raise ValueError("a must be finite and positive elementwise")
+        if not np.all((0 <= u) & (u <= 1)):
             raise ValueError("u must lie in [0,1]^d")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "u", u)
@@ -330,9 +331,10 @@ def sample_gp_problem(
     The (n+1)-dimensional covariance stacks the kernel matrix, its mixture
     embedding at each point, and the double integral; jitter (default
     1e-10 * lam^2) escalates tenfold up to six times if the Cholesky fails.
+    ``kernels._factor_spd`` owns that rule and checks that jitter is finite and > 0.
     """
-    if lam <= 0 or sigma <= 0:
-        raise ValueError("lam and sigma must be > 0")
+    if not (0 < lam < math.inf and 0 < sigma < math.inf):
+        raise ValueError("lam and sigma must be finite and > 0")
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
     # every (n+1)^2 array is 50 MB at n = 2,500: the kernel block is formed in
@@ -344,18 +346,9 @@ def sample_gp_problem(
     kernel *= lam**2
     cov[:n, n] = cov[n, :n] = gp_mean_embedding(points, mixture, lam, sigma)
     cov[n, n] = gp_double_integral(mixture, lam, sigma)
-    diag = cov.diagonal().copy()
     eps = 1e-10 * lam**2 if jitter is None else float(jitter)
-    chol = None
-    for _ in range(7):
-        cov.flat[:: n + 2] = diag + eps
-        try:
-            chol = np.linalg.cholesky(cov)
-            break
-        except np.linalg.LinAlgError:
-            eps *= 10.0
-    if chol is None:
-        raise ValueError("GP joint covariance not positive definite even after jitter escalation")
+    failure = "GP joint covariance not positive definite even after escalation to jitter={:g}"
+    chol = _factor_spd(cov, eps, "jitter", failure, np.linalg.cholesky, 7)
     z = np.random.default_rng(seed).standard_normal(n + 1)
     draw = chol @ z
     return GpProblem(points, draw[:n], float(draw[n]), lam, sigma, mixture)
@@ -441,9 +434,7 @@ def _draw_gp(mixture, d, components, lam, sigma, jitter, n, seed):
 
 def _parse_gp(spec: dict) -> Problem:
     lam, sigma = _positive(spec, "lam", 1.0), _positive(spec, "sigma", 1.0)
-    jitter = None if spec.get("jitter") is None else float(spec["jitter"])
-    if jitter is not None and not 0.0 <= jitter < math.inf:
-        raise ValueError(f"jitter must be finite and >= 0, got {jitter}")
+    jitter = None if spec.get("jitter") is None else _positive(spec, "jitter", None)
     mixture = spec.get("mixture")
     if mixture is None:
         d, components = _positive(spec, "d", 1, int), _positive(spec, "components", 3, int)

@@ -271,7 +271,7 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="^problem gp: components"):
             BenchmarkConfig(problem={**spec, "components": 2}, method="mc")
 
-    @pytest.mark.parametrize("jitter", [-1e-8, float("nan"), float("inf")])
+    @pytest.mark.parametrize("jitter", [-1e-8, float("nan"), float("inf"), 0.0])
     def test_bad_gp_jitter_rejected_at_load(self, jitter):
         with pytest.raises(ValueError, match="^problem gp: jitter"):
             BenchmarkConfig(problem={"problem": "gp", "jitter": jitter}, method="mc")

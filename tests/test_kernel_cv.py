@@ -303,6 +303,17 @@ class TestControlFunctional:
         with pytest.raises(ValueError, match="jitter"):
             fit_control_functional(dup, BaseKernelParams(0.1, 1.0), jitter=0.0)
 
+    @pytest.mark.parametrize("jitter", [-1.0, float("nan"), float("inf")])
+    def test_bad_jitter_rejected_by_both_kernel_fits(self, jitter):
+        # a negative jitter would factor K - |jitter| I, and a NaN one would
+        # return a NaN theta
+        train = self._train(30, 6)
+        params = BaseKernelParams(0.1, 1.0)
+        with pytest.raises(ValueError, match="^jitter must be finite"):
+            fit_control_functional(train, params, jitter=jitter)
+        with pytest.raises(ValueError, match="^jitter must be finite"):
+            fit_semi_exact(train, enumerate_multi_indices(1, 2), params, jitter=jitter)
+
     @pytest.mark.parametrize("m", [1, 31, 32, 33, 100, 257])
     def test_block_factor_matches_scipy(self, m):
         """``_BlockCholesky`` works by block columns; its factor agrees with
@@ -344,6 +355,71 @@ class TestControlFunctional:
         resid = train.f_values - cv.offset - cv(train.states, train.scores)
         assert np.max(np.abs(resid)) <= 1e-6
         fit_semi_exact(train, enumerate_multi_indices(1, 2), params)
+
+
+def _refuse(a):
+    raise np.linalg.LinAlgError("stub factor: never positive definite")
+
+
+class TestFactorSpd:
+    """``kernels._factor_spd``, the one code that adds a nugget to a positive
+    definite matrix, escalates it and reports a matrix that will not factor."""
+
+    def test_factors_the_matrix_plus_the_nugget_in_place(self):
+        rng = np.random.default_rng(0)
+        a0 = rng.standard_normal((40, 40))
+        a0 = a0 @ a0.T + np.eye(40)
+        a = a0.copy()
+        factor = kernels._factor_spd(a, 1e-3, "jitter", "failed at jitter={:g}")
+        want = kernels._BlockCholesky(a0 + 1e-3 * np.eye(40))
+        np.testing.assert_array_equal(factor.low, want.low)
+        # the caller's matrix keeps diag + eps, which the interpolant's
+        # refinement reads as the matrix it factored
+        np.testing.assert_array_equal(a, a0 + 1e-3 * np.eye(40))
+
+    @pytest.mark.parametrize("factorizations", [1, 5])
+    def test_escalates_tenfold_until_a_factor(self, factorizations):
+        a0 = np.diag([1.0, 2.0, 3.0])
+        a, seen = a0.copy(), []
+
+        def stub(mat):
+            seen.append(mat.copy())
+            if len(seen) < factorizations:
+                raise np.linalg.LinAlgError("not yet")
+            return "factor"
+
+        assert kernels._factor_spd(a, 1e-6, "jitter", "{:g}", stub, 7) == "factor"
+        assert len(seen) == factorizations
+        eps = 1e-6
+        for mat in seen:
+            np.testing.assert_array_equal(mat, a0 + eps * np.eye(3))
+            eps *= 10.0
+        np.testing.assert_array_equal(a, seen[-1])
+
+    def test_failure_is_the_callers_text_at_the_last_nugget(self):
+        calls = []
+
+        def stub(mat):
+            calls.append(mat)
+            _refuse(mat)
+
+        with pytest.raises(ValueError, match=r"^failed at jitter=0\.001$") as info:
+            kernels._factor_spd(np.eye(2), 1e-5, "jitter", "failed at jitter={:g}", stub, 3)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("eps", [-1.0, -float("inf"), float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["jitter", "ridge"])
+    def test_bad_nugget_rejected_by_name(self, key, eps):
+        for tries, bound in ((1, ">="), (7, ">")):
+            with pytest.raises(ValueError, match=f"^{key} must be finite and {bound} 0, got"):
+                kernels._factor_spd(np.eye(2), eps, key, "{:g}", _refuse, tries)
+
+    def test_zero_nugget_is_rejected_only_where_it_would_escalate(self):
+        with pytest.raises(ValueError, match="^jitter must be finite and > 0, got 0.0$"):
+            kernels._factor_spd(np.eye(2), 0.0, "jitter", "{:g}", _refuse, 7)
+        factor = kernels._factor_spd(np.eye(2), 0.0, "ridge", "{:g}")
+        np.testing.assert_array_equal(np.tril(factor.low), np.eye(2))
 
 
 class TestMedianHeuristic:

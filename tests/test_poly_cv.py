@@ -265,6 +265,24 @@ class TestExactSolve:
         with pytest.raises(ValueError, match="ridge"):
             fit_poly_exact(train, enumerate_multi_indices(2, 2), 0.0)
 
+    def test_nan_ridge_rejected(self):
+        # a NaN ridge would pass the factor and return a NaN theta
+        train = sample_target(GaussianTarget(np.zeros(2), 1.0), 50, seed=3)
+        train = train.with_f_values(np.ones(50))
+        with pytest.raises(ValueError, match="^ridge must be finite"):
+            fit_poly_exact(train, enumerate_multi_indices(2, 2), float("nan"))
+
+    def test_singular_with_a_negligible_ridge_advises(self):
+        # a ridge > 0 too small to make V factor gets the advice of ridge = 0,
+        # as a plain ValueError
+        train = sample_target(GaussianTarget(np.zeros(10), 1.0), 30, seed=2)
+        train = train.with_f_values(train.states[:, 0])
+        mi = enumerate_multi_indices(10, 2)  # 65 columns, rank at most 29
+        advice = "^singular basis moment matrix at ridge=1e-300"
+        with pytest.raises(ValueError, match=advice) as info:
+            fit_poly_exact(train, mi, 1e-300)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+
     def test_minimizes_over_random_perturbations(self):
         target = GaussianTarget(np.zeros(2), 1.0)
         train = sample_target(target, 300, seed=4)

@@ -98,6 +98,12 @@ class TestPolynomialIntegrand:
         with pytest.raises(ValueError):
             PolynomialIntegrand([[1.0]], [[-1]])
 
+    @pytest.mark.parametrize("sigma2", [float("nan"), float("inf")])
+    def test_non_finite_sigma2_rejected(self, sigma2):
+        # a NaN sigma2 would give a NaN integral
+        with pytest.raises(ValueError, match="^sigma2 must be finite and > 0"):
+            PolynomialIntegrand([[1.0]], [[2]], sigma2)
+
 
 class TestGenzEvaluation:
     def test_continuous_peak_value(self):
@@ -122,6 +128,20 @@ class TestGenzEvaluation:
             GenzProblem("continuous", [0.0], [0.5])
         with pytest.raises(ValueError):
             GenzProblem("continuous", [1.0], [1.5])
+
+    @pytest.mark.parametrize(
+        "a,u,match",
+        [
+            ([float("nan")], [0.5], "^a must be finite"),
+            ([float("inf")], [0.5], "^a must be finite"),
+            ([5.0], [float("nan")], r"^u must lie in \[0,1\]"),
+        ],
+        ids=["nan_a", "inf_a", "nan_u"],
+    )
+    def test_non_finite_parameters_rejected(self, a, u, match):
+        # a NaN a or u would give a NaN integral
+        with pytest.raises(ValueError, match=match):
+            GenzProblem("continuous", a, u)
 
     def test_transformed_eval_composes_cdf(self):
         g = GenzProblem.default("oscillatory", 2)
@@ -260,6 +280,26 @@ class TestGpSampling:
         mixture = random_mixture(1, 1, seed=0)
         with pytest.raises(ValueError):
             sample_gp_problem(np.zeros((3, 1)), mixture, lam=0.0, sigma=1.0, seed=0)
+
+    @pytest.mark.parametrize("scale", ["lam", "sigma"])
+    def test_nan_scale_rejected(self, scale):
+        mixture = random_mixture(1, 1, seed=0)
+        scales = {"lam": 1.0, "sigma": 1.0, scale: float("nan")}
+        with pytest.raises(ValueError, match="^lam and sigma must be finite and > 0"):
+            sample_gp_problem(np.zeros((3, 1)), mixture, seed=0, **scales)
+
+    def test_zero_jitter_rejected_before_any_factorization(self, monkeypatch):
+        # 0 * 10 = 0: a zero jitter would factor the same covariance 7 times
+        mixture = random_mixture(2, 2, seed=0)
+        pts = sample_target(mixture, 300, seed=1).states
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(
+            np.linalg, "cholesky", lambda a: calls.append(a.shape[0]) or cholesky(a)
+        )
+        with pytest.raises(ValueError, match="^jitter must be finite and > 0, got 0.0$"):
+            sample_gp_problem(pts, mixture, 1.0, 0.8, seed=2, jitter=0.0)
+        assert 301 not in calls
 
     @pytest.mark.parametrize("jitter,factorizations", [(None, 1), (1e-18, 5)])
     def test_jitter_in_place_draws_as_the_jittered_copy(self, monkeypatch, jitter, factorizations):

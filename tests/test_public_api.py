@@ -84,3 +84,33 @@ def test_every_exported_name_is_used_or_traced():
         if attr not in used | traced | set(FORMAT_EXPORTS)
     )
     assert not unreached, f"exported but used by no code path: {unreached}"
+
+
+# The functions of src/ that may handle np.linalg.LinAlgError: the one helper
+# that adds a nugget, escalates it and reports a failed factorization, and the
+# mixture's check of the covariances it is given, which adds no nugget
+LINALG_ERROR_HANDLERS = {"kernels._factor_spd", "targets.MixtureTarget.__post_init__"}
+
+
+def _linalg_error_handlers(node, name, found):
+    """Add to ``found`` the qualified name of every function under ``node``
+    with an ``except`` clause that names LinAlgError."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            _linalg_error_handlers(child, f"{name}.{child.name}", found)
+            continue
+        if isinstance(child, ast.ExceptHandler) and child.type is not None:
+            caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+            if any(getattr(c, "attr", getattr(c, "id", None)) == "LinAlgError" for c in caught):
+                found.add(name)
+        _linalg_error_handlers(child, name, found)
+
+
+def test_only_the_factor_guard_handles_linalg_error():
+    # a second place that catches a failed factorization grows a second
+    # nugget policy and a second message
+    found = set()
+    for path in Path(steincv.__file__).parent.glob("*.py"):
+        _linalg_error_handlers(ast.parse(path.read_text(encoding="utf-8")), path.stem, found)
+    assert not found - LINALG_ERROR_HANDLERS, sorted(found - LINALG_ERROR_HANDLERS)
+    assert "kernels._factor_spd" in found
