@@ -16,13 +16,16 @@ elementwise products per layer.
 Both passes run on the buffers of one pass object for a (network shape, row
 count) pair: every layer's stack, activation coefficients and adjoint stack,
 the elementwise temporaries, and every block view of them are allocated and
-bound when the object is built, and each operation writes into them with
-``out=``. ``cv_values_with_cache`` returns that object as its cache; handing it
-back (``cache=``) for the same shape and row count refills it in place, so a
-training step allocates only its outputs, and the previous results in it are
-overwritten. A call without a cache builds a new one, so a cache that a caller
-keeps is never overwritten. ``cv_values`` builds a pass that keeps nothing
-for a reverse pass: its layer stacks alternate between two buffers.
+bound when the object is built, and each operation writes into them, its
+output passed positionally. ``cv_values_with_cache`` returns that object as
+its cache; handing it back (``cache=``) for the same shape and row count
+refills it in place, so a training step allocates only its outputs, and the
+previous results in it are overwritten. A training step takes its rows
+straight into the cache's input buffers (``_Pass.take``). A call without a
+cache builds a new one, so a cache that a caller keeps is never overwritten.
+``cv_values`` builds a pass that keeps nothing for a reverse pass: its layer
+stacks alternate between two buffers. Every entry point that takes scores
+requires them to have the states' shape.
 """
 
 from __future__ import annotations
@@ -143,20 +146,27 @@ class MlpControlFunction:
         return cv_values(self, states, scores)
 
 
-def _block_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Sum of a stack (k, ...) over its k blocks, added in order, into ``out``
-    if given (one block is returned as it is). One or two blocks take no
-    reduction call, which costs more than an add at small n."""
-    if len(a) == 1:
-        return a[0]
+def _block_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum of a stack (k, ...) of k >= 2 blocks over its blocks, added in
+    order, into ``out``. Two blocks take one add, which costs less than a
+    reduction at small n."""
     if len(a) == 2:
-        return np.add(a[0], a[1], out=out)
-    return a.sum(0, out=out)
+        return np.add(a[0], a[1], out)
+    return np.add.reduce(a, 0, None, out)
 
 
 def _view(flat: np.ndarray, *shape: int) -> np.ndarray:
     """The leading entries of a flat buffer as a C-ordered array of ``shape``."""
     return flat[: math.prod(shape)].reshape(shape)
+
+
+def _split(stack: np.ndarray, out: np.ndarray) -> tuple:
+    """(operand, output) pairs for a product of each block of ``stack`` with
+    one block, written to ``out``: a pair per block while there are at most
+    two, else the stacks whole. At a training batch's sizes a product that
+    broadcasts a block over a stack costs about 1 us more than one of equal
+    shapes, which costs about 0.5 us."""
+    return tuple(zip(stack, out)) if len(stack) <= 2 else ((stack, out),)
 
 
 class _Pass:
@@ -176,58 +186,90 @@ class _Pass:
     own stack and, if hidden, its s1 and reverse coefficients coef (d+1, n, w),
     which are s2 J and q = s2 L + s3 |J|^2, where s3 = s1 (6 t^2 - 2) is the
     third derivative of tanh; from the new rows they are -2 t J' and
-    -2 t L' + s1 u. Without ``keep`` the layer stacks alternate between two
-    buffers, the input stack in the first, so the pass serves one call.
-    Either way the input stack's derivative blocks (identity rows, a zero
-    Laplacian) are filled once, and the elementwise temporaries are shared by
-    the layers.
+    -2 t L' + s1 u. A hidden layer's s1 is the block just before its stack,
+    so -2 (s1, t) is one product of equal shapes. Without ``keep`` the layer
+    stacks alternate between two buffers, the input stack in the first, so
+    the pass serves one call. Either way the input stack's derivative blocks
+    (identity rows, a zero Laplacian) are filled once, and the elementwise
+    temporaries are shared by the layers.
+
+    At a training batch's (d+2, 8, w) stacks the fixed cost of a numpy call
+    is most of its time. So the calls are locally bound ufuncs and ``np.dot``
+    with the output passed positionally, and a cache's constants 1 and -2 are
+    arrays bound once, not Python scalars; 2 x is x + x. Each of these rounds
+    as the plain form does.
     """
 
     def __init__(self, widths: list[int], n: int, keep: bool):
         d = widths[0]
-        self.key = (tuple(widths), n)
+        self.widths, self.n = list(widths), n
         self.n_params = sum((k + 1) * o for k, o in zip(widths[:-1], widths[1:]))
-        self.scores = None
+        hidden = widths[1:-1]
         if keep:
-            stacks = [np.empty((d + 2, n, w)) for w in widths]
+            # a hidden layer's buffer holds its s1, then its stack
+            leads = [np.empty((d + 3, n, w)) for w in hidden]
+            stacks = [np.empty((d + 2, n, d)), *(lead[1:] for lead in leads),
+                      np.empty((d + 2, n, 1))]
         else:
             pair = [np.empty((d + 2) * n * max(widths[j::2])) for j in (0, 1)]
             stacks = [_view(pair[j % 2], d + 2, n, w) for j, w in enumerate(widths)]
         stacks[0][1 : d + 1] = np.eye(d)[:, None, :]
         stacks[0][d + 1] = 0.0
         self.states, self.out = stacks[0][0], stacks[-1][:, :, 0]
-        wide = max(widths[1:-1], default=1)
+        self.out_jac, self.out_lap = self.out[1:-1], self.out[-1]
+        # the scores, transposed, over a row of ones: (scores, 1) * upstream
+        # seeds the adjoint's (grad, lap) blocks
+        self.score_ones = np.ones((d + 1, n))
+        self.scores_t = self.score_ones[:d]
+        self.scores = self.scores_t.T
+        self.g_terms = np.empty((d, n))
+        self.g_sum = self.g_terms[0] if d == 1 else np.empty(n)
+        wide = max(hidden, default=1)
         jsq_flat, u_flat, tmp_flat = (np.empty(n * wide) for _ in range(3))
-        s1_flat = None if keep else np.empty(n * wide)
-        sq_flat = None if keep or d == 1 else np.empty(d * n * wide)
-        self.layers = []
+        if keep:
+            one_flat, neg2_flat = np.ones(n * wide), np.full(2 * n * wide, -2.0)
+            m2_flat = np.empty(2 * n * wide)
+        else:
+            s1_flat, sq_flat = np.empty(n * wide), np.empty((d + 1) * n * wide)
+        self.layers, coefs = [], []
         for i, (k, o) in enumerate(zip(widths[:-1], widths[1:])):
             z_in, z, act = stacks[i], stacks[i + 1], None
-            if i < len(widths) - 2:
-                s1 = np.empty((n, o)) if keep else _view(s1_flat, n, o)
+            if i < len(hidden):
                 coef = np.empty((d + 1, n, o)) if keep else None
-                jsq = _view(jsq_flat, n, o)
-                # the squared partials: |J|^2 itself at d = 1, else the blocks
-                # of coef that the activation fills after it has summed them
-                sq = jsq[None] if d == 1 else (coef[:d] if keep else _view(sq_flat, d, n, o))
-                act = (s1, coef, None if coef is None else coef[d], sq, jsq,
-                       _view(u_flat, n, o), _view(tmp_flat, n, o))
-            self.layers.append((z_in.reshape(-1, k), z.reshape(-1, o), z[0], z[1:],
-                                z[1 : d + 1], z[d + 1], act))
+                coefs.append(coef)
+                # the squares of t and of the partials, in the blocks of coef
+                # that the activation fills after it has read them
+                sq = coef if keep else _view(sq_flat, d + 1, n, o)
+                # |J|^2: the one squared partial at d = 1, else their sum
+                jac_sq = sq[1] if d == 1 else _view(jsq_flat, n, o)
+                u, tmp = _view(u_flat, n, o), _view(tmp_flat, n, o)
+                if keep:
+                    m2 = _view(m2_flat, 2, n, o)  # (-2 s1, -2 t)
+                    s1, one = leads[i][0], _view(one_flat, n, o)
+                    kept = (leads[i][:2], _view(neg2_flat, 2, n, o), m2, m2[0], m2[1],
+                            _split(z[1:], coef), coef[d])
+                else:
+                    # a pass that serves one call over many rows keeps the scalars
+                    s1, one, kept = _view(s1_flat, n, o), 1.0, None
+                act = (s1, one, sq, sq[0], sq[1:], jac_sq, _split(z[1:], z[1:]), u, tmp, kept)
+            self.layers.append((z_in.reshape(-1, k), z.reshape(-1, o), z[0], z[: d + 1],
+                                z[d + 1], act))
         if keep:
-            self._bind_reverse(widths, n, stacks, (jsq_flat, u_flat))
+            self._bind_reverse(widths, n, stacks, coefs, tmp_flat)
 
-    def _bind_reverse(self, widths, n, stacks, flats):
-        """Adjoint stacks z_bar of the layout of z, one per layer output, and
-        the views the reverse pass takes of them, last layer first."""
+    def _bind_reverse(self, widths, n, stacks, coefs, lap2_flat):
+        """Adjoint stacks z_bar of the layout of z, one per layer output, the
+        flat gradient with a view per weight and bias, and the views the
+        reverse pass takes of them, last layer first."""
         d = widths[0]
         bars = [None] + [np.empty((d + 2, n, w)) for w in widths[1:]]
         # g depends on the output only through (grad, lap); the value adjoint is 0
         bars[-1][0] = 0.0
-        self.score_bar, self.lap_bar = bars[-1][1 : d + 1, :, 0], bars[-1][d + 1, :, 0]
+        self.seed = _split(self.score_ones, bars[-1][1:, :, 0])
+        self.grad = np.empty(self.n_params)
+        self.finite = np.empty(self.n_params, dtype=bool)
         wide = max(widths[1:-1], default=1)
-        prod_flat = np.empty((d + 1) * n * wide)
-        head_flat, lap2_flat = flats
+        prod_flat, hq_flat = np.empty((d + 1) * n * wide), np.empty((d + 1) * n * wide)
         self.steps = []
         end = self.n_params
         for i in range(len(widths) - 2, -1, -1):
@@ -238,73 +280,118 @@ class _Pass:
             end = w_cols.start
             rev = None
             if act is not None:
-                s1, coef = act[:2]
+                coef = coefs[i]
                 prod = _view(prod_flat, d + 1, n, o)
-                rev = (s1, coef, coef[:d], bar[1:], bar[1 : d + 1], bar[d + 1], prod, prod[:d],
-                       _view(head_flat, n, o), _view(lap2_flat, n, o))
+                # hq = (head, 2 L_bar s2 J), added to the adjoint's first d+1 blocks in one call
+                hq = _view(hq_flat, d + 1, n, o)
+                rev = (act[0], coef, bar[1:], prod, (prod[0], prod[1]) if d == 1 else None, hq[0],
+                       bar[d + 1], _view(lap2_flat, n, o), _split(coef[:d], hq[1:]),
+                       bar[: d + 1], hq)
             # the network input needs no adjoint
             rows_prev = bars[i].reshape(-1, k) if i else None
-            self.steps.append((i, z_in, rows_in, bar, rows_bar, rows_bar.T, bar[0],
-                               w_cols, b_cols, (n, o, k), rows_prev, rev))
+            grad_b = self.grad[b_cols]
+            if act is None:
+                # the output's value adjoint is 0, and so is its bias gradient
+                grad_b[:] = 0.0
+                grad_b = None
+            self.steps.append((i, z_in, rows_in, bar, rows_bar, rows_bar.T, bar[0], w_cols, b_cols,
+                               self.grad[w_cols].reshape(o, k), grad_b, (n, o, k), rows_prev, rev))
 
-    def forward(self, net: MlpControlFunction, states: np.ndarray) -> np.ndarray:
-        """The output rows (d+2, n) of the network at ``states``."""
+    def load(self, states: np.ndarray, scores: np.ndarray | None = None) -> None:
+        """Copy n checked rows of states, and of scores if given, into the input buffers."""
         np.copyto(self.states, states)
-        for w, b, (rows_in, rows, h, tail, jac, lap, act) in zip(net.weights, net.biases, self.layers):
-            np.dot(rows_in, w.T, out=rows)
-            np.add(h, b, out=h)
+        if scores is not None:
+            np.copyto(self.scores, scores)
+
+    def take(self, states: np.ndarray, scores_t: np.ndarray, idx: np.ndarray) -> None:
+        """Take rows ``idx`` (n of them) of ``states`` (m, d) and the same
+        columns of ``scores_t`` (d, m) straight into the input buffers."""
+        states.take(idx, 0, self.states)
+        scores_t.take(idx, 1, self.scores_t)
+
+    def forward(self, net: MlpControlFunction) -> np.ndarray:
+        """The output rows (d+2, n) of the network at the loaded states."""
+        dot, add, multiply, subtract = np.dot, np.add, np.multiply, np.subtract
+        square, tanh = np.square, np.tanh
+        for w, b, (rows_in, rows, h, t_jac, lap, act) in zip(net.weights, net.biases, self.layers):
+            dot(rows_in, w.T, rows)
+            add(h, b, h)
             if act is None:
                 continue
-            # in place: no pass reads the preactivation rows once |J|^2 is taken
-            s1, coef, coef_lap, sq, jsq, u, tmp = act
-            np.square(jac, out=sq)
-            jac_sq = _block_sum(sq, out=jsq)
-            t = np.tanh(h, out=h)
-            np.multiply(t, t, out=s1)
-            np.subtract(1.0, s1, out=s1)
-            np.multiply(tail, s1, out=tail)
-            np.multiply(-2.0, s1, out=u)
-            np.multiply(u, jac_sq, out=u)
-            np.multiply(t, u, out=tmp)
-            np.add(lap, tmp, out=lap)
-            if coef is not None:
-                np.multiply(-2.0, t, out=tmp)
-                np.multiply(tail, tmp, out=coef)
-                np.multiply(s1, u, out=tmp)
-                np.add(coef_lap, tmp, out=coef_lap)
+            # in place: no pass reads the preactivation rows once t is taken
+            s1, one, sq, t_sq, jac_sqs, jac_sq, scaled, u, tmp, kept = act
+            t = tanh(h, h)
+            square(t_jac, sq)
+            if len(jac_sqs) > 1:
+                _block_sum(jac_sqs, jac_sq)
+            subtract(one, t_sq, s1)
+            for block, out in scaled:
+                multiply(block, s1, out)
+            if kept is None:
+                multiply(-2.0, s1, u)
+                multiply(u, jac_sq, u)
+                multiply(t, u, tmp)
+                add(lap, tmp, lap)
+                continue
+            st, neg2, m2, m2_s1, m2_t, coef_parts, coef_lap = kept
+            multiply(neg2, st, m2)
+            multiply(m2_s1, jac_sq, u)
+            multiply(t, u, tmp)
+            add(lap, tmp, lap)
+            for block, out in coef_parts:
+                multiply(block, m2_t, out)
+            multiply(s1, u, tmp)
+            add(coef_lap, tmp, coef_lap)
         return self.out
 
-    def reverse(self, net: MlpControlFunction, upstream: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """Reverse the forward pass with an adjoint z_bar of the layout of z,
-        writing the parameter gradient into ``grad`` in get_params order: the
-        sum over rows of upstream_i * dg(x_i) when ``grad`` is flat, one row per
-        sample when it is (n, n_params)."""
-        per_row = grad.ndim == 2
-        np.multiply(self.scores.T, upstream, out=self.score_bar)
-        np.copyto(self.lap_bar, upstream)
-        for i, z_in, rows_in, bar, rows_bar, rows_bar_t, bar0, w_cols, b_cols, nok, rows_prev, rev in self.steps:
+    def langevin(self) -> np.ndarray:
+        """lap u + grad u . score at the loaded rows, from the output rows of
+        ``forward``: a new array."""
+        np.multiply(self.out_jac, self.scores_t, self.g_terms)
+        if len(self.g_terms) > 1:
+            _block_sum(self.g_terms, self.g_sum)
+        return np.add(self.out_lap, self.g_sum)
+
+    def reverse(self, net: MlpControlFunction, upstream: np.ndarray,
+                per_row: bool = False) -> np.ndarray:
+        """Reverse the forward pass with an adjoint z_bar of the layout of z:
+        the parameter gradient, in get_params order, of the sum over rows of
+        upstream_i * g(x_i) (a new flat array), or with ``per_row`` one row
+        per sample (n, n_params)."""
+        dot, add, multiply = np.dot, np.add, np.multiply
+        add_reduce = add.reduce
+        grad = np.empty((self.n, self.n_params)) if per_row else self.grad
+        for block, out in self.seed:
+            multiply(block, upstream, out)
+        for (i, z_in, rows_in, bar, rows_bar, rows_bar_t, bar0, w_cols, b_cols, grad_w, grad_b,
+             nok, rows_prev, rev) in self.steps:
             if rev is not None:
                 # preactivation adjoint: s1 z_bar, plus sum_r z_bar[r] coef[r-1] in
                 # block 0 and 2 L_bar s2 J in the Jacobian blocks
-                s1, coef, coef_jac, tail, jac_bar, lap_bar, prod, prod_jac, head, lap_bar2 = rev
-                np.multiply(tail, coef, out=prod)
-                _block_sum(prod, out=head)
-                np.multiply(2.0, lap_bar, out=lap_bar2)
-                np.multiply(bar, s1, out=bar)
-                np.add(bar0, head, out=bar0)
-                np.multiply(lap_bar2, coef_jac, out=prod_jac)
-                np.add(jac_bar, prod_jac, out=jac_bar)
+                s1, coef, tail, prod, halves, head, lap_bar, lap_bar2, jac_parts, lead, hq = rev
+                multiply(tail, coef, prod)
+                if halves is None:
+                    add_reduce(prod, 0, None, head)
+                else:
+                    add(halves[0], halves[1], head)
+                add(lap_bar, lap_bar, lap_bar2)
+                for block, out in jac_parts:
+                    multiply(lap_bar2, block, out)
+                multiply(bar, s1, bar)
+                add(lead, hq, lead)
             if per_row:
                 grad[:, b_cols] = bar0
                 np.einsum("rno,rnk->nok", bar, z_in, out=grad[:, w_cols].reshape(nok))
             else:
-                bar0.sum(0, out=grad[b_cols])
-                np.dot(rows_bar_t, rows_in, out=grad[w_cols].reshape(nok[1:]))
+                if grad_b is not None:
+                    add_reduce(bar0, 0, None, grad_b)
+                dot(rows_bar_t, rows_in, grad_w)
             if rows_prev is not None:
-                np.dot(rows_bar, net.weights[i], out=rows_prev)
-        if not np.isfinite(grad).all():
+                dot(rows_bar, net.weights[i], rows_prev)
+        finite = np.isfinite(grad) if per_row else np.isfinite(grad, self.finite)
+        if not finite.all():
             raise ValueError("non-finite parameter gradient (exploding parameters)")
-        return grad
+        return grad if per_row else grad.copy()
 
 
 def _input_rows(net: MlpControlFunction, states: np.ndarray) -> np.ndarray:
@@ -314,31 +401,39 @@ def _input_rows(net: MlpControlFunction, states: np.ndarray) -> np.ndarray:
     return states
 
 
-def _forward(net: MlpControlFunction, states: np.ndarray) -> np.ndarray:
-    """Output rows (d+2, n) of one pass that keeps nothing for a reverse pass."""
+def _scored_rows(net: MlpControlFunction, states: np.ndarray, scores: np.ndarray):
+    """(states, scores) as float rows, the scores checked to have the states' shape."""
     states = _input_rows(net, states)
-    return _Pass(net.widths, states.shape[0], keep=False).forward(net, states)
-
-
-def _langevin(out: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """lap u + grad u . score from the stacked output rows (d+2, n)."""
     scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    return out[-1] + _block_sum(out[1:-1] * scores.T)
+    if scores.shape != states.shape:
+        raise ValueError(f"scores must have the states' shape {states.shape}, got {scores.shape}")
+    return states, scores
+
+
+def _forward(net: MlpControlFunction, states: np.ndarray,
+             scores: np.ndarray | None = None) -> _Pass:
+    """One pass that keeps nothing for a reverse pass, run at checked rows;
+    the scores are needed only for its Langevin output."""
+    one = _Pass(net.widths, states.shape[0], keep=False)
+    one.load(states, scores)
+    one.forward(net)
+    return one
 
 
 def forward_with_derivatives(
     net: MlpControlFunction, states: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Network value, input gradient and input Laplacian at each sample row."""
-    out = _forward(net, states)
+    out = _forward(net, _input_rows(net, states)).out
     return out[0], out[1:-1].T, out[-1]
 
 
 def cv_values(
     net: MlpControlFunction, states: np.ndarray, scores: np.ndarray
 ) -> np.ndarray:
-    """Langevin operator output lap u + grad u . score at each sample row."""
-    return _langevin(_forward(net, states), scores)
+    """Langevin operator output lap u + grad u . score at each sample row;
+    ``scores`` must have the shape of ``states``."""
+    return _forward(net, *_scored_rows(net, states, scores)).langevin()
 
 
 def cv_values_with_cache(
@@ -347,12 +442,18 @@ def cv_values_with_cache(
     """Operator output at each sample row, and the cache that the reverse pass
     (``cv_param_vjp``) reads. Passing back a cache that this function returned
     for the same network shape and row count refills it in place; without
-    one, or with one of another shape or row count, a fresh cache is built."""
-    states = _input_rows(net, states)
-    if cache is None or cache.key != (tuple(net.widths), states.shape[0]):
-        cache = _Pass(net.widths, states.shape[0], keep=True)
-    cache.scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    return _langevin(cache.forward(net, states), cache.scores), cache
+    one, or with one of another shape or row count, a fresh cache is built.
+    ``states`` and ``scores`` that are the cache's own input buffers
+    (``cache.states``, ``cache.scores``, filled by ``cache.take``) are used
+    where they are."""
+    in_place = cache is not None and states is cache.states and scores is cache.scores
+    if not in_place or cache.widths != net.widths:
+        states, scores = _scored_rows(net, states, scores)
+        if cache is None or cache.widths != net.widths or cache.n != states.shape[0]:
+            cache = _Pass(net.widths, states.shape[0], keep=True)
+        cache.load(states, scores)
+    cache.forward(net)
+    return cache.langevin(), cache
 
 
 def cv_param_vjp(
@@ -362,12 +463,12 @@ def cv_param_vjp(
     accumulated by reversing the stacked forward pass: each affine layer takes
     one GEMM for its weight gradient z_bar^T z_in, written straight into its
     slice of the returned array, and one for the input adjoint z_bar W."""
-    upstream = np.asarray(upstream, dtype=np.float64).reshape(-1)
-    return cache.reverse(net, upstream, np.empty(cache.n_params))
+    if type(upstream) is not np.ndarray or upstream.ndim != 1:
+        upstream = np.asarray(upstream, dtype=np.float64).reshape(-1)
+    return cache.reverse(net, upstream)
 
 
 def _cv_param_rows(net: MlpControlFunction, cache: _Pass) -> np.ndarray:
     """Per-sample parameter gradients (n, n_params) of g at the cached rows,
     from one reverse pass: row i is cv_param_vjp with upstream e_i."""
-    n = cache.key[1]
-    return cache.reverse(net, np.ones(n), np.empty((n, cache.n_params)))
+    return cache.reverse(net, np.ones(cache.n), per_row=True)

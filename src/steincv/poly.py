@@ -122,6 +122,8 @@ def stein_poly_basis(
     n, d = states.shape
     if mi.d != d:
         raise ValueError(f"multi-index dimension {mi.d} != state dimension {d}")
+    if scores.shape != states.shape:
+        raise ValueError(f"scores must have the states' shape {states.shape}, got {scores.shape}")
     xt, st = np.ascontiguousarray(states.T), np.ascontiguousarray(scores.T)
     # one row per monomial below the top degree and per L x^alpha, both led by x^0
     mono = np.ones((mi._levels[-1][0].start if mi.p else 1, n))

@@ -335,6 +335,12 @@ def sample_gp_problem(
     """
     if not (0 < lam < math.inf and 0 < sigma < math.inf):
         raise ValueError("lam and sigma must be finite and > 0")
+    eps = 1e-10 * lam**2 if jitter is None else float(jitter)
+    if eps == 0.0 and jitter is None:
+        raise ValueError(
+            f"lam = {lam:g} is too small: the default jitter 1e-10 * lam**2 underflowed to 0; "
+            "pass a jitter > 0"
+        )
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
     # every (n+1)^2 array is 50 MB at n = 2,500: the kernel block is formed in
@@ -346,7 +352,6 @@ def sample_gp_problem(
     kernel *= lam**2
     cov[:n, n] = cov[n, :n] = gp_mean_embedding(points, mixture, lam, sigma)
     cov[n, n] = gp_double_integral(mixture, lam, sigma)
-    eps = 1e-10 * lam**2 if jitter is None else float(jitter)
     failure = "GP joint covariance not positive definite even after escalation to jitter={:g}"
     chol = _factor_spd(cov, eps, "jitter", failure, np.linalg.cholesky, 7)
     z = np.random.default_rng(seed).standard_normal(n + 1)

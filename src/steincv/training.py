@@ -14,7 +14,14 @@ import numpy as np
 
 from .core import ScoredSampleSet, _check_config_keys, _check_integer_fields, _eval_in_blocks
 from .kernels import _BLOCK_ENTRIES
-from .mlp import MlpControlFunction, _cv_param_rows, cv_param_vjp, cv_values_with_cache
+from .mlp import (
+    MlpControlFunction,
+    _cv_param_rows,
+    _input_rows,
+    _Pass,
+    cv_param_vjp,
+    cv_values_with_cache,
+)
 
 __all__ = [
     "TrainConfig",
@@ -209,20 +216,23 @@ class LinearFeatureModel:
 
 class MlpModel:
     """SGD surface for a network control function. It trains its own network,
-    whose weights are views of one flat vector bound once, so the caller's
-    network keeps its parameters and a step copies theta in with one copy. A
-    step hands the pass buffers of the previous step back to
-    ``cv_values_with_cache``, which refills them."""
+    whose weights are views of one flat vector bound once: ``initial_params``
+    returns that vector, so a step that is handed it copies nothing, and any
+    other theta is copied in. A step takes its rows straight into the input
+    buffers of the pass of the previous step, which ``cv_values_with_cache``
+    then refills."""
 
     def __init__(self, net: MlpControlFunction, train: ScoredSampleSet):
         self._theta = net.get_params()
         self.net = MlpControlFunction(list(net.widths))
         self.net._bind(self._theta)
         self._train = train
+        _input_rows(self.net, train.states)  # the dimension check a step skips
+        self._scores_t = np.ascontiguousarray(train.scores.T)
         self._cache = None
 
     def initial_params(self) -> np.ndarray:
-        return self.net.get_params()
+        return self._theta
 
     def rows(self, idx: np.ndarray) -> np.ndarray:
         """Tangent features of the training points ``idx``: the per-sample
@@ -236,15 +246,22 @@ class MlpModel:
         return ((idx, None) for idx in batches)
 
     def values(self, theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        np.copyto(self._theta, theta)
+        if theta is not self._theta:
+            np.copyto(self._theta, theta)
         return self.net(self._train.states[idx], self._train.scores[idx])
 
     def batch_eval(self, theta: np.ndarray, idx: np.ndarray):
-        np.copyto(self._theta, theta)
-        g, self._cache = cv_values_with_cache(
-            self.net, self._train.states[idx], self._train.scores[idx], cache=self._cache
-        )
-        return g, functools.partial(cv_param_vjp, self.net, self._cache)
+        if theta is not self._theta:
+            np.copyto(self._theta, theta)
+        cache = self._cache
+        if cache is None or cache.n != idx.size:
+            cache = self._cache = _Pass(self.net.widths, idx.size, keep=True)
+        cache.take(self._train.states, self._scores_t, idx)
+        g, _ = cv_values_with_cache(self.net, cache.states, cache.scores, cache)
+        return g, self._vjp
+
+    def _vjp(self, upstream: np.ndarray) -> np.ndarray:
+        return cv_param_vjp(self.net, self._cache, upstream)
 
 
 def wrap_model(model, train: ScoredSampleSet):
@@ -341,7 +358,8 @@ def sgd_train(model, train: ScoredSampleSet, config: TrainConfig) -> TrainReport
     b = config.batch_size
     is_ls = config.objective == "least_squares"
     inverse_time = config.schedule == "inverse_time"
-    theta = wrapped.initial_params().astype(np.float64).copy()
+    # a network model's own flat vector, which its weights view: a step copies nothing in
+    theta = wrapped.initial_params()
     c = float(np.mean(f)) if is_ls else 0.0
     steps_per_epoch = math.ceil(m / b)
     trace = np.empty(config.epochs)
@@ -355,7 +373,9 @@ def sgd_train(model, train: ScoredSampleSet, config: TrainConfig) -> TrainReport
             if not math.isfinite(obj):
                 raise RuntimeError(f"non-finite objective at SGD step {t}")
             alpha_t = beta / (config.gamma + t) if inverse_time else config.alpha
-            theta -= alpha_t * grad
+            # theta -= alpha_t * grad, without the temporary (grad is this step's own)
+            grad *= alpha_t
+            theta -= grad
             if is_ls:
                 c -= alpha_t * grad_c
             epoch_obj += obj

@@ -166,3 +166,77 @@ def per_step_sgd(model, train, config):
         final = training.objective_variance(f - g_full)
         c = float(np.mean(f - g_full))
     return theta, c, trace, final
+
+
+def _stacked_block_sum(a):
+    """Sum of a stack over its leading blocks, taken as ``mlp`` takes it: one
+    block as it is, two by one add, more by one reduction."""
+    if len(a) == 1:
+        return a[0]
+    if len(a) == 2:
+        return a[0] + a[1]
+    return a.sum(0)
+
+
+def stacked_pass_reference(net, states, scores, upstream):
+    """Allocate-per-op reference of the stacked network pass in ``mlp``:
+    the operator output g, the parameter gradient of sum_i upstream_i g(x_i)
+    and the per-row parameter gradients (n, n_params). Every elementwise
+    operation and reduction is the production pass's, in its order, and every
+    GEMM has its shapes, so the results must agree bit for bit."""
+    n, d = states.shape
+    z = np.empty((d + 2, n, d))
+    z[0] = states
+    z[1 : d + 1] = np.eye(d)[:, None, :]
+    z[d + 1] = 0.0
+    layers = []
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        o, k = w.shape
+        z_in = z
+        z = np.dot(z_in.reshape(-1, k), w.T).reshape(d + 2, n, o)
+        z[0] = z[0] + b
+        act = None
+        if i < last:
+            jac_sq = _stacked_block_sum(np.square(z[1 : d + 1]))
+            t = np.tanh(z[0])
+            s1 = 1.0 - t * t
+            z[0] = t
+            z[1:] = z[1:] * s1
+            u = (-2.0 * s1) * jac_sq
+            z[d + 1] = z[d + 1] + t * u
+            coef = z[1:] * (-2.0 * t)
+            coef[d] = coef[d] + s1 * u
+            act = (s1, coef)
+        layers.append((z_in, act))
+    out = z[:, :, 0]
+    g = out[-1] + _stacked_block_sum(out[1:-1] * scores.T)
+
+    def reverse(up, per_row):
+        bar = np.empty((d + 2, n, 1))
+        bar[0] = 0.0
+        bar[1 : d + 1, :, 0] = scores.T * up
+        bar[d + 1, :, 0] = up
+        grads = []
+        for i in range(last, -1, -1):
+            z_in, act = layers[i]
+            w = net.weights[i]
+            o, k = w.shape
+            if act is not None:
+                s1, coef = act
+                head = _stacked_block_sum(bar[1:] * coef)
+                lap_bar2 = 2.0 * bar[d + 1]
+                bar = bar * s1
+                bar[0] = bar[0] + head
+                bar[1 : d + 1] = bar[1 : d + 1] + lap_bar2 * coef[:d]
+            if per_row:
+                grad_w = np.einsum("rno,rnk->nok", bar, z_in).reshape(n, o * k)
+                grads = [grad_w, bar[0]] + grads
+            else:
+                rows_bar = bar.reshape(-1, o)
+                grads = [np.dot(rows_bar.T, z_in.reshape(-1, k)).ravel(), bar[0].sum(0)] + grads
+            if i:
+                bar = np.dot(bar.reshape(-1, o), w).reshape(d + 2, n, k)
+        return np.concatenate(grads, axis=-1)
+
+    return g, reverse(upstream, False), reverse(np.ones(n), True)

@@ -14,6 +14,7 @@ from steincv.mlp import (
     cv_values_with_cache,
     forward_with_derivatives,
 )
+from oracle_utils import stacked_pass_reference
 
 
 def _fd_grad_lap(net, x, h=1e-4):
@@ -136,6 +137,30 @@ class TestCvValues:
         np.testing.assert_array_equal(cv_values(net, x, -x), np.zeros(4))
 
 
+class TestScoresShape:
+    """Scores of another shape than the states used to broadcast into a
+    wrong g without an error."""
+
+    ENTRIES = {
+        "cv_values": cv_values,
+        "cv_values_with_cache": lambda net, x, s: cv_values_with_cache(net, x, s)[0],
+        "call": lambda net, x, s: net(x, s),
+    }
+
+    @pytest.mark.parametrize("shape", [(4, 1), (1, 3), (3,)], ids=["nx1", "1xd", "d"])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_misshaped_scores_rejected(self, entry, shape):
+        net = MlpControlFunction.initialize([3, 5, 1], seed=0)
+        x = np.random.default_rng(0).normal(size=(4, 3))
+        with pytest.raises(ValueError, match="scores must have the states' shape"):
+            self.ENTRIES[entry](net, x, np.ones(shape))
+
+    def test_a_single_point_may_be_one_dimensional(self):
+        net = MlpControlFunction.initialize([3, 5, 1], seed=0)
+        x, s = np.array([0.1, -0.2, 0.3]), np.array([1.0, 0.5, -2.0])
+        np.testing.assert_array_equal(cv_values(net, x, s), cv_values(net, x[None], s[None]))
+
+
 class TestParamGradient:
     @pytest.mark.parametrize("seed", range(10))
     def test_vjp_matches_finite_differences(self, seed):
@@ -171,6 +196,23 @@ class TestParamGradient:
         np.testing.assert_allclose(g, ref_g, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(cv_param_vjp(net, cache, w), ref_grad, rtol=1e-12, atol=1e-14)
         np.testing.assert_array_equal(cv_values(net, x, s), g)
+
+    @pytest.mark.parametrize("hidden", [[20, 20, 20], [7, 1, 12, 3]], ids=["uniform", "mixed"])
+    @pytest.mark.parametrize("n", [1, 8, 256])
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_pass_is_bitwise_the_allocating_reference(self, d, n, hidden):
+        # every network estimate rests on these roundings: a fused or reordered
+        # operation that moves one of them fails here, not only in an SGD trace
+        rng = np.random.default_rng(100 * d + n)
+        net = MlpControlFunction.initialize([d, *hidden, 1], seed=d)
+        net.set_params(net.get_params() + 0.3 * rng.normal(size=net.n_params))
+        x, s, w = rng.normal(size=(n, d)), rng.normal(size=(n, d)), rng.normal(size=n)
+        ref_g, ref_grad, ref_rows = stacked_pass_reference(net, x, s, w)
+        g, cache = cv_values_with_cache(net, x, s)
+        np.testing.assert_array_equal(g, ref_g)
+        np.testing.assert_array_equal(cv_param_vjp(net, cache, w), ref_grad)
+        np.testing.assert_array_equal(_cv_param_rows(net, cache), ref_rows)
+        np.testing.assert_array_equal(cv_values(net, x, s), ref_g)
 
     def test_non_finite_gradient_raises(self):
         net = MlpControlFunction.initialize([1, 4, 4, 1], seed=0)

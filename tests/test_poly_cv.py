@@ -87,6 +87,13 @@ class TestBasis:
         b = stein_poly_basis(xs, -xs, mi)
         np.testing.assert_allclose(b[:, 1], 2.0 - 2.0 * xs[:, 0] ** 2, atol=1e-13)
 
+    @pytest.mark.parametrize("shape", [(1, 3), (3,)], ids=["1xd", "d"])
+    def test_misshaped_scores_rejected(self, shape):
+        # one score row would broadcast over all four states without an error
+        x = np.random.default_rng(0).normal(size=(4, 3))
+        with pytest.raises(ValueError, match="scores"):
+            stein_poly_basis(x, np.ones(shape), enumerate_multi_indices(3, 2))
+
     def test_zero_score_low_degree_vanishes(self):
         mi = enumerate_multi_indices(2, 1)
         b = stein_poly_basis(np.array([[1.3, -0.4]]), np.zeros((1, 2)), mi)

@@ -301,6 +301,20 @@ class TestGpSampling:
             sample_gp_problem(pts, mixture, 1.0, 0.8, seed=2, jitter=0.0)
         assert 301 not in calls
 
+    def test_default_jitter_underflow_names_lam(self):
+        # 1e-10 * lam^2 is 0 below lam ~ 1e-159: the error names lam and the
+        # underflow, not a jitter the caller never gave
+        mixture = random_mixture(2, 2, seed=0)
+        pts = sample_target(mixture, 20, seed=1).states
+        with pytest.raises(ValueError, match=r"^lam = 1e-160 is too small: the default jitter .* underflowed"):
+            sample_gp_problem(pts, mixture, 1e-160, 1.0, seed=2)
+        lam = 1e-150
+        gp = sample_gp_problem(pts, mixture, lam, 1.0, seed=2)
+        given = sample_gp_problem(pts, mixture, lam, 1.0, seed=2, jitter=1e-10 * lam**2)
+        assert np.all(np.isfinite(gp.f_values))
+        np.testing.assert_array_equal(gp.f_values, given.f_values)
+        assert gp.true_integral == given.true_integral
+
     @pytest.mark.parametrize("jitter,factorizations", [(None, 1), (1e-18, 5)])
     def test_jitter_in_place_draws_as_the_jittered_copy(self, monkeypatch, jitter, factorizations):
         # each try used to factor cov + eps * I, a fresh (n+1)^2 array and its
