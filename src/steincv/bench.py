@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import InitVar, dataclass, field
@@ -57,7 +58,9 @@ class BenchmarkConfig:
     """One benchmark: a problem spec, parsed once on construction by
     ``problems.parse_problem``, an estimation method, sizes and seeds.
     ``parsed``, not stored, is the spec already parsed by the caller, which
-    construction then uses instead of parsing (and reading a file) again."""
+    construction then uses instead of parsing (and reading a file) again.
+    ``nn_hidden`` are the hidden widths of nn_sgd's network [d, *nn_hidden, 1],
+    whose input and output widths the problem fixes."""
 
     problem: dict
     method: str
@@ -72,7 +75,7 @@ class BenchmarkConfig:
     alpha2: Optional[float] = None
     ridge: float = 0.0
     jitter: Optional[float] = None
-    nn_widths: Optional[list] = None
+    nn_hidden: list = field(default_factory=lambda: [20] * 6)
     multi_kernel: bool = False
     workers: int = 1
     parsed: InitVar[Optional[Problem]] = None
@@ -106,16 +109,11 @@ class BenchmarkConfig:
         BaseKernelParams(self.alpha1, 1.0 if self.alpha2 is None else self.alpha2)
         if self.multi_kernel and self.method != "ensemble_sgd":
             raise ValueError(f"multi_kernel is read only by ensemble_sgd, not by {self.method}")
-        if self.nn_widths:
-            try:
-                MlpControlFunction(list(self.nn_widths))
-            except ValueError as exc:
-                raise ValueError(f"nn_widths {self.nn_widths}: {exc}") from None
-            if self.nn_widths[0] != problem.d:
-                raise ValueError(
-                    f"nn_widths {self.nn_widths} must start with the problem's "
-                    f"dimension d={problem.d}"
-                )
+        if not isinstance(self.nn_hidden, (list, tuple)) or not all(
+            isinstance(w, numbers.Integral) and not isinstance(w, bool) and w >= 1
+            for w in self.nn_hidden
+        ):
+            raise ValueError(f"nn_hidden must be a list of integers >= 1, got {self.nn_hidden!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -193,8 +191,7 @@ def _fit_kernel_exact(config, train, train_cfg):
 
 
 def _fit_nn_sgd(config, train, train_cfg):
-    widths = config.nn_widths or [train.d, 20, 20, 20, 20, 20, 20, 1]
-    net = MlpControlFunction.initialize(list(widths), seed=train_cfg.seed)
+    net = MlpControlFunction.initialize([train.d, *config.nn_hidden, 1], seed=train_cfg.seed)
     report = sgd_train(net, train, train_cfg)
     net.set_params(report.theta)
     return net, report.offset
@@ -337,14 +334,13 @@ def _csv_cell(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def emit_report(report: BenchmarkReport, path, fmt: str = "csv") -> None:
-    """Write the report as plot-ready CSV (one row per repetition) or as JSON."""
-    if fmt == "json":
+def emit_report(report: BenchmarkReport, path) -> None:
+    """Write the report as JSON when ``path`` ends in ``.json``, otherwise as
+    plot-ready CSV (one row per repetition)."""
+    if str(path).endswith(".json"):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(report_to_dict(report), fh, indent=2)
         return
-    if fmt != "csv":
-        raise ValueError(f"unknown report format {fmt!r}")
     cfg = report.config
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

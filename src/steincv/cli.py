@@ -53,8 +53,7 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
                         help="inverse-time schedule scale (default: data-driven)")
     parser.add_argument("--gamma", type=float)
     parser.add_argument("--train-seed", type=int, dest="seed")
-    parser.add_argument("--out", default=None, help="report path (.csv or .json)")
-    parser.add_argument("--format", default=None, choices=("csv", "json"))
+    parser.add_argument("--out", default=None, help="report path (.json: JSON, else CSV)")
 
 
 def _given(args, cls) -> dict:
@@ -68,11 +67,9 @@ def _benchmark_config(args, problem: dict, **defaults) -> BenchmarkConfig:
     return BenchmarkConfig(**given, train=TrainConfig(**_given(args, TrainConfig)))
 
 
-def _emit_and_summarize(report: BenchmarkReport, out, fmt) -> int:
+def _emit_and_summarize(report: BenchmarkReport, out) -> int:
     if out:
-        if fmt is None:
-            fmt = "json" if str(out).endswith(".json") else "csv"
-        emit_report(report, out, fmt)
+        emit_report(report, out)
     cfg = report.config
     mae = "n/a" if report.mae is None else f"{report.mae:.6g}"
     mean_est = "n/a" if report.mean_estimate is None else f"{report.mean_estimate:.10g}"
@@ -113,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a benchmark from a JSON config")
     p_bench.add_argument("--config", required=True, help="path to a BenchmarkConfig JSON")
     p_bench.add_argument("--out", default=None)
-    p_bench.add_argument("--format", default=None, choices=("csv", "json"))
     p_bench.set_defaults(config_of=_bench_config)
 
     p_run = sub.add_parser("run", help="run a method on a problem spec",
@@ -133,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _emit_and_summarize(run_benchmark(args.config_of(args)), args.out, args.format)
+    return _emit_and_summarize(run_benchmark(args.config_of(args)), args.out)
 
 
 if __name__ == "__main__":

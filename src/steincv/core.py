@@ -119,7 +119,7 @@ class ScoredSampleSet:
         """Row-subset of the sample set (f_values carried along when present)."""
         idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
         if idx.ndim != 1 or idx.size < 1:
-            raise ValueError("states must be a non-empty (n, d) matrix")
+            raise ValueError(f"indices must be a non-empty 1-D array, got shape {idx.shape}")
         f = None if self.f_values is None else self.f_values[idx]
         return ScoredSampleSet._owned(self.states[idx], self.scores[idx], f)
 

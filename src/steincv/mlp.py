@@ -463,8 +463,10 @@ def cv_param_vjp(
     accumulated by reversing the stacked forward pass: each affine layer takes
     one GEMM for its weight gradient z_bar^T z_in, written straight into its
     slice of the returned array, and one for the input adjoint z_bar W."""
-    if type(upstream) is not np.ndarray or upstream.ndim != 1:
+    if type(upstream) is not np.ndarray or upstream.shape != (cache.n,):
         upstream = np.asarray(upstream, dtype=np.float64).reshape(-1)
+        if upstream.size != cache.n:
+            raise ValueError(f"upstream has {upstream.size} entries for {cache.n} cached rows")
     return cache.reverse(net, upstream)
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import _derived_seed
-from .kernels import _factor_spd
+from .kernels import _BLOCK_ENTRIES, _factor_spd
 from .targets import (
     GaussianTarget,
     MixtureTarget,
@@ -67,8 +67,6 @@ _ERFC_COEFFS = (
 )
 # erf(6) rounds to 1, as erf does at every larger argument
 _ERF_ONE_AT = 6.0
-# Values per chunk of _erf: its three temporaries stay in cache
-_ERF_CHUNK = 16384
 
 
 def _erf(x: np.ndarray) -> np.ndarray:
@@ -77,8 +75,8 @@ def _erf(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1)
     out = np.empty_like(flat)
-    for lo in range(0, flat.size, _ERF_CHUNK):
-        xc = flat[lo : lo + _ERF_CHUNK]
+    for lo in range(0, flat.size, _BLOCK_ENTRIES):
+        xc = flat[lo : lo + _BLOCK_ENTRIES]
         a = np.minimum(np.abs(xc), _ERF_ONE_AT)
         s = a + _ERFC_SCALE
         np.divide(a, s, out=s)
@@ -91,7 +89,7 @@ def _erf(x: np.ndarray) -> np.ndarray:
         np.negative(a, out=a)
         p *= np.exp(a, out=a)
         np.subtract(1.0, p, out=p)
-        np.copysign(p, xc, out=out[lo : lo + _ERF_CHUNK])
+        np.copysign(p, xc, out=out[lo : lo + _BLOCK_ENTRIES])
     return out.reshape(x.shape)
 
 
@@ -458,7 +456,9 @@ def _draw_ingest(samples, truth, n, seed):
 
 
 def _parse_ingest(spec: dict) -> Problem:
-    samples = load_scored_samples(spec["path"], f_column=True)
+    samples = load_scored_samples(spec["path"])
+    if samples.f_values is None:
+        raise ValueError(f"path {spec['path']}: the file has no f column")
     truth = spec.get("true_integral")
     truth = None if truth is None else _finite(float(truth), "true_integral")
     return Problem("ingest", samples.d, partial(_draw_ingest, samples, truth), samples.n)

@@ -211,17 +211,18 @@ def save_scored_samples(path, samples: ScoredSampleSet) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def load_scored_samples(path, f_column: bool = True) -> ScoredSampleSet:
-    """Load a scored sample set from CSV. The header must be exactly the one
-    ``save_scored_samples`` writes (x_1..x_d, score_1..score_d, then f unless
-    ``f_column`` is False); non-finite entries are rejected by line."""
+def load_scored_samples(path) -> ScoredSampleSet:
+    """Load a scored sample set from CSV. The header must be exactly one that
+    ``save_scored_samples`` writes: x_1..x_d, score_1..score_d, then f if the
+    file carries f values. Non-finite entries are rejected by line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = [c.strip() for c in lines[0].split(",")]
     d = max(1, sum(1 for c in header if c.startswith("x_")))
-    expected = _csv_header(d, f_column)
+    with_f = len(header) > 2 * d
+    expected = _csv_header(d, with_f)
     if header != expected:
         raise ValueError(f"{path}: header {','.join(header)!r} is not {','.join(expected)!r}")
     rows = []
@@ -245,7 +246,7 @@ def load_scored_samples(path, f_column: bool = True) -> ScoredSampleSet:
     data = np.asarray(rows, dtype=np.float64)
     states = data[:, :d]
     scores = data[:, d : 2 * d]
-    f = data[:, 2 * d] if f_column else None
+    f = data[:, 2 * d] if with_f else None
     return ScoredSampleSet(states, scores, f)
 
 

@@ -1,5 +1,5 @@
-"""Training machinery: the two empirical objectives, minibatch SGD with an
-inverse-time learning-rate schedule, and the design-matrix spectrum diagnostic."""
+"""Training machinery: the two empirical objectives, minibatch SGD with a
+constant or inverse-time step size, and the design-matrix spectrum diagnostic."""
 
 from __future__ import annotations
 
@@ -37,19 +37,15 @@ __all__ = [
 
 OBJECTIVES = ("least_squares", "variance")
 REGULARIZERS = ("l2_theta", "mean_g_squared")
-SCHEDULES = ("inverse_time", "constant")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Objective, regularizer, learning-rate schedule and batching for SGD.
+    """Objective, regularizer, step size and batching for SGD.
 
-    ``beta`` left as None selects a data-driven default: 1/sigma_min of the
-    design-matrix second-moment spectrum for linear families with
-    n_params + 1 <= m, otherwise 1.5 (gamma + 1) / sigma_max, with sigma_max
-    estimated from 256 probe rows of the features (for a network, 64 rows of
-    per-sample parameter gradients at the initial parameters, taken in one
-    batched forward and reverse pass).
+    The step size is the constant ``alpha`` when it is given and
+    alpha_t = beta / (gamma + t) otherwise; ``beta`` left as None is resolved
+    from the data (``_resolve_beta``). Giving ``beta`` with ``alpha`` fails.
     """
 
     objective: str = "least_squares"
@@ -57,7 +53,6 @@ class TrainConfig:
     lam: float = 0.0
     batch_size: int = 8
     epochs: int = 25
-    schedule: str = "inverse_time"
     beta: Optional[float] = None
     gamma: float = 10.0
     alpha: Optional[float] = None
@@ -68,8 +63,6 @@ class TrainConfig:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         if self.regularizer not in REGULARIZERS:
             raise ValueError(f"regularizer must be one of {REGULARIZERS}")
-        if self.schedule not in SCHEDULES:
-            raise ValueError(f"schedule must be one of {SCHEDULES}")
         # the bounds are written so that NaN and +-inf fail them
         if not 0 <= self.lam < math.inf:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
@@ -84,10 +77,11 @@ class TrainConfig:
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
         if not 0 < self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
-        if self.schedule == "constant" and (self.alpha is None or not 0 < self.alpha < math.inf):
-            raise ValueError(
-                f"alpha must be finite and > 0 for the constant schedule, got {self.alpha}"
-            )
+        if self.alpha is not None:
+            if not 0 < self.alpha < math.inf:
+                raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+            if self.beta is not None:
+                raise ValueError(f"beta={self.beta} cannot be given with the constant step alpha")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -171,28 +165,31 @@ class LinearFeatureModel:
     """Adapter giving linear CV families a common SGD surface.
 
     A linear family exposes ``n_params`` and ``feature_matrix(states, scores)
-    -> (n, n_params)``. When n_params + 1 <= m (the rule ``_resolve_beta`` uses
-    for the full spectrum), the (m, n_params) training feature matrix is
-    smaller than an m x m Gram, so it is computed once and indexed (polynomials,
+    -> (n, n_params)``. With at most m - 1 parameters, the moment matrix of
+    (1, psi_1, ..., psi_p) can be non-singular and the (m, n_params) training
+    feature matrix ``full`` is smaller than an m x m Gram, so it is computed
+    once, indexed for rows and read whole for the spectrum (polynomials,
     kernels on a few fixed centers). Otherwise the family grows with m (kernel
-    translates on the training points, ensembles) and rows are computed from
-    the family. SGD takes the rows of a chunk of steps at once (``batch_rows``),
-    at most ``_BLOCK_ENTRIES`` entries or one batch: a step costs
-    O(batch * n_params) and never forms the m x m Gram.
+    translates on the training points, ensembles), ``full`` is None and rows
+    are computed from the family. SGD takes the rows of a chunk of steps at
+    once (``batch_rows``), at most ``_BLOCK_ENTRIES`` entries or one batch: a
+    step costs O(batch * n_params) and never forms the m x m Gram.
     """
+
+    probe_size = 256
 
     def __init__(self, family, train: ScoredSampleSet):
         self.family = family
         self.n_params = family.n_params
-        self._train = train
+        self.train = train
         full = family.n_params + 1 <= train.n
-        self._full = family.feature_matrix(train.states, train.scores) if full else None
+        self.full = family.feature_matrix(train.states, train.scores) if full else None
 
     def rows(self, idx: np.ndarray) -> np.ndarray:
         """Feature rows of the training points ``idx``."""
-        if self._full is not None:
-            return self._full[idx]
-        return self.family.feature_matrix(self._train.states[idx], self._train.scores[idx])
+        if self.full is not None:
+            return self.full[idx]
+        return self.family.feature_matrix(self.train.states[idx], self.train.scores[idx])
 
     def batch_rows(self, batches: np.ndarray):
         """(idx, feature rows) of each batch (row of ``batches``). Rows do not depend
@@ -220,13 +217,16 @@ class MlpModel:
     returns that vector, so a step that is handed it copies nothing, and any
     other theta is copied in. A step takes its rows straight into the input
     buffers of the pass of the previous step, which ``cv_values_with_cache``
-    then refills."""
+    then refills. Its rows depend on theta, so it keeps no ``full`` matrix."""
+
+    full = None
+    probe_size = 64
 
     def __init__(self, net: MlpControlFunction, train: ScoredSampleSet):
         self._theta = net.get_params()
         self.net = MlpControlFunction(list(net.widths))
         self.net._bind(self._theta)
-        self._train = train
+        self.train = train
         _input_rows(self.net, train.states)  # the dimension check a step skips
         self._scores_t = np.ascontiguousarray(train.scores.T)
         self._cache = None
@@ -238,7 +238,7 @@ class MlpModel:
         """Tangent features of the training points ``idx``: the per-sample
         parameter gradients of g at the current parameters, from one forward
         and one reverse pass over the rows."""
-        _, cache = cv_values_with_cache(self.net, self._train.states[idx], self._train.scores[idx])
+        _, cache = cv_values_with_cache(self.net, self.train.states[idx], self.train.scores[idx])
         return _cv_param_rows(self.net, cache)
 
     def batch_rows(self, batches: np.ndarray):
@@ -248,7 +248,7 @@ class MlpModel:
     def values(self, theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
         if theta is not self._theta:
             np.copyto(self._theta, theta)
-        return self.net(self._train.states[idx], self._train.scores[idx])
+        return self.net(self.train.states[idx], self.train.scores[idx])
 
     def batch_eval(self, theta: np.ndarray, idx: np.ndarray):
         if theta is not self._theta:
@@ -256,7 +256,7 @@ class MlpModel:
         cache = self._cache
         if cache is None or cache.n != idx.size:
             cache = self._cache = _Pass(self.net.widths, idx.size, keep=True)
-        cache.take(self._train.states, self._scores_t, idx)
+        cache.take(self.train.states, self._scores_t, idx)
         g, _ = cv_values_with_cache(self.net, cache.states, cache.scores, cache)
         return g, self._vjp
 
@@ -303,27 +303,28 @@ def batch_objective_and_gradient(
     return obj, grad, grad_c
 
 
-def _resolve_beta(model, train: ScoredSampleSet, config: TrainConfig, wrapped) -> float:
+def _resolve_beta(config: TrainConfig, wrapped) -> float:
+    """beta of the inverse-time step: ``config.beta`` if given; else 1/sigma_min
+    of the design spectrum of the wrapper's ``full`` feature matrix, when it
+    has one on which the basis is independent; else 1.5 (gamma + 1) / sigma_max,
+    with sigma_max estimated from ``probe_size`` rows of the wrapper."""
     if config.beta is not None:
         return config.beta
-    is_net = isinstance(model, MlpControlFunction)
-    if not is_net and model.n_params + 1 <= train.n:
+    if wrapped.full is not None:
         try:
-            return design_matrix_spectrum(wrapped.rows(np.arange(train.n))).suggested_beta
+            return design_matrix_spectrum(wrapped.full).suggested_beta
         except ValueError:
             pass
-    # Families too large for the full spectrum (kernel translates, ensembles,
-    # networks): size the schedule so that alpha_1 * sigma_max = 1.5, with
-    # sigma_max of the second-moment matrix M estimated from a row subsample
-    # (for a network, its tangent features at the initial parameters).
+    # This beta makes alpha_1 * sigma_max = 1.5, M the second-moment matrix.
     # The least-squares objective has Hessian 2M, so a step is stable only for
     # alpha_t * sigma_max < 1: this default starts above that limit, and at
     # gamma = 10, alpha_t * sigma_max = 16.5 / (10 + t) stays above it for
     # steps 1-6. The nonzero eigenvalues of (1/s) R R^T match those of the
     # subsampled moment matrix, so only an s x s Gram is ever formed and the
     # cost stays O(s * n_params).
+    m = wrapped.train.n
     rng = np.random.default_rng(config.seed ^ 0x5EED)
-    probe = rng.choice(train.n, size=min(64 if is_net else 256, train.n), replace=False)
+    probe = rng.choice(m, size=min(wrapped.probe_size, m), replace=False)
     rows = wrapped.rows(probe)
     design = np.concatenate([np.ones((rows.shape[0], 1)), rows], axis=1)
     gram = design @ design.T / rows.shape[0]
@@ -338,11 +339,11 @@ def sgd_train(model, train: ScoredSampleSet, config: TrainConfig) -> TrainReport
     uniformly with replacement from the training set. An epoch's batches are
     drawn in one call from the same stream, which gives the indices of one
     draw per step; a linear family's feature rows are taken a chunk of steps
-    at a time (``LinearFeatureModel.batch_rows``). The schedule is
-    alpha_t = beta / (gamma + t) or the given constant. For the least-squares
-    objective the constant offset is a trained parameter (initialized at the
-    training mean of f); the variance objective has no offset and the
-    training-mean residual is reported instead.
+    at a time (``LinearFeatureModel.batch_rows``). The step size is the one
+    ``TrainConfig`` describes, and beta is resolved only when it is used. For
+    the least-squares objective the constant offset is a trained parameter
+    (initialized at the training mean of f); the variance objective has no
+    offset and the training-mean residual is reported instead.
     The objective trace records, at the end of each epoch, the mean of its
     minibatch objectives (regularizer excluded; entries can differ from earlier
     versions at rounding level); ``final_objective`` is the full-train
@@ -351,13 +352,12 @@ def sgd_train(model, train: ScoredSampleSet, config: TrainConfig) -> TrainReport
     if train.f_values is None:
         raise ValueError("training set must carry f_values")
     wrapped = wrap_model(model, train)
-    beta = _resolve_beta(model, train, config, wrapped)
+    beta = _resolve_beta(config, wrapped) if config.alpha is None else None
     rng = np.random.default_rng(config.seed)
     f = train.f_values
     m = train.n
     b = config.batch_size
     is_ls = config.objective == "least_squares"
-    inverse_time = config.schedule == "inverse_time"
     # a network model's own flat vector, which its weights view: a step copies nothing in
     theta = wrapped.initial_params()
     c = float(np.mean(f)) if is_ls else 0.0
@@ -372,7 +372,7 @@ def sgd_train(model, train: ScoredSampleSet, config: TrainConfig) -> TrainReport
             obj, grad, grad_c = batch_objective_and_gradient(wrapped, f, idx, theta, c, config, rows)
             if not math.isfinite(obj):
                 raise RuntimeError(f"non-finite objective at SGD step {t}")
-            alpha_t = beta / (config.gamma + t) if inverse_time else config.alpha
+            alpha_t = config.alpha if beta is None else beta / (config.gamma + t)
             # theta -= alpha_t * grad, without the temporary (grad is this step's own)
             grad *= alpha_t
             theta -= grad
@@ -395,6 +395,6 @@ def sgd_train(model, train: ScoredSampleSet, config: TrainConfig) -> TrainReport
         final_objective=final,
         wall_time=wall,
         n_steps=t,
-        resolved_beta=beta if inverse_time else None,
+        resolved_beta=beta,
         config=config,
     )

@@ -118,7 +118,7 @@ def per_step_sgd(model, train, config):
     from steincv import training
 
     wrapped = training.wrap_model(model, train)
-    beta = training._resolve_beta(model, train, config, wrapped)
+    beta = training._resolve_beta(config, wrapped) if config.alpha is None else None
     rng = np.random.default_rng(config.seed)
     f, m, b = train.f_values, train.n, config.batch_size
     is_ls = config.objective == "least_squares"
@@ -148,7 +148,7 @@ def per_step_sgd(model, train, config):
             grad = vjp(upstream)
             if config.lam > 0 and config.regularizer == "l2_theta":
                 grad = grad + 2.0 * config.lam * theta
-            if config.schedule == "inverse_time":
+            if config.alpha is None:
                 alpha_t = beta / (config.gamma + t)
             else:
                 alpha_t = config.alpha

@@ -73,7 +73,7 @@ def test_criterion_1_exact_solution_toy():
             BenchmarkConfig(
                 problem=spec, method="poly_sgd", n=1000, m=500,
                 repetitions=20, base_seed=0, degree=1,
-                train=TrainConfig(batch_size=8, epochs=100, schedule="inverse_time"),
+                train=TrainConfig(batch_size=8, epochs=100),
             )
         )
         assert sgd.n_failures == 0

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def _counted_ingest_file(tmp_path, monkeypatch):
 class TestRunBenchmark:
     @pytest.mark.parametrize("method", METHODS)
     def test_every_method_runs(self, method):
-        report = run_benchmark(_small_config(method, nn_widths=[1, 6, 1]))
+        report = run_benchmark(_small_config(method, nn_hidden=[6]))
         assert report.n_failures == 0
         assert len(report.results) == 2
         assert report.mae is not None
@@ -77,8 +78,8 @@ class TestRunBenchmark:
         a = run_benchmark(cfg)
         b = run_benchmark(cfg)
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_report(a, pa, "csv")
-        emit_report(b, pb, "csv")
+        emit_report(a, pa)
+        emit_report(b, pb)
         assert _csv_rows_without_timing(pa) == _csv_rows_without_timing(pb)
 
     def test_estimate_recomputable_from_split_and_model(self):
@@ -125,7 +126,7 @@ class TestRunBenchmark:
         monkeypatch.setattr(bench, "_fit_model", fit_then_flag)
         monkeypatch.setattr(kernels, "stein_kernel_gram", recording(kernels.stein_kernel_gram, 0))
         monkeypatch.setattr(mlp, "cv_values", recording(mlp.cv_values, 1))
-        result = run_repetition(_small_config(method, n=1200, m=100, nn_widths=[1, 6, 1]), 0)
+        result = run_repetition(_small_config(method, n=1200, m=100, nn_hidden=[6]), 0)
         assert result.error is None
         assert sum(rows) == 1100
         assert max(rows) <= 256
@@ -177,9 +178,9 @@ class TestRunBenchmark:
             ("problem", {"problem": "bogus"}),
             ("problem", {"problem": "genz", "d": 1}),
             ("problem", {"problem": "genz", "kind": "bogus", "d": 1}),
-            ("nn_widths", [1, 5, 2]),
-            ("nn_widths", [3, 5, 1]),
-            ("nn_widths", [1, 0, 1]),
+            ("nn_hidden", [2.5]),
+            ("nn_hidden", 20),
+            ("nn_hidden", [0]),
             ("problem", {"problem": "genz", "kind": "continuous", "a": []}),
             ("problem", {"problem": "ingest", "path": "no/such/file.csv"}),
         ],
@@ -251,7 +252,7 @@ class TestRunBenchmark:
 
     def test_fixed_gp_mixture_sets_d(self):
         spec = {"problem": "gp", "mixture": mixture_to_json(random_mixture(3, 2, seed=0))}
-        report = run_benchmark(_small_config("nn_sgd", problem=spec, nn_widths=[3, 5, 1]))
+        report = run_benchmark(_small_config("nn_sgd", problem=spec, nn_hidden=[5]))
         assert report.n_failures == 0
         assert report.d == 3
         with pytest.raises(ValueError, match=r"^problem gp: d=2 disagrees.*dimension 3"):
@@ -285,10 +286,33 @@ class TestRunBenchmark:
             BenchmarkConfig(problem=spec, method="mc", n=999, m=10)
         with pytest.raises(ValueError, match="^problem ingest: true_integral must be finite"):
             BenchmarkConfig(problem={**spec, "true_integral": float("nan")}, method="mc", n=30, m=10)
-        cfg = BenchmarkConfig(problem=spec, method="nn_sgd", n=30, m=10, nn_widths=[1, 4, 1])
-        assert cfg.nn_widths == [1, 4, 1]
-        with pytest.raises(ValueError, match="^nn_widths .* dimension d=1"):
-            BenchmarkConfig(problem=spec, method="nn_sgd", n=30, m=10, nn_widths=[2, 4, 1])
+        cfg = BenchmarkConfig(problem=spec, method="nn_sgd", n=30, m=10, nn_hidden=[4])
+        assert cfg.nn_hidden == [4]
+
+    def test_ingest_file_without_f_rejected_at_load(self, tmp_path):
+        path = tmp_path / "nof.csv"
+        save_scored_samples(path, sample_target(GaussianTarget(np.zeros(1), 1.0), 30, seed=0))
+        with pytest.raises(ValueError, match=f"^problem ingest: path {re.escape(str(path))}: the file has no f"):
+            BenchmarkConfig(problem={"problem": "ingest", "path": str(path)}, method="mc", n=30, m=10)
+
+    @pytest.mark.parametrize("source", ["genz", "ingest"])
+    def test_network_widths_take_d_from_the_problem(self, source, tmp_path):
+        if source == "genz":
+            spec = {"problem": "genz", "kind": "continuous", "d": 3}
+        else:
+            spec = {"problem": "ingest", "path": str(tmp_path / "in.csv")}
+            ss = sample_target(GaussianTarget(np.zeros(3), 1.0), 120, seed=0)
+            save_scored_samples(spec["path"], ss.with_f_values(ss.states.sum(axis=1)))
+        result = run_repetition(_small_config("nn_sgd", problem=spec, nn_hidden=[4]), 0)
+        assert result.error is None
+        assert result.model.widths == [3, 4, 1]
+
+    def test_nn_widths_is_an_unknown_field(self):
+        # the old key is not read as hidden widths: it fails as any unknown key
+        obj = {**_small_config("nn_sgd").to_dict(), "nn_widths": [1, 6, 1]}
+        del obj["nn_hidden"]
+        with pytest.raises(ValueError, match=r"^unknown BenchmarkConfig field\(s\) \['nn_widths'\]"):
+            BenchmarkConfig.from_dict(obj)
 
     def test_ingest_file_read_once(self, tmp_path, monkeypatch):
         path, calls = _counted_ingest_file(tmp_path, monkeypatch)
@@ -342,7 +366,7 @@ class TestReports:
     def test_csv_layout(self, tmp_path):
         report = run_benchmark(_small_config("mc", repetitions=4))
         path = tmp_path / "out.csv"
-        emit_report(report, path, "csv")
+        emit_report(report, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == (
             "method,problem,d,n,m,rep,estimate,abs_error,same_set,train_seconds,"
@@ -356,17 +380,17 @@ class TestReports:
             assert float(cells[11]) == result.residual_variance
             assert cells[12] == ""  # no error
         same_set = run_benchmark(_small_config("poly_exact", split="same_set", m=120))
-        emit_report(same_set, path, "csv")
+        emit_report(same_set, path)
         rows = path.read_text().strip().splitlines()[1:]
         assert [row.split(",")[8] for row in rows] == ["True"] * 2
 
     def test_csv_error_text_stays_one_cell(self, tmp_path):
         # n = m with a disjoint split leaves no eval rows, so every repetition
-        # fails with "states must be a non-empty (n, d) matrix"
+        # fails with "indices must be a non-empty 1-D array, got shape (0,)"
         report = run_benchmark(_small_config("poly_exact", n=60, m=60))
         assert report.n_failures == 2
         path = tmp_path / "out.csv"
-        emit_report(report, path, "csv")
+        emit_report(report, path)
         with open(path, newline="") as fh:
             header, *rows = list(csv.reader(fh))
         errors = [r.error for r in report.results]
@@ -387,7 +411,7 @@ class TestReports:
         )
         report = run_benchmark(cfg)
         out = tmp_path / "out.csv"
-        emit_report(report, out, "csv")
+        emit_report(report, out)
         row = out.read_text().strip().splitlines()[1].split(",")
         assert row[7] == ""  # abs_error column
         assert report.mae is None
@@ -396,14 +420,18 @@ class TestReports:
     def test_json_roundtrip(self, tmp_path):
         report = run_benchmark(_small_config("poly_sgd", repetitions=2))
         path = tmp_path / "out.json"
-        emit_report(report, path, "json")
+        emit_report(report, path)
         loaded = report_from_dict(json.loads(path.read_text()))
         assert report_to_dict(loaded) == report_to_dict(report)
 
-    def test_unknown_format_rejected(self, tmp_path):
+    def test_format_follows_the_path(self, tmp_path):
         report = run_benchmark(_small_config("mc", repetitions=1))
-        with pytest.raises(ValueError, match="format"):
-            emit_report(report, tmp_path / "x.bin", "parquet")
+        emit_report(report, tmp_path / "x.json")
+        emit_report(report, tmp_path / "x.bin")
+        assert json.loads((tmp_path / "x.json").read_text())["n_failures"] == 0
+        with open(tmp_path / "x.bin", newline="") as fh:
+            header, row = list(csv.reader(fh))
+        assert header[:2] == ["method", "problem"] and row[0] == "mc"
 
 
 class TestCli:
@@ -487,6 +515,13 @@ class TestCli:
             GENZ1, "ensemble_sgd", repetitions=2, base_seed=4, multi_kernel=True,
             train=TrainConfig(seed=7, batch_size=4),
         )
+
+    def test_no_format_flag(self):
+        # the report format follows the --out path
+        for command in (["run", "--problem", json.dumps(GENZ1), "--method", "mc"],
+                        ["bench", "--config", "c.json"]):
+            with pytest.raises(SystemExit):
+                main([*command, "--format", "json"])
 
     def test_bench_config_with_unknown_key_fails_on_load(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -51,7 +51,7 @@ class TestScoredSampleSet:
         one = ss.subset(2)  # one index is a one-row set
         assert one.n == 1 and one.f_values.shape == (1,)
         for bad in ([], [[0, 1]]):
-            with pytest.raises(ValueError, match="non-empty"):
+            with pytest.raises(ValueError, match="^indices must be a non-empty"):
                 ss.subset(bad)
         with pytest.raises(IndexError):
             ss.subset([4])

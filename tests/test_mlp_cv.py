@@ -223,6 +223,18 @@ class TestParamGradient:
                 _, cache = cv_values_with_cache(net, x, np.array([[1e200]]))
                 cv_param_vjp(net, cache, np.array([1e200]))
 
+    @pytest.mark.parametrize("upstream", [np.array([2.0]), np.ones(3), np.ones(5), [1.0]])
+    def test_upstream_of_another_length_rejected(self, upstream):
+        # a length-1 upstream used to be broadcast over every cached row
+        net = MlpControlFunction.initialize([2, 5, 1], seed=0)
+        x = np.random.default_rng(0).normal(size=(4, 2))
+        _, cache = cv_values_with_cache(net, x, -x)
+        with pytest.raises(ValueError, match="^upstream has .* entries for 4 cached rows"):
+            cv_param_vjp(net, cache, upstream)
+        np.testing.assert_array_equal(
+            cv_param_vjp(net, cache, [2.0] * 4), cv_param_vjp(net, cache, np.full(4, 2.0))
+        )
+
 
 class TestParameterStorage:
     def test_set_params_keeps_its_own_copy(self):

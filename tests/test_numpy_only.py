@@ -22,8 +22,7 @@ from steincv.problems import _erf, standard_normal_cdf
 from steincv.targets import GaussianTarget, sample_target, save_scored_samples
 
 # Runs one repetition of every method on each (spec, n, m) of argv[1] and
-# prints the failed repetitions and every scipy module then loaded. A spec
-# without "d" (poly, ingest) is a d = 2 problem here.
+# prints the failed repetitions and every scipy module then loaded.
 _EVERY_METHOD = textwrap.dedent(
     """
     import json, sys
@@ -36,7 +35,7 @@ _EVERY_METHOD = textwrap.dedent(
         for method in METHODS:
             config = BenchmarkConfig(
                 problem=spec, method=method, n=n, m=m, repetitions=1,
-                train=TrainConfig(epochs=1), nn_widths=[spec.get("d", 2), 4, 1],
+                train=TrainConfig(epochs=1), nn_hidden=[4],
             )
             error = run_repetition(config, 0).error
             if error is not None:

@@ -245,9 +245,9 @@ class TestScoredSampleCsv:
 
     def test_header_column_count_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("x_1,score_1\n1.0,0.1\n")
+        path.write_text("x_1,score_1,f,g\n1.0,0.1,2.0,3.0\n")
         with pytest.raises(ValueError, match="header"):
-            load_scored_samples(path, f_column=True)
+            load_scored_samples(path)
 
     @pytest.mark.parametrize("header", ["x_1,score_1,x_2,score_2,f", "x_1,x_2,foo,bar,baz"])
     def test_header_read_by_name(self, tmp_path, header):
@@ -262,7 +262,7 @@ class TestScoredSampleCsv:
         path = tmp_path / "nof.csv"
         ss = sample_target(GaussianTarget(np.zeros(1), 1.0), 4, seed=1)
         save_scored_samples(path, ss)
-        loaded = load_scored_samples(path, f_column=False)
+        loaded = load_scored_samples(path)
         assert loaded.f_values is None
         np.testing.assert_array_equal(loaded.states, ss.states)
 

@@ -70,8 +70,6 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(beta=-1.0)
         with pytest.raises(ValueError):
-            TrainConfig(schedule="constant")
-        with pytest.raises(ValueError):
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(lam=-1e-3)
@@ -79,7 +77,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize(
         "field,extra",
-        [("lam", {}), ("beta", {}), ("gamma", {}), ("alpha", {"schedule": "constant"})],
+        [("lam", {}), ("beta", {}), ("gamma", {}), ("alpha", {})],
     )
     def test_non_finite_field_rejected(self, field, extra, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
@@ -110,6 +108,13 @@ class TestTrainConfig:
     def test_json_roundtrip(self):
         cfg = TrainConfig(objective="variance", lam=0.5, epochs=7, beta=2.0, seed=11)
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_beta_with_a_constant_step_rejected_at_load(self):
+        # a constant step reads no beta, so one given with it would be dropped
+        with pytest.raises(ValueError, match="^beta=2.0 cannot be given with the constant step alpha"):
+            TrainConfig(alpha=0.05, beta=2.0)
+        with pytest.raises(ValueError, match="^beta"):
+            TrainConfig.from_dict({"alpha": 0.05, "beta": 2.0})
 
 
 class TestSgdTrain:
@@ -234,10 +239,36 @@ class TestSgdTrain:
     def test_constant_schedule(self):
         train = _toy_train(d=2, n=200, seed=7)
         fam = PolynomialFamily(enumerate_multi_indices(2, 1))
-        report = sgd_train(
-            fam, train, TrainConfig(schedule="constant", alpha=0.05, epochs=20, seed=0)
-        )
+        report = sgd_train(fam, train, TrainConfig(alpha=0.05, epochs=20, seed=0))
         assert report.final_objective <= 0.05 * np.var(train.f_values)
+        assert report.resolved_beta is None
+
+    @pytest.mark.parametrize("family", ["poly", "network"])
+    def test_constant_step_resolves_no_beta(self, family, monkeypatch):
+        # neither the design spectrum nor, for a network, the probe pass runs
+        from steincv import training
+
+        train = _toy_train(d=2, n=200, seed=1)
+        if family == "poly":
+            model = PolynomialFamily(enumerate_multi_indices(2, 2))
+        else:
+            model = MlpControlFunction.initialize([2, 5, 1], seed=6)
+        spectra, passes = [0], [0]
+        spectrum, with_cache = training.design_matrix_spectrum, training.cv_values_with_cache
+
+        def counting_spectrum(feats):
+            spectra[0] += 1
+            return spectrum(feats)
+
+        def counting_with_cache(*args, **kwargs):
+            passes[0] += 1
+            return with_cache(*args, **kwargs)
+
+        monkeypatch.setattr(training, "design_matrix_spectrum", counting_spectrum)
+        monkeypatch.setattr(training, "cv_values_with_cache", counting_with_cache)
+        report = sgd_train(model, train, TrainConfig(alpha=0.01, epochs=2, seed=0))
+        assert spectra[0] == 0
+        assert passes[0] == (report.n_steps if family == "network" else 0)
         assert report.resolved_beta is None
 
     def test_nonfinite_objective_aborts_with_step(self):
@@ -245,9 +276,7 @@ class TestSgdTrain:
         fam = PolynomialFamily(enumerate_multi_indices(2, 2))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError, match="step"):
-                sgd_train(
-                    fam, train, TrainConfig(schedule="constant", alpha=1e12, epochs=50, seed=0)
-                )
+                sgd_train(fam, train, TrainConfig(alpha=1e12, epochs=50, seed=0))
 
     def test_trace_non_increasing_in_expectation(self):
         # first-epoch vs last-epoch minibatch means; at most 2 of 20 seeds may flip
@@ -330,6 +359,26 @@ class TestEpochLoop:
         assert report.offset == pytest.approx(offset, rel=1e-12, abs=0)
         np.testing.assert_allclose(report.objective_trace, trace, rtol=1e-12, atol=0)
         assert report.final_objective == pytest.approx(final, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("family", ["poly", "kernel_translates", "network"])
+    @pytest.mark.parametrize("objective", ["least_squares", "variance"])
+    def test_constant_step_matches_the_per_step_loop(self, family, objective):
+        # a given alpha is every step's size, as the per-step reference takes it
+        train = _toy_train(d=2, n=150, seed=11, f=lambda x: np.sin(x[:, 0]) * x[:, 1])
+        model = {
+            "poly": PolynomialFamily(enumerate_multi_indices(2, 2)),
+            "kernel_translates": KernelFamily(BaseKernelParams(0.1, 1.0), train),
+            "network": MlpControlFunction.initialize([2, 6, 5, 1], seed=2),
+        }[family]
+        cfg = TrainConfig(objective=objective, lam=0.05, batch_size=8, epochs=2, alpha=0.02, seed=1)
+        report = sgd_train(model, train, cfg)
+        theta, offset, trace, final = per_step_sgd(model, train, cfg)
+        assert np.all(np.isfinite(theta))
+        np.testing.assert_array_equal(report.theta, theta)
+        assert report.offset == pytest.approx(offset, rel=1e-12, abs=0)
+        np.testing.assert_allclose(report.objective_trace, trace, rtol=1e-12, atol=0)
+        assert report.final_objective == pytest.approx(final, rel=1e-12, abs=0)
+        assert report.resolved_beta is None
 
     def test_network_final_objective_runs_the_plain_pass(self, monkeypatch):
         from steincv import mlp, training
