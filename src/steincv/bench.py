@@ -12,7 +12,7 @@ import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import InitVar, dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .core import (
     SPLIT_POLICIES,
     LinearCV,
     ScoredSampleSet,
+    _changed_fields,
     _check_config_keys,
     _check_integer_fields,
     _derived_seed,
@@ -60,7 +61,9 @@ class BenchmarkConfig:
     ``parsed``, not stored, is the spec already parsed by the caller, which
     construction then uses instead of parsing (and reading a file) again.
     ``nn_hidden`` are the hidden widths of nn_sgd's network [d, *nn_hidden, 1],
-    whose input and output widths the problem fixes."""
+    whose input and output widths the problem fixes. A field that only some
+    methods read (their rows of ``_METHOD_TABLE``) fails when set away from its
+    default for any other method; ``train`` and the rest are shared by all."""
 
     problem: dict
     method: str
@@ -107,13 +110,21 @@ class BenchmarkConfig:
                 raise ValueError(f"{key} must be finite and >= 0, got {value}")
         # the kernel checks alpha1 and alpha2 (None: the median heuristic)
         BaseKernelParams(self.alpha1, 1.0 if self.alpha2 is None else self.alpha2)
-        if self.multi_kernel and self.method != "ensemble_sgd":
-            raise ValueError(f"multi_kernel is read only by ensemble_sgd, not by {self.method}")
         if not isinstance(self.nn_hidden, (list, tuple)) or not all(
             isinstance(w, numbers.Integral) and not isinstance(w, bool) and w >= 1
             for w in self.nn_hidden
         ):
             raise ValueError(f"nn_hidden must be a list of integers >= 1, got {self.nn_hidden!r}")
+        reads = _METHOD_TABLE[self.method].reads
+        method = self.method
+        if self.multi_kernel and "multi_kernel" in reads:
+            # build_multi_kernel_params takes both length-scales from the median heuristic
+            reads = tuple(key for key in reads if key != "alpha2")
+            method += " with multi_kernel"
+        for key in _changed_fields(self):
+            readers = [name for name, row in _METHOD_TABLE.items() if key in row.reads]
+            if readers and key not in reads:
+                raise ValueError(f"{key} is read only by {', '.join(readers)}, not by {method}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -212,23 +223,29 @@ def _fit_ensemble_exact(config, train, train_cfg):
     return cv, cv.offset
 
 
-_FITS = {
-    "poly_sgd": _fit_poly_sgd,
-    "poly_exact": _fit_poly_exact,
-    "kernel_sgd": _fit_kernel_sgd,
-    "kernel_exact": _fit_kernel_exact,
-    "nn_sgd": _fit_nn_sgd,
-    "ensemble_sgd": _fit_ensemble_sgd,
-    "ensemble_exact": _fit_ensemble_exact,
+class _Method(NamedTuple):
+    fit: Optional[Callable]
+    reads: tuple  # the method-specific BenchmarkConfig fields that the fit reads
+
+
+_METHOD_TABLE = {
+    # the no-CV baseline: it fits nothing and averages every sample
+    "mc": _Method(None, ()),
+    "poly_sgd": _Method(_fit_poly_sgd, ("degree",)),
+    "poly_exact": _Method(_fit_poly_exact, ("degree", "ridge")),
+    "kernel_sgd": _Method(_fit_kernel_sgd, ("alpha1", "alpha2")),
+    "kernel_exact": _Method(_fit_kernel_exact, ("alpha1", "alpha2", "jitter")),
+    "nn_sgd": _Method(_fit_nn_sgd, ("nn_hidden",)),
+    "ensemble_sgd": _Method(_fit_ensemble_sgd, ("degree", "alpha1", "alpha2", "multi_kernel")),
+    "ensemble_exact": _Method(_fit_ensemble_exact, ("degree", "alpha1", "alpha2", "jitter")),
 }
-# "mc" is the no-CV baseline: it fits nothing and averages every sample
-METHODS = ("mc", *_FITS)
+METHODS = tuple(_METHOD_TABLE)
 
 
 def _fit_model(config: BenchmarkConfig, train: ScoredSampleSet, rep: int):
     """Train or exact-solve the configured control variate; returns (model, offset)."""
     train_cfg = dataclasses.replace(config.train, seed=_derived_seed(config.train.seed + rep, 2))
-    return _FITS[config.method](config, train, train_cfg)
+    return _METHOD_TABLE[config.method].fit(config, train, train_cfg)
 
 
 def run_repetition(config: BenchmarkConfig, rep: int) -> RepetitionResult:
@@ -245,14 +262,14 @@ def run_repetition(config: BenchmarkConfig, rep: int) -> RepetitionResult:
             t0 = time.perf_counter()
             est = estimate_mc(samples.f_values)
             estimate_seconds = time.perf_counter() - t0
-            model = None
+            model, offset = None, 0.0
         else:
             t0 = time.perf_counter()
             model, offset = _fit_model(config, train, rep)
             train_seconds = time.perf_counter() - t0
             t0 = time.perf_counter()
             g_eval = _eval_in_blocks(model, eval_set.states, eval_set.scores)
-            est = estimate_with_cv(eval_set.f_values, g_eval, offset)
+            est = estimate_with_cv(eval_set.f_values, g_eval)
             estimate_seconds = time.perf_counter() - t0
         abs_error = None if truth is None else abs(est.value - float(truth))
         return RepetitionResult(
@@ -263,7 +280,7 @@ def run_repetition(config: BenchmarkConfig, rep: int) -> RepetitionResult:
             estimate_seconds=estimate_seconds,
             n_eval=est.n_eval,
             same_set=split.same_set,
-            offset=est.offset,
+            offset=float(offset),
             residual_variance=est.residual_sample_variance,
             model=model,
         )

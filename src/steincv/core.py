@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -51,6 +51,18 @@ def _check_config_keys(cls, obj: dict) -> None:
     unknown = sorted(set(obj) - set(valid))
     if unknown:
         raise ValueError(f"unknown {cls.__name__} field(s) {unknown}; valid fields: {valid}")
+
+
+def _changed_fields(config) -> list:
+    """The fields of the config dataclass ``config`` whose values differ from
+    their defaults, in field order: a value given equal to its default is the
+    same run as one left out, so only these count as set."""
+    changed = []
+    for f in fields(config):
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        if default is not MISSING and getattr(config, f.name) != default:
+            changed.append(f.name)
+    return changed
 
 
 def _check_integer_fields(config, keys) -> None:
@@ -163,7 +175,6 @@ class Estimate:
     value: float
     residual_sample_variance: float
     n_eval: int
-    offset: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -210,14 +221,11 @@ def estimate_mc(f_values: np.ndarray) -> Estimate:
     return Estimate(float(np.mean(f)), _sample_variance(f), int(f.size))
 
 
-def estimate_with_cv(
-    f_values: np.ndarray, g_values: np.ndarray, offset: float = 0.0
-) -> Estimate:
+def estimate_with_cv(f_values: np.ndarray, g_values: np.ndarray) -> Estimate:
     """Control-variate estimate: mean of f - g.
 
     Because the control variate integrates to zero, the mean of f - g already
-    estimates the integral of f; the fitted constant ``offset`` is reported
-    alongside but never added to the value.
+    estimates the integral of f; a fit's constant offset is not added to it.
     """
     f = np.asarray(f_values, dtype=np.float64).reshape(-1)
     g = np.asarray(g_values, dtype=np.float64).reshape(-1)
@@ -228,7 +236,7 @@ def estimate_with_cv(
     _check_finite(f, "f_values")
     _check_finite(g, "g_values")
     resid = f - g
-    return Estimate(float(np.mean(resid)), _sample_variance(resid), int(f.size), float(offset))
+    return Estimate(float(np.mean(resid)), _sample_variance(resid), int(f.size))
 
 
 def split_samples(

@@ -30,7 +30,6 @@ requires them to have the states' shape.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -115,32 +114,6 @@ class MlpControlFunction:
             pos += o * k
             self.biases[i] = flat[pos : pos + o]
             pos += o
-
-    def save(self, path) -> None:
-        payload = {
-            "widths": self.widths,
-            "activation": "tanh",
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-
-    @classmethod
-    def load(cls, path) -> "MlpControlFunction":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload["activation"] != "tanh":
-            raise ValueError(
-                f"activation {payload['activation']!r} is not supported, only 'tanh': the "
-                "Langevin operator needs a twice-differentiable network (a ReLU "
-                "network's Laplacian has point masses, so its output is not mean-zero)"
-            )
-        return cls(
-            payload["widths"],
-            [np.asarray(w, dtype=np.float64) for w in payload["weights"]],
-            [np.asarray(b, dtype=np.float64) for b in payload["biases"]],
-        )
 
     def __call__(self, states: np.ndarray, scores: np.ndarray) -> np.ndarray:
         return cv_values(self, states, scores)

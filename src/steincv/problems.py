@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional
 
@@ -413,8 +413,8 @@ def _parse_genz(spec: dict) -> Problem:
     d = next(iter(dims.values()), 1)
     if d < 1:
         raise ValueError("a and u must not be empty")
-    a, u = (spec.get(key, np.full(d, value)) for key, value in (("a", 5.0), ("u", 0.5)))
-    genz = GenzProblem(spec["kind"], a, u)
+    given = {key: spec[key] for key in ("a", "u") if key in spec}
+    genz = replace(GenzProblem.default(spec["kind"], d), **given)
     return _fixed(f"genz:{genz.kind}", GaussianTarget(np.zeros(d), 1.0), genz)
 
 

@@ -12,7 +12,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ScoredSampleSet, _check_config_keys, _check_integer_fields, _eval_in_blocks
+from .core import (
+    ScoredSampleSet,
+    _changed_fields,
+    _check_config_keys,
+    _check_integer_fields,
+    _eval_in_blocks,
+)
 from .kernels import _BLOCK_ENTRIES
 from .mlp import (
     MlpControlFunction,
@@ -26,7 +32,6 @@ from .mlp import (
 __all__ = [
     "TrainConfig",
     "TrainReport",
-    "SpectrumDiagnostics",
     "objective_least_squares",
     "objective_variance",
     "sgd_train",
@@ -45,7 +50,8 @@ class TrainConfig:
 
     The step size is the constant ``alpha`` when it is given and
     alpha_t = beta / (gamma + t) otherwise; ``beta`` left as None is resolved
-    from the data (``_resolve_beta``). Giving ``beta`` with ``alpha`` fails.
+    from the data (``_resolve_beta``). ``beta`` or ``gamma`` set with
+    ``alpha`` fails, as the constant step reads neither.
     """
 
     objective: str = "least_squares"
@@ -80,8 +86,10 @@ class TrainConfig:
         if self.alpha is not None:
             if not 0 < self.alpha < math.inf:
                 raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
-            if self.beta is not None:
-                raise ValueError(f"beta={self.beta} cannot be given with the constant step alpha")
+            for key in _changed_fields(self):
+                if key in ("beta", "gamma"):
+                    value = getattr(self, key)
+                    raise ValueError(f"{key}={value} cannot be given with the constant step alpha")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -130,23 +138,13 @@ def objective_variance(residuals: np.ndarray) -> float:
     return 2.0 * (b * s2 - s1 * s1) / (b * (b - 1))
 
 
-@dataclass(frozen=True)
-class SpectrumDiagnostics:
-    """Extreme singular values of M_{ij} = mean_i psi_i psi_j over the train set."""
-
-    sigma_min: float
-    sigma_max: float
-    suggested_beta: float
-
-
-def design_matrix_spectrum(feats: np.ndarray) -> SpectrumDiagnostics:
-    """Spectrum of the second-moment matrix of the basis (1, psi_1, ..., psi_p),
+def design_matrix_spectrum(feats: np.ndarray) -> tuple:
+    """(sigma_min, sigma_max): the extreme eigenvalues of the second-moment
+    matrix M_{ij} = mean_i psi_i psi_j of the basis (1, psi_1, ..., psi_p),
     given the (m, p) feature matrix ``feats`` of a linear family on the training
     set, e.g. ``family.feature_matrix(train.states, train.scores)``.
 
-    Only meaningful for families linear in their parameters; the suggested
-    learning-rate scale is 1/sigma_min, which satisfies the stability lower
-    bound beta > 1/(2 sigma_min).
+    Only meaningful for families linear in their parameters.
     """
     m, p = feats.shape
     if p + 1 > m:
@@ -158,7 +156,7 @@ def design_matrix_spectrum(feats: np.ndarray) -> SpectrumDiagnostics:
     sigma_max = float(eigs[-1])
     if sigma_min <= 0.0:
         raise ValueError("basis functions are linearly dependent on this sample")
-    return SpectrumDiagnostics(sigma_min, sigma_max, 1.0 / sigma_min)
+    return sigma_min, sigma_max
 
 
 class LinearFeatureModel:
@@ -306,13 +304,14 @@ def batch_objective_and_gradient(
 def _resolve_beta(config: TrainConfig, wrapped) -> float:
     """beta of the inverse-time step: ``config.beta`` if given; else 1/sigma_min
     of the design spectrum of the wrapper's ``full`` feature matrix, when it
-    has one on which the basis is independent; else 1.5 (gamma + 1) / sigma_max,
-    with sigma_max estimated from ``probe_size`` rows of the wrapper."""
+    has one on which the basis is independent (it satisfies the stability lower
+    bound beta > 1/(2 sigma_min)); else 1.5 (gamma + 1) / sigma_max, with
+    sigma_max estimated from ``probe_size`` rows of the wrapper."""
     if config.beta is not None:
         return config.beta
     if wrapped.full is not None:
         try:
-            return design_matrix_spectrum(wrapped.full).suggested_beta
+            return 1.0 / design_matrix_spectrum(wrapped.full)[0]
         except ValueError:
             pass
     # This beta makes alpha_1 * sigma_max = 1.5, M the second-moment matrix.

@@ -136,7 +136,7 @@ def test_criterion_4_semi_exactness():
     train, evl = ss.subset(np.arange(500)), ss.subset(np.arange(500, 1000))
     params = BaseKernelParams(0.01, median_heuristic(train.states))
     cv = fit_semi_exact(train, enumerate_multi_indices(4, 2), params)
-    est = estimate_with_cv(evl.f_values, cv(evl.states, evl.scores), cv.offset)
+    est = estimate_with_cv(evl.f_values, cv(evl.states, evl.scores))
     err = abs(est.value - 0.0)
     assert err <= 1e-8, f"semi-exact estimator error {err:.3e}"
     print(f"\n[criterion 4] PASS semi-exactness: |error| = {err:.2e} <= 1e-8 for "
@@ -341,7 +341,8 @@ def test_criterion_8_schedule_convergence():
             train.f_values - exact(train.states, train.scores) - exact.offset
         )
         feats = fam.feature_matrix(train.states, train.scores)
-        beta = design_matrix_spectrum(feats).suggested_beta
+        sigma_min, _ = design_matrix_spectrum(feats)
+        beta = 1.0 / sigma_min
         report = sgd_train(
             fam, train, TrainConfig(epochs=200, beta=beta, gamma=10.0, seed=seed)
         )

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import re
 
@@ -42,6 +43,10 @@ def _small_config(method, **kw):
     return BenchmarkConfig(**defaults)
 
 
+# a small network for nn_sgd, the one method that reads nn_hidden
+_SMALL_NET = {"nn_sgd": {"nn_hidden": [6]}}
+
+
 def _csv_rows_without_timing(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -68,7 +73,7 @@ def _counted_ingest_file(tmp_path, monkeypatch):
 class TestRunBenchmark:
     @pytest.mark.parametrize("method", METHODS)
     def test_every_method_runs(self, method):
-        report = run_benchmark(_small_config(method, nn_hidden=[6]))
+        report = run_benchmark(_small_config(method, **_SMALL_NET.get(method, {})))
         assert report.n_failures == 0
         assert len(report.results) == 2
         assert report.mae is not None
@@ -90,9 +95,7 @@ class TestRunBenchmark:
         samples, truth = _materialize(cfg, 1)
         split = split_samples(samples.n, cfg.m, cfg.split, seed=_derived_seed(cfg.base_seed + 1, 4))
         evl = samples.subset(split.eval_indices)
-        est = estimate_with_cv(
-            evl.f_values, res.model(evl.states, evl.scores), res.offset
-        )
+        est = estimate_with_cv(evl.f_values, res.model(evl.states, evl.scores))
         assert est.value == res.estimate
         assert abs(est.value - truth) == res.abs_error
 
@@ -126,7 +129,8 @@ class TestRunBenchmark:
         monkeypatch.setattr(bench, "_fit_model", fit_then_flag)
         monkeypatch.setattr(kernels, "stein_kernel_gram", recording(kernels.stein_kernel_gram, 0))
         monkeypatch.setattr(mlp, "cv_values", recording(mlp.cv_values, 1))
-        result = run_repetition(_small_config(method, n=1200, m=100, nn_hidden=[6]), 0)
+        config = _small_config(method, n=1200, m=100, **_SMALL_NET.get(method, {}))
+        result = run_repetition(config, 0)
         assert result.error is None
         assert sum(rows) == 1100
         assert max(rows) <= 256
@@ -360,6 +364,67 @@ class TestRunBenchmark:
             "ensemble_sgd",
             "ensemble_exact",
         )
+
+
+# The method-specific fields that each method's fit reads, and a value of
+# each that differs from its default
+READS = {
+    "mc": (),
+    "poly_sgd": ("degree",),
+    "poly_exact": ("degree", "ridge"),
+    "kernel_sgd": ("alpha1", "alpha2"),
+    "kernel_exact": ("alpha1", "alpha2", "jitter"),
+    "nn_sgd": ("nn_hidden",),
+    "ensemble_sgd": ("degree", "alpha1", "alpha2", "multi_kernel"),
+    "ensemble_exact": ("degree", "alpha1", "alpha2", "jitter"),
+}
+NON_DEFAULT = {
+    "degree": 1, "alpha1": 0.5, "alpha2": 2.0, "ridge": 1e-2, "jitter": 1e-3,
+    "nn_hidden": [3], "multi_kernel": True,
+}
+
+
+@functools.cache
+def _default_estimate(method):
+    return run_repetition(_small_config(method), 0).estimate
+
+
+class TestMethodTable:
+    def test_every_method_has_a_row(self):
+        assert tuple(READS) == METHODS
+
+    @pytest.mark.parametrize("field", NON_DEFAULT)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_field_loads_only_for_a_method_that_reads_it(self, method, field):
+        config = {field: NON_DEFAULT[field]}
+        if field not in READS[method]:
+            # a field the fit never reads would be dropped without a word
+            with pytest.raises(ValueError, match=f"^{field} is read only by .*, not by {method}$"):
+                _small_config(method, **config)
+            return
+        result = run_repetition(_small_config(method, **config), 0)
+        assert result.error is None
+        assert result.estimate != _default_estimate(method)
+
+    def test_unread_fields_named_at_load(self):
+        obj = {**_small_config("poly_sgd").to_dict(), "nn_hidden": [4], "jitter": 1e-3, "alpha2": 2.0}
+        with pytest.raises(ValueError, match="^alpha2 is read only by .*, not by poly_sgd$"):
+            BenchmarkConfig.from_dict(obj)
+
+    def test_multi_kernel_takes_no_alpha2(self):
+        # both length-scales of the two kernels come from the median heuristic
+        with pytest.raises(ValueError, match="^alpha2 .*not by ensemble_sgd with multi_kernel$"):
+            _small_config("ensemble_sgd", multi_kernel=True, alpha2=3.0)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_defaults_given_explicitly_load(self, method):
+        # a value equal to its default is the run that leaves it out, and the
+        # train block is shared by every method
+        defaults = BenchmarkConfig(GENZ1, "mc").to_dict()
+        given = {key: defaults[key] for key in NON_DEFAULT}
+        train = TrainConfig(batch_size=8, epochs=1)
+        config = _small_config(method, train=train, **given)
+        assert config == _small_config(method, train=train)
 
 
 class TestReports:

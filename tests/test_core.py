@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from steincv.core import (
-    Estimate,
     ScoredSampleSet,
     estimate_mc,
     estimate_with_cv,
@@ -108,11 +107,6 @@ class TestEstimateWithCv:
         with pytest.raises(ValueError, match="mismatch"):
             estimate_with_cv([1, 2], [1])
 
-    def test_offset_reported_not_added(self):
-        est = estimate_with_cv([3, 5], [1, 3], offset=7.0)
-        assert est.value == 2.0
-        assert est.offset == 7.0
-
     def test_linearity_against_mc(self):
         rng = np.random.default_rng(4)
         f = rng.normal(size=50)
@@ -136,7 +130,7 @@ class TestEstimateWithCv:
         train = sample_target(GaussianTarget(np.zeros(1), 1.0), 1000, seed=0)
         train = train.with_f_values(train.states[:, 0])
         cv = fit_poly_exact(train, enumerate_multi_indices(1, 1), 0.0)
-        est = estimate_with_cv(train.f_values, cv(train.states, train.scores), cv.offset)
+        est = estimate_with_cv(train.f_values, cv(train.states, train.scores))
         assert est.residual_sample_variance <= 1e-16
 
 
@@ -206,6 +200,3 @@ class TestEstimateType:
         for _ in range(20):
             est = estimate_mc(rng.normal(size=int(rng.integers(1, 30))))
             assert est.residual_sample_variance >= 0.0
-
-    def test_offset_defaults_to_zero(self):
-        assert Estimate(1.0, 0.0, 1).offset == 0.0

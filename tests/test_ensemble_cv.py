@@ -86,7 +86,7 @@ class TestSemiExactSolve:
         evl = _train_set(4, 200, 9, lambda x: x.sum(axis=1))
         params = BaseKernelParams(0.01, median_heuristic(train.states))
         cv = fit_semi_exact(train, enumerate_multi_indices(4, 2), params)
-        est = estimate_with_cv(evl.f_values, cv(evl.states, evl.scores), cv.offset)
+        est = estimate_with_cv(evl.f_values, cv(evl.states, evl.scores))
         assert abs(est.value - 0.0) <= 1e-8
 
     def test_interpolates_training_points(self):

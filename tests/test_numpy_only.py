@@ -35,7 +35,7 @@ _EVERY_METHOD = textwrap.dedent(
         for method in METHODS:
             config = BenchmarkConfig(
                 problem=spec, method=method, n=n, m=m, repetitions=1,
-                train=TrainConfig(epochs=1), nn_hidden=[4],
+                train=TrainConfig(epochs=1), **({"nn_hidden": [4]} if method == "nn_sgd" else {}),
             )
             error = run_repetition(config, 0).error
             if error is not None:

@@ -116,6 +116,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="^beta"):
             TrainConfig.from_dict({"alpha": 0.05, "beta": 2.0})
 
+    def test_gamma_with_a_constant_step_rejected_at_load(self):
+        # gamma, like beta, is read only by the inverse-time step
+        with pytest.raises(ValueError, match="^gamma=3.0 cannot be given with the constant step alpha"):
+            TrainConfig(alpha=0.02, gamma=3.0)
+        with pytest.raises(ValueError, match="^gamma"):
+            TrainConfig.from_dict({"alpha": 0.02, "gamma": 3.0})
+        # its default, given explicitly, is the same run as leaving it out
+        assert TrainConfig(alpha=0.02, gamma=10.0) == TrainConfig(alpha=0.02)
+
 
 class TestSgdTrain:
     def test_reaches_tiny_objective_on_exact_problem(self):
@@ -144,7 +153,7 @@ class TestSgdTrain:
         report = sgd_train(fam, train, TrainConfig(epochs=2, seed=0))
         assert calls == [200]
         feats = fam.feature_matrix(train.states, train.scores)
-        assert report.resolved_beta == design_matrix_spectrum(feats).suggested_beta
+        assert report.resolved_beta == 1.0 / design_matrix_spectrum(feats)[0]
 
     def test_poly_default_beta_goes_through_the_spectrum_function(self, monkeypatch):
         # one call of the exported function, so a trace of it sees the spectrum
@@ -285,7 +294,8 @@ class TestSgdTrain:
         )
         fam = PolynomialFamily(enumerate_multi_indices(1, 2))
         feats = fam.feature_matrix(train.states, train.scores)
-        beta = design_matrix_spectrum(feats).suggested_beta
+        sigma_min, _ = design_matrix_spectrum(feats)
+        beta = 1.0 / sigma_min
         violations = 0
         for seed in range(20):
             rep = sgd_train(fam, train, TrainConfig(epochs=10, beta=beta, seed=seed))
@@ -535,28 +545,27 @@ class TestGradientAssembly:
 
 class TestDesignMatrixSpectrum:
     def test_constant_only(self):
-        spec = design_matrix_spectrum(np.empty((50, 0)))
-        assert spec.sigma_min == pytest.approx(1.0)
-        assert spec.sigma_max == pytest.approx(1.0)
-        assert spec.suggested_beta == pytest.approx(1.0)
+        sigma_min, sigma_max = design_matrix_spectrum(np.empty((50, 0)))
+        assert sigma_min == pytest.approx(1.0)
+        assert sigma_max == pytest.approx(1.0)
 
     def test_orthonormal_in_sample_basis(self):
         rng = np.random.default_rng(16)
         m = 64
         raw = np.concatenate([np.ones((m, 1)), rng.normal(size=(m, 3))], axis=1)
         q, _ = np.linalg.qr(raw)
-        spec = design_matrix_spectrum(np.sqrt(m) * q[:, 1:])
-        assert spec.sigma_min == pytest.approx(1.0, abs=1e-10)
-        assert spec.sigma_max == pytest.approx(1.0, abs=1e-10)
+        sigma_min, sigma_max = design_matrix_spectrum(np.sqrt(m) * q[:, 1:])
+        assert sigma_min == pytest.approx(1.0, abs=1e-10)
+        assert sigma_max == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_svd_oracle(self):
         rng = np.random.default_rng(18)
         feats = rng.normal(size=(80, 4))
-        spec = design_matrix_spectrum(feats)
+        sigma_min, sigma_max = design_matrix_spectrum(feats)
         design = np.concatenate([np.ones((80, 1)), feats], axis=1)
         svals = np.linalg.svd(design / np.sqrt(80), compute_uv=False)
-        assert spec.sigma_max == pytest.approx(svals[0] ** 2, abs=1e-10)
-        assert spec.sigma_min == pytest.approx(svals[-1] ** 2, abs=1e-10)
+        assert sigma_max == pytest.approx(svals[0] ** 2, abs=1e-10)
+        assert sigma_min == pytest.approx(svals[-1] ** 2, abs=1e-10)
 
     def test_underdetermined_rejected(self):
         with pytest.raises(ValueError, match="m = 5"):
