@@ -61,9 +61,11 @@ class BenchmarkConfig:
     ``parsed``, not stored, is the spec already parsed by the caller, which
     construction then uses instead of parsing (and reading a file) again.
     ``nn_hidden`` are the hidden widths of nn_sgd's network [d, *nn_hidden, 1],
-    whose input and output widths the problem fixes. A field that only some
-    methods read (their rows of ``_METHOD_TABLE``) fails when set away from its
-    default for any other method; ``train`` and the rest are shared by all."""
+    whose input and output widths the problem fixes; a tuple is stored as a
+    list. Under the ``same_set`` split, which trains on all n rows, m is n. A
+    field that only some methods read (their rows of ``_METHOD_TABLE``) fails
+    when set away from its default for any other method; ``train`` and the rest
+    are shared by all."""
 
     problem: dict
     method: str
@@ -89,10 +91,14 @@ class BenchmarkConfig:
         _check_integer_fields(self, ("n", "m", "repetitions", "base_seed", "degree", "workers"))
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if not 1 <= self.m <= self.n:
-            raise ValueError("need 1 <= m <= n")
         if self.split not in SPLIT_POLICIES:
             raise ValueError(f"unknown split {self.split!r}; choose from {SPLIT_POLICIES}")
+        if self.split == "same_set":
+            if "m" in _changed_fields(self) and self.m != self.n:
+                raise ValueError(f"m={self.m} but split same_set trains on all n={self.n} rows")
+            object.__setattr__(self, "m", self.n)
+        if not 1 <= self.m <= self.n:
+            raise ValueError("need 1 <= m <= n")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.base_seed < 0:
@@ -115,6 +121,7 @@ class BenchmarkConfig:
             for w in self.nn_hidden
         ):
             raise ValueError(f"nn_hidden must be a list of integers >= 1, got {self.nn_hidden!r}")
+        object.__setattr__(self, "nn_hidden", list(self.nn_hidden))
         reads = _METHOD_TABLE[self.method].reads
         method = self.method
         if self.multi_kernel and "multi_kernel" in reads:

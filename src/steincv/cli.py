@@ -1,6 +1,8 @@
 """Command-line entry point: `steincv bench`, `steincv run`, `steincv ingest`.
 
-Exit code 0 on success, 2 when any repetition failed.
+Exit code 0 on success, 2 when any repetition failed or the config does not
+load: a bad field or problem spec, or a file that cannot be read, is one line
+on stderr that names it.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ def _ingest_config(args) -> BenchmarkConfig:
     problem = {"problem": "ingest", "path": args.samples}
     parsed = parse_problem(problem)
     n = args.n if "n" in args else parsed.n
-    return _benchmark_config(args, problem, n=n, m=n // 2, repetitions=1, parsed=parsed)
+    m = n if getattr(args, "split", None) == "same_set" else n // 2
+    return _benchmark_config(args, problem, n=n, m=m, repetitions=1, parsed=parsed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,7 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _emit_and_summarize(run_benchmark(args.config_of(args)), args.out)
+    try:
+        config = args.config_of(args)
+    except (OSError, ValueError) as exc:
+        print(f"steincv {args.command}: {exc}", file=sys.stderr)
+        return 2
+    return _emit_and_summarize(run_benchmark(config), args.out)
 
 
 if __name__ == "__main__":

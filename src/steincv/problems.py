@@ -5,7 +5,6 @@ process; and the one parser of the JSON problem specs that name them."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -160,13 +159,15 @@ class PolynomialIntegrand:
 
 
 def _subset_sums(a: np.ndarray):
-    """(|S|, sum of a over S) for every subset S of the coordinates, by size;
-    the signed terms of the subset-sum integrals are added by ``math.fsum``."""
+    """(-1)^|S| and 1 + the sum of a over S, for every subset S of the
+    coordinates: two arrays of 2^d entries, doubled once per coordinate."""
     if a.size > _MAX_SUBSET_DIM:
-        raise ValueError(f"subset sum limited to d <= {_MAX_SUBSET_DIM}")
-    for k in range(a.size + 1):
-        for subset in itertools.combinations(range(a.size), k):
-            yield k, float(np.sum(a[list(subset)])) if subset else 0.0
+        raise ValueError(f"corner_peak: subset sum limited to d <= {_MAX_SUBSET_DIM}")
+    signs, sums = np.ones(1), np.ones(1)
+    for aj in a:
+        signs = np.concatenate([signs, -signs])
+        sums = np.concatenate([sums, sums + aj])
+    return signs, sums
 
 
 @dataclass(frozen=True)
@@ -232,27 +233,20 @@ class GenzProblem:
                 np.prod((2.0 - np.exp(a * (u - 1.0)) - np.exp(-a * u)) / a)
             )
         if self.kind == "corner_peak":
+            # integrating (1 + a.y)^-(d+1) one coordinate at a time
+            signs, sums = _subset_sums(a)
             scale = 1.0 / (math.factorial(d) * float(np.prod(a)))
-            total_a = float(np.sum(a))
-            return math.fsum(
-                (-1.0) ** (k + d) * scale / (1.0 + total_a - removed)
-                for k, removed in _subset_sums(a)
-            )
+            return math.fsum(signs * scale / sums)
         if self.kind == "discontinuous":
             return float(np.prod((np.exp(a * np.minimum(1.0, u)) - 1.0) / a))
         if self.kind == "gaussian_peak":
-            erf = np.vectorize(math.erf, otypes=[float])
-            per_dim = (np.sqrt(np.pi) / 2.0) / a * (erf(a * (1.0 - u)) - erf(-a * u))
+            per_dim = (np.sqrt(np.pi) / 2.0) / a * (_erf(a * (1.0 - u)) - _erf(-a * u))
             return float(np.prod(per_dim))
         if self.kind == "oscillatory":
-            phase = 2.0 * np.pi * u[0]
-            total_a = float(np.sum(a))
-            g, sign = ((math.cos, 1.0), (math.sin, 1.0), (math.cos, -1.0), (math.sin, -1.0))[d % 4]
-            scale = 1.0 / float(np.prod(a))
-            return math.fsum(
-                (-1.0) ** k * scale * sign * g(phase + total_a - removed)
-                for k, removed in _subset_sums(a)
-            )
+            # Re of exp(i 2 pi u_1) prod_j (exp(i a_j) - 1) / (i a_j), with each
+            # factor written exp(i a_j / 2) 2 sin(a_j / 2) / a_j
+            phase = 2.0 * np.pi * u[0] + 0.5 * float(np.sum(a))
+            return math.cos(phase) * float(np.prod(2.0 * np.sin(0.5 * a) / a))
         # product_peak
         return float(
             np.prod(a * (np.arctan((1.0 - u) * a) - np.arctan(-u * a)))
@@ -265,42 +259,27 @@ def _sq_dists(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return np.maximum(sqa[:, None] + sqb[None, :] - 2.0 * xa @ xb.T, 0.0)
 
 
-def _mvn_pdf(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    return np.exp(GaussianTarget(mean, cov).log_density(np.atleast_2d(points)))
-
-
 def gp_mean_embedding(
     points: np.ndarray, mixture: MixtureTarget, lam: float, sigma: float
 ) -> np.ndarray:
     """Integral of the squared-exponential covariance c(x, .) against the mixture:
-    lam^2 (sqrt(2 pi) sigma)^d sum_l rho_l N(x | mu_l, Sigma_l + sigma^2 I)."""
+    lam^2 (sqrt(2 pi) sigma)^d times the density at x of the mixture with
+    sigma^2 I added to every covariance."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     d = points.shape[1]
-    scale = lam**2 * (np.sqrt(2.0 * np.pi) * sigma) ** d
-    out = np.zeros(points.shape[0])
-    eye = sigma**2 * np.eye(d)
-    for l in range(mixture.n_components):
-        out += mixture.weights[l] * _mvn_pdf(
-            points, mixture.means[l], mixture.covariances[l] + eye
-        )
-    return scale * out
+    widened = replace(mixture, covariances=mixture.covariances + sigma**2 * np.eye(d))
+    return lam**2 * (np.sqrt(2.0 * np.pi) * sigma) ** d * np.exp(widened.log_density(points))
 
 
 def gp_double_integral(mixture: MixtureTarget, lam: float, sigma: float) -> float:
-    """Double mixture integral of the squared-exponential covariance."""
-    d = mixture.dim
-    scale = lam**2 * (np.sqrt(2.0 * np.pi) * sigma) ** d
-    eye = sigma**2 * np.eye(d)
+    """Double mixture integral of the squared-exponential covariance: sum_l rho_l
+    times the embedding at mu_l of the mixture with Sigma_l added to every
+    covariance."""
     total = 0.0
-    for l in range(mixture.n_components):
-        for m in range(mixture.n_components):
-            cov = mixture.covariances[l] + mixture.covariances[m] + eye
-            total += (
-                mixture.weights[l]
-                * mixture.weights[m]
-                * float(_mvn_pdf(mixture.means[l][None, :], mixture.means[m], cov)[0])
-            )
-    return scale * total
+    for rho, mu, cov in zip(mixture.weights, mixture.means, mixture.covariances):
+        widened = replace(mixture, covariances=mixture.covariances + cov)
+        total += rho * float(gp_mean_embedding(mu, widened, lam, sigma)[0])
+    return total
 
 
 @dataclass(frozen=True)
@@ -308,12 +287,8 @@ class GpProblem:
     """A function drawn from a centered GP, known only at sample points, together
     with the jointly sampled value of its integral against the mixture."""
 
-    points: np.ndarray
     f_values: np.ndarray
     true_integral: float
-    lam: float
-    sigma: float
-    mixture: MixtureTarget
 
 
 def sample_gp_problem(
@@ -354,9 +329,7 @@ def sample_gp_problem(
     chol = _factor_spd(cov, eps, "jitter", failure, np.linalg.cholesky, 7)
     z = np.random.default_rng(seed).standard_normal(n + 1)
     draw = chol @ z
-    return GpProblem(points, draw[:n], float(draw[n]), lam, sigma, mixture)
-
-
+    return GpProblem(draw[:n], float(draw[n]))
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,19 @@ class TestRunBenchmark:
         assert res.same_set
         assert res.n_eval == 120
 
+    def test_same_set_trains_on_n(self, tmp_path):
+        # same_set fits on all n rows, so the config and its report hold m = n
+        cfg = BenchmarkConfig(GENZ1, "poly_exact", n=120, split="same_set", repetitions=1)
+        assert cfg.m == 120
+        assert cfg == BenchmarkConfig(GENZ1, "poly_exact", n=120, m=120, split="same_set", repetitions=1)
+        assert BenchmarkConfig.from_dict(cfg.to_dict()) == cfg
+        path = tmp_path / "same.csv"
+        emit_report(run_benchmark(cfg), path)
+        with open(path, newline="") as fh:
+            assert [row["m"] for row in csv.DictReader(fh)] == ["120"]
+        with pytest.raises(ValueError, match="^m=60 but split same_set trains on all n=120 rows"):
+            _small_config("poly_exact", split="same_set")
+
     def test_multi_kernel_ensemble(self):
         cfg = _small_config("ensemble_sgd", multi_kernel=True)
         report = run_benchmark(cfg)
@@ -411,6 +424,14 @@ class TestMethodTable:
         with pytest.raises(ValueError, match="^alpha2 is read only by .*, not by poly_sgd$"):
             BenchmarkConfig.from_dict(obj)
 
+    def test_nn_hidden_tuple_is_the_list(self):
+        # stored as a list, so a tuple equal to the default is the default run
+        config = _small_config("poly_sgd", nn_hidden=(20,) * 6)
+        assert config == _small_config("poly_sgd")
+        assert config.to_dict()["nn_hidden"] == [20] * 6
+        with pytest.raises(ValueError, match="^nn_hidden is read only by nn_sgd, not by poly_sgd$"):
+            _small_config("poly_sgd", nn_hidden=(4,))
+
     def test_multi_kernel_takes_no_alpha2(self):
         # both length-scales of the two kernels come from the median heuristic
         with pytest.raises(ValueError, match="^alpha2 .*not by ensemble_sgd with multi_kernel$"):
@@ -553,9 +574,11 @@ class TestCli:
 
     def test_split_choices_are_the_policies(self, capsys):
         for policy in SPLIT_POLICIES:
+            # same_set trains on all n rows, so it takes no m
+            m = [] if policy == "same_set" else ["--m", "10"]
             code = main(
                 ["run", "--problem", json.dumps(GENZ1), "--method", "mc", "--n", "20",
-                 "--m", "10", "--reps", "1", "--split", policy]
+                 *m, "--reps", "1", "--split", policy]
             )
             assert code == 0
         with pytest.raises(SystemExit):
@@ -588,13 +611,22 @@ class TestCli:
             with pytest.raises(SystemExit):
                 main([*command, "--format", "json"])
 
-    def test_bench_config_with_unknown_key_fails_on_load(self, tmp_path):
+    def test_bench_config_with_unknown_key_fails_on_load(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         obj = _small_config("mc", repetitions=1).to_dict()
         obj["out"] = str(tmp_path / "ignored.csv")
         cfg_path.write_text(json.dumps(obj))
-        with pytest.raises(ValueError, match="out"):
-            main(["bench", "--config", str(cfg_path)])
+        assert main(["bench", "--config", str(cfg_path)]) == 2
+        assert "'out'" in capsys.readouterr().err
+
+    def test_config_that_does_not_load_is_one_line(self, capsys):
+        code = main(["run", "--problem", json.dumps(GENZ1), "--method", "poly_exact",
+                     "--jitter", "1e-3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "steincv run: jitter is read only by kernel_exact, ensemble_exact, not by poly_exact\n"
+        assert main(["bench", "--config", "no/such/config.json"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_inline_problem_json_or_file(self, tmp_path):
         spec_path = tmp_path / "p.json"

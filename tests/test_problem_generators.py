@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -178,10 +180,39 @@ class TestGenzIntegrals:
         oracle = genz_unit_cube_quadrature(g)
         assert g.integral() == pytest.approx(oracle, abs=1e-8)
 
+    @pytest.mark.parametrize("d", [24, 40])
+    def test_oscillatory_high_d_against_gauss_legendre(self, d):
+        # per coordinate, C_j + i S_j = int_0^1 exp(i a_j y) dy by 60-node
+        # Gauss-Legendre; the integral is Re[exp(2 pi i u_1) prod_j (C_j + i S_j)]
+        rng = np.random.default_rng(d)
+        a, u = rng.uniform(0.2, 6.0, d), rng.uniform(0.0, 1.0, d)
+        nodes, weights = np.polynomial.legendre.leggauss(60)
+        y, w = 0.5 * (nodes + 1.0), 0.5 * weights
+        factors = np.cos(np.outer(a, y)) @ w + 1j * (np.sin(np.outer(a, y)) @ w)
+        oracle = (np.exp(2j * np.pi * u[0]) * np.prod(factors)).real
+        assert GenzProblem("oscillatory", a, u).integral() == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("d", [8, 14, 20])
+    def test_corner_peak_equal_a_closed_form(self, d):
+        # with every a_j = 5 the subsets of one size share a term:
+        # sum_k C(d, k) (-1)^(k+d) / (d! a^d (1 + (d-k) a)), here in exact arithmetic
+        a = 5
+        total = sum(
+            Fraction(math.comb(d, k) * (-1) ** (k + d), 1 + (d - k) * a) for k in range(d + 1)
+        )
+        oracle = float(total / (math.factorial(d) * a**d))
+        assert GenzProblem.default("corner_peak", d).integral() == pytest.approx(oracle, rel=1e-10)
+
     def test_subset_sum_dimension_guard(self):
         g = GenzProblem.default("corner_peak", 21)
         with pytest.raises(ValueError, match="subset sum"):
             g.integral()
+
+    def test_only_corner_peak_has_a_dimension_cap(self):
+        with pytest.raises(ValueError, match="^problem genz: corner_peak: subset sum limited to d <= 20$"):
+            parse_problem({"problem": "genz", "kind": "corner_peak", "d": 21})
+        for kind in set(GENZ_KINDS) - {"corner_peak"}:
+            assert math.isfinite(parse_problem({"problem": "genz", "kind": kind, "d": 100}).draw(2, 0)[1])
 
     @pytest.mark.parametrize("kind", GENZ_KINDS)
     def test_transformed_monte_carlo_consistency(self, kind):
@@ -207,15 +238,18 @@ class TestGpIdentities:
             assert closed == pytest.approx(oracle, abs=1e-8)
 
     def test_double_integral_matches_quadrature(self):
-        mixture = MixtureTarget([1.0], np.zeros((1, 1)), np.eye(1)[None, :, :])
         lam, sigma = 0.9, 0.8
         grid = np.linspace(-10, 10, 3001)
-        dens = np.exp(mixture.log_density(grid[:, None]))
         diff2 = (grid[:, None] - grid[None, :]) ** 2
         c_mat = lam**2 * np.exp(-diff2 / (2 * sigma**2))
-        inner = np.trapezoid(c_mat * dens[None, :], grid, axis=1)
-        oracle = np.trapezoid(inner * dens, grid)
-        assert gp_double_integral(mixture, lam, sigma) == pytest.approx(oracle, abs=1e-6)
+        for mixture in (
+            MixtureTarget([1.0], np.zeros((1, 1)), np.eye(1)[None, :, :]),
+            MixtureTarget([0.3, 0.7], np.array([[-1.0], [2.0]]), np.stack([np.eye(1), 0.5 * np.eye(1)])),
+        ):
+            dens = np.exp(mixture.log_density(grid[:, None]))
+            inner = np.trapezoid(c_mat * dens[None, :], grid, axis=1)
+            oracle = np.trapezoid(inner * dens, grid)
+            assert gp_double_integral(mixture, lam, sigma) == pytest.approx(oracle, abs=1e-6)
 
     def test_two_component_embedding_against_quadrature(self):
         mixture = MixtureTarget(
