@@ -22,8 +22,9 @@ __all__ = [
 
 SPLIT_POLICIES = ("first_m", "random", "same_set")
 
-# Rows per block of _eval_in_blocks: bounds the temporaries of a kernel Gram
-# or a network pass at O(_EVAL_BLOCK) rows.
+# Rows per block of _eval_in_blocks: bounds the temporaries of a network pass
+# and of the polynomial basis at O(_EVAL_BLOCK) rows. A kernel Gram's are
+# bounded inside its contraction with theta (``kernels.stein_kernel_gram``).
 _EVAL_BLOCK = 256
 
 
@@ -181,9 +182,11 @@ class Estimate:
 class LinearCV:
     """Zero-mean control variate g(x) = theta . psi(x), linear in theta.
 
-    ``family`` gives the feature map psi: an object with ``n_params`` and
+    ``family`` gives the feature map psi: an object with ``n_params``,
     ``feature_matrix(states, scores) -> (n, n_params)``, whose columns are the
-    Langevin images of a fixed basis (polynomial, kernel or ensemble).
+    Langevin images of a fixed basis (polynomial, kernel or ensemble), and
+    ``values(states, scores, theta) -> (n,)``, the product of that matrix with
+    theta computed without forming it, which evaluation calls.
     ``offset`` is the fitted constant, reported beside the estimate.
     """
 
@@ -202,7 +205,7 @@ class LinearCV:
         object.__setattr__(self, "theta", theta)
 
     def __call__(self, states: np.ndarray, scores: np.ndarray) -> np.ndarray:
-        return self.family.feature_matrix(states, scores) @ self.theta
+        return self.family.values(states, scores, self.theta)
 
 
 def _sample_variance(values: np.ndarray) -> float:

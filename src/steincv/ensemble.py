@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import LinearCV, ScoredSampleSet
 from .kernels import BaseKernelParams, KernelFamily, _solve_interpolant, median_heuristic
-from .poly import MultiIndexSet, stein_poly_basis
+from .poly import MultiIndexSet, PolynomialFamily, stein_poly_basis
 
 __all__ = [
     "EnsembleFamily",
@@ -24,7 +24,9 @@ __all__ = [
 class EnsembleFamily:
     """Feature map of the ensemble: the polynomial basis b(x) followed by, for
     each kernel in ``kernel_params``, its kernel features against the shared
-    centers (a ``KernelFamily`` each); theta is laid out in the same order."""
+    centers (a ``KernelFamily`` each); theta is laid out in the same order.
+    ``_parts`` pairs each part's family with its columns: g is the sum of the
+    parts' values, and SGD computes the rows of each part by its own size."""
 
     def __init__(
         self,
@@ -39,11 +41,24 @@ class EnsembleFamily:
         self.centers = centers
         self.n_params = multi_indices.p + centers.n * len(self.kernel_params)
         self._kernels = tuple(KernelFamily(params, centers) for params in self.kernel_params)
+        p, n = multi_indices.p, centers.n
+        self._parts = ((PolynomialFamily(multi_indices), slice(0, p)),) + tuple(
+            (kernel, slice(p + i * n, p + (i + 1) * n)) for i, kernel in enumerate(self._kernels)
+        )
 
     def feature_matrix(self, states: np.ndarray, scores: np.ndarray) -> np.ndarray:
-        blocks = [stein_poly_basis(states, scores, self.multi_indices)]
-        blocks += [kernel.feature_matrix(states, scores) for kernel in self._kernels]
-        return np.concatenate(blocks, axis=1)
+        out = np.empty((np.atleast_2d(states).shape[0], self.n_params))
+        for part, cols in self._parts:
+            out[:, cols] = part.feature_matrix(states, scores)
+        return out
+
+    def values(self, states: np.ndarray, scores: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """g = feature_matrix(states, scores) @ theta, as the sum of the parts' values."""
+        (first, cols), *rest = self._parts
+        g = first.values(states, scores, theta[cols])
+        for part, cols in rest:
+            g += part.values(states, scores, theta[cols])
+        return g
 
 
 def _check_full_rank(b_mat: np.ndarray) -> None:

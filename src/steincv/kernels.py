@@ -101,7 +101,7 @@ class _CenterTerms:
 
 def stein_kernel_gram(
     xa: np.ndarray, sa: np.ndarray, xb: np.ndarray, sb: np.ndarray, params: BaseKernelParams,
-    center_terms: Optional[_CenterTerms] = None,
+    center_terms: Optional[_CenterTerms] = None, theta: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Pairwise zero-mean kernel matrix, assembled in row blocks of at most
     ``_BLOCK_ENTRIES`` entries (one row when a row is longer). Each block takes
@@ -110,14 +110,22 @@ def stein_kernel_gram(
     epilogue (clamp, reciprocal, Horner in p, exp, multiply) in place, so the
     temporary memory is O(_BLOCK_ENTRIES) whatever the row count.
     ``center_terms`` are the center-side terms of (xb, sb) under ``params``,
-    built here when not given; a kernel family builds them once."""
+    built here when not given; a kernel family builds them once.
+
+    Given a length-n_b ``theta``, each block is multiplied by it as it is
+    formed and the (n_a,) vector K theta is returned: no (n_a, n_b) array is
+    allocated."""
     xa, sa, xb, sb = (np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (xa, sa, xb, sb))
     terms = _CenterTerms(xb, sb, params) if center_terms is None else center_terms
     if terms.n != xb.shape[0] or terms.params != params:
         raise ValueError("center_terms were built for other centers or kernel parameters")
+    if theta is not None:
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape != (terms.n,):
+            raise ValueError(f"theta must have shape ({terms.n},), got {theta.shape}")
     sq, xs = np.einsum("id,id->i", xa, xa), np.einsum("id,id->i", xa, sa)
     rows_z = np.column_stack([xa, sa, sq, xs, np.ones(xa.shape[0])])
-    out = np.empty((xa.shape[0], terms.n))
+    out = np.empty((xa.shape[0], terms.n) if theta is None else xa.shape[0])
     step = max(1, _BLOCK_ENTRIES // terms.n)
     for lo in range(0, xa.shape[0], step):
         rows = slice(lo, lo + step)
@@ -131,7 +139,11 @@ def stein_kernel_gram(
         k += c  # (A p + B) p + C
         k *= p
         np.exp(exponent, out=exponent)
-        np.multiply(k, exponent, out=out[rows])
+        if theta is None:
+            np.multiply(k, exponent, out=out[rows])
+        else:
+            k *= exponent
+            np.dot(k, theta, out=out[rows])
     return out
 
 
@@ -192,6 +204,13 @@ class KernelFamily:
         centers = self.centers
         return stein_kernel_gram(
             states, scores, centers.states, centers.scores, self.params, self._center_terms
+        )
+
+    def values(self, states: np.ndarray, scores: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """g = feature_matrix(states, scores) @ theta, without forming the matrix."""
+        centers = self.centers
+        return stein_kernel_gram(
+            states, scores, centers.states, centers.scores, self.params, self._center_terms, theta
         )
 
 

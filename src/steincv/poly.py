@@ -9,6 +9,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -103,7 +104,7 @@ def _multi_index_set(d: int, k: int) -> MultiIndexSet:
 
 
 def stein_poly_basis(
-    states: np.ndarray, scores: np.ndarray, mi: MultiIndexSet
+    states: np.ndarray, scores: np.ndarray, mi: MultiIndexSet, theta: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Evaluate the length-p basis vector b at each sample row.
 
@@ -115,7 +116,8 @@ def stein_poly_basis(
         L x^alpha_j = x_i L x^beta + score_i x^beta + 2 beta_i x^(beta - e_i)
 
     starting from x^0 = 1 and L 1 = 0; every term on the right is a column of
-    lower degree. Returns a C-contiguous (n, p) array in the order of mi.alpha.
+    lower degree. Returns a C-contiguous (n, p) array in the order of mi.alpha,
+    or, given a length-p ``theta``, the (n,) vector of b . theta.
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
@@ -124,6 +126,10 @@ def stein_poly_basis(
         raise ValueError(f"multi-index dimension {mi.d} != state dimension {d}")
     if scores.shape != states.shape:
         raise ValueError(f"scores must have the states' shape {states.shape}, got {scores.shape}")
+    if theta is not None:
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape != (mi.p,):
+            raise ValueError(f"theta must have shape ({mi.p},), got {theta.shape}")
     xt, st = np.ascontiguousarray(states.T), np.ascontiguousarray(scores.T)
     # one row per monomial below the top degree and per L x^alpha, both led by x^0
     mono = np.ones((mi._levels[-1][0].start if mi.p else 1, n))
@@ -135,6 +141,8 @@ def stein_poly_basis(
         out += two_beta * mono[grand]
         if rows.stop <= len(mono):
             np.multiply(x, m, out=mono[rows])
+    if theta is not None:
+        return theta @ stein[1:]
     return np.ascontiguousarray(stein[1:].T)
 
 
@@ -148,6 +156,10 @@ class PolynomialFamily:
 
     def feature_matrix(self, states: np.ndarray, scores: np.ndarray) -> np.ndarray:
         return stein_poly_basis(states, scores, self.multi_indices)
+
+    def values(self, states: np.ndarray, scores: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """g = feature_matrix(states, scores) @ theta, without forming the matrix."""
+        return stein_poly_basis(states, scores, self.multi_indices, theta)
 
 
 def fit_poly_exact(

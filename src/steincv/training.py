@@ -162,16 +162,21 @@ def design_matrix_spectrum(feats: np.ndarray) -> tuple:
 class LinearFeatureModel:
     """Adapter giving linear CV families a common SGD surface.
 
-    A linear family exposes ``n_params`` and ``feature_matrix(states, scores)
-    -> (n, n_params)``. With at most m - 1 parameters, the moment matrix of
-    (1, psi_1, ..., psi_p) can be non-singular and the (m, n_params) training
-    feature matrix ``full`` is smaller than an m x m Gram, so it is computed
-    once, indexed for rows and read whole for the spectrum (polynomials,
-    kernels on a few fixed centers). Otherwise the family grows with m (kernel
-    translates on the training points, ensembles), ``full`` is None and rows
-    are computed from the family. SGD takes the rows of a chunk of steps at
-    once (``batch_rows``), at most ``_BLOCK_ENTRIES`` entries or one batch: a
-    step costs O(batch * n_params) and never forms the m x m Gram.
+    A linear family exposes ``n_params``, ``feature_matrix(states, scores)
+    -> (n, n_params)`` and ``values(states, scores, theta)``. With at most
+    m - 1 parameters, the moment matrix of (1, psi_1, ..., psi_p) can be
+    non-singular and the (m, n_params) training feature matrix ``full`` is
+    smaller than an m x m Gram, so it is computed once, indexed for rows and
+    read whole for the spectrum (polynomials, kernels on a few fixed centers).
+    Otherwise the family grows with m, ``full`` is None and the same rule
+    applies to each of its parts (an ensemble's polynomial and kernel blocks,
+    its ``_parts``): a part with at most m - 1 columns is computed once over
+    the training set and gathered, and a part that grows with m (kernel
+    translates on the training points) is computed for the rows asked for,
+    each part into its columns of one row buffer. SGD takes the rows of a
+    chunk of steps at once (``batch_rows``), at most ``_BLOCK_ENTRIES``
+    entries or one batch: a step costs O(batch * n_params) and never forms
+    the m x m Gram. ``values`` goes through the family's own ``values``.
     """
 
     probe_size = 256
@@ -180,14 +185,26 @@ class LinearFeatureModel:
         self.family = family
         self.n_params = family.n_params
         self.train = train
-        full = family.n_params + 1 <= train.n
-        self.full = family.feature_matrix(train.states, train.scores) if full else None
+        m = train.n
+        self.full = family.feature_matrix(train.states, train.scores) if self.n_params < m else None
+        # (family, columns, training block or None) of each part of a family too large for full
+        parts = () if self.full is not None else getattr(family, "_parts", ())
+        self._parts = tuple(
+            (part, cols, part.feature_matrix(train.states, train.scores) if part.n_params < m else None)
+            for part, cols in parts
+        )
 
     def rows(self, idx: np.ndarray) -> np.ndarray:
         """Feature rows of the training points ``idx``."""
         if self.full is not None:
             return self.full[idx]
-        return self.family.feature_matrix(self.train.states[idx], self.train.scores[idx])
+        states, scores = self.train.states[idx], self.train.scores[idx]
+        if not self._parts:
+            return self.family.feature_matrix(states, scores)
+        out = np.empty((states.shape[0], self.n_params))
+        for part, cols, full in self._parts:
+            out[:, cols] = part.feature_matrix(states, scores) if full is None else full[idx]
+        return out
 
     def batch_rows(self, batches: np.ndarray):
         """(idx, feature rows) of each batch (row of ``batches``). Rows do not depend
@@ -202,7 +219,7 @@ class LinearFeatureModel:
         return np.zeros(self.n_params)
 
     def values(self, theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return self.rows(idx) @ theta
+        return self.family.values(self.train.states[idx], self.train.scores[idx], theta)
 
     def batch_eval(self, theta: np.ndarray, idx: np.ndarray):
         feats = self.rows(idx)

@@ -157,8 +157,10 @@ def per_step_sgd(model, train, config):
                 c -= alpha_t * grad_c
             epoch_obj += obj
         trace[epoch] = epoch_obj / steps_per_epoch
+    # g of the final parameters, as the fitted control variate evaluates it:
+    # through ``values``, whose agreement with the feature rows is tested apart
     g_full = np.concatenate([
-        wrapped.batch_eval(theta, np.arange(lo, min(lo + 256, m)))[0] for lo in range(0, m, 256)
+        wrapped.values(theta, np.arange(lo, min(lo + 256, m))) for lo in range(0, m, 256)
     ])
     if is_ls:
         final = float(np.mean((f - g_full - c) ** 2))

@@ -7,7 +7,7 @@ from steincv.kernels import BaseKernelParams, KernelFamily, median_heuristic
 from steincv.poly import PolynomialFamily, enumerate_multi_indices
 from steincv.problems import GenzProblem
 from steincv.targets import GaussianTarget, sample_target
-from steincv.training import TrainConfig, objective_least_squares, sgd_train
+from steincv.training import TrainConfig, objective_least_squares, sgd_train, wrap_model
 
 
 def _train_set(d, n, seed, f):
@@ -39,11 +39,8 @@ class TestEnsembleEval:
         fam = EnsembleFamily(mi, (params,), train)
         cv = LinearCV(fam, np.concatenate([theta_p, np.zeros(train.n)]))
         pts = _train_set(2, 8, 2, lambda x: x.sum(axis=1))
-        # one dot product over the concatenated features: the zero kernel terms
-        # add nothing, but the summation order, and so the last bit, may differ
-        np.testing.assert_allclose(
-            cv(pts.states, pts.scores), poly(pts.states, pts.scores), rtol=1e-14, atol=0
-        )
+        # g is the sum of the parts' values, and a zero kernel part adds 0
+        np.testing.assert_array_equal(cv(pts.states, pts.scores), poly(pts.states, pts.scores))
 
     def test_sum_of_parts(self):
         rng = np.random.default_rng(3)
@@ -208,3 +205,34 @@ class TestSgdComparability:
         report = sgd_train(fam, train, TrainConfig(epochs=25, seed=0))
         j_init = objective_least_squares(train.f_values - np.mean(train.f_values))
         assert report.final_objective <= j_exact + 0.10 * j_init
+
+
+class TestSgdRows:
+    def test_rows_match_the_feature_matrix(self):
+        # the polynomial columns are gathered from the block computed over the
+        # training set, the kernel columns computed for the rows asked for
+        train = _train_set(2, 60, 21, lambda x: x.sum(axis=1))
+        params = (BaseKernelParams(0.1, 1.0), BaseKernelParams(0.1, 1.4))
+        fam = EnsembleFamily(enumerate_multi_indices(2, 2), params, train)
+        idx = np.random.default_rng(22).integers(0, train.n, size=40)
+        np.testing.assert_array_equal(
+            wrap_model(fam, train).rows(idx), fam.feature_matrix(train.states[idx], train.scores[idx])
+        )
+
+    def test_polynomial_block_built_once_per_fit(self, monkeypatch):
+        # its p columns are fewer than m, so no SGD chunk recomputes them; the
+        # final objective contracts the basis with theta as it is formed
+        from steincv import poly
+
+        train = _train_set(2, 120, 23, lambda x: x.sum(axis=1))
+        fam = EnsembleFamily(enumerate_multi_indices(2, 2), (BaseKernelParams(0.1, 1.0),), train)
+        calls = []
+        basis = poly.stein_poly_basis
+
+        def recording_basis(states, scores, mi, theta=None):
+            calls.append((states.shape[0], theta is None))
+            return basis(states, scores, mi, theta)
+
+        monkeypatch.setattr(poly, "stein_poly_basis", recording_basis)
+        sgd_train(fam, train, TrainConfig(epochs=2, seed=0))
+        assert calls == [(120, True), (120, False)]

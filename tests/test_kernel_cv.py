@@ -580,14 +580,21 @@ class TestKernelFamily:
         ss = sample_target(target, 1000, seed=17)
         train = ss.with_f_values(np.cos(ss.states[:, 0]))
         fam = KernelFamily(BaseKernelParams(0.1, 1.0), train)
-        rows = []
-        features = KernelFamily.feature_matrix
+        rows, value_rows = [], []
+        features, values = KernelFamily.feature_matrix, KernelFamily.values
 
         def recording_features(self, states, scores):
             rows.append(states.shape[0])
             return features(self, states, scores)
 
+        def recording_values(self, states, scores, theta):
+            value_rows.append(states.shape[0])
+            return values(self, states, scores, theta)
+
         monkeypatch.setattr(KernelFamily, "feature_matrix", recording_features)
+        monkeypatch.setattr(KernelFamily, "values", recording_values)
         report = sgd_train(fam, train, TrainConfig(epochs=1, seed=0))
         assert max(rows) <= 256
+        # the final objective takes g over all 1,000 training points in row blocks
+        assert value_rows == [256, 256, 256, 232]
         assert np.isfinite(report.final_objective)

@@ -68,6 +68,25 @@ def test_no_method_loads_scipy(tmp_path):
     assert result["scipy"] == []
 
 
+def test_a_serial_run_loads_no_process_pool():
+    # the pool's modules take 14-25 ms of ``import steincv``; only workers > 1 needs them
+    code = textwrap.dedent(
+        """
+        import sys
+        import steincv.cli
+        from steincv.bench import BenchmarkConfig, run_benchmark
+
+        spec = {"problem": "genz", "kind": "oscillatory", "d": 1}
+        run_benchmark(BenchmarkConfig(problem=spec, method="poly_exact", n=40, m=20, repetitions=2))
+        print("concurrent.futures" in sys.modules)
+        """
+    )
+    src = str(Path(steincv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["False"]
+
+
 class TestErf:
     def test_matches_scipy_on_a_dense_grid(self):
         x = np.linspace(-9.0, 9.0, 360_001)

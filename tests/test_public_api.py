@@ -58,11 +58,9 @@ FORMAT_EXPORTS = {
 }
 
 
-def test_every_exported_name_is_used_or_traced():
-    # a public name that only tests reach belongs in the tests; a name counts
-    # as used when src/ code outside __init__.py loads, imports or reads it as
-    # an attribute (so neither a comment nor an __all__ string counts), or when
-    # perfbench/layertrace.py names it as a span
+def _src_names():
+    """Every name that src/ code outside __init__.py loads, imports or reads
+    as an attribute (so neither a comment nor an __all__ string counts)."""
     used = set()
     for path in Path(steincv.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":
@@ -74,9 +72,21 @@ def test_every_exported_name_is_used_or_traced():
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
+    return used
+
+
+def _span_names():
+    """The qualified names that perfbench/layertrace.py traces as spans."""
     trace = _layertrace()
-    spans = {name for names in trace.LAYERS.values() for name in names} | set(trace.COUNTERS)
-    traced = {name.split(".")[-1] for name in spans}
+    return {name for names in trace.LAYERS.values() for name in names} | set(trace.COUNTERS)
+
+
+def test_every_exported_name_is_used_or_traced():
+    # a public name that only tests reach belongs in the tests; a name counts
+    # as used when src/ code uses it (``_src_names``), or when
+    # perfbench/layertrace.py names it as a span
+    traced = {name.split(".")[-1] for name in _span_names()}
+    used = _src_names()
     unreached = sorted(
         f"{name}.{attr}"
         for name in MODULES
@@ -84,6 +94,31 @@ def test_every_exported_name_is_used_or_traced():
         if attr not in used | traced | set(FORMAT_EXPORTS)
     )
     assert not unreached, f"exported but used by no code path: {unreached}"
+
+
+def _public_methods(cls):
+    """Names of the methods, class and static methods and properties that
+    ``cls`` defines itself and does not mark private."""
+    kinds = (classmethod, staticmethod, property)
+    return [
+        name for name, value in vars(cls).items()
+        if not name.startswith("_") and (inspect.isfunction(value) or isinstance(value, kinds))
+    ]
+
+
+def test_every_public_method_of_an_exported_class_is_used_or_traced():
+    # as for exported names: a method counts as reached when src/ code uses
+    # its name, or when the layer trace names it as a span (module.Class.method)
+    used, spans = _src_names(), _span_names()
+    unreached = []
+    for name in MODULES:
+        module = importlib.import_module(f"steincv.{name}")
+        for attr in getattr(module, "__all__", ()):
+            cls = getattr(module, attr)
+            if inspect.isclass(cls):
+                qualified = (f"{name}.{attr}.{method}" for method in _public_methods(cls))
+                unreached += [q for q in qualified if q.rsplit(".", 1)[1] not in used and q not in spans]
+    assert not unreached, f"public methods used by no code path: {unreached}"
 
 
 # The functions of src/ that may handle np.linalg.LinAlgError: the one helper

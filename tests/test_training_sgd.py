@@ -137,7 +137,8 @@ class TestSgdTrain:
         assert report.n_steps == 25 * int(np.ceil(500 / 8))
 
     def test_poly_basis_computed_once(self, monkeypatch):
-        # the default beta reads the spectrum off the precomputed feature rows
+        # the default beta reads the spectrum off the precomputed feature rows;
+        # the final objective contracts the basis with theta as it is formed
         from steincv import poly
 
         train = _toy_train(d=2, n=200, seed=1)
@@ -145,13 +146,13 @@ class TestSgdTrain:
         calls = []
         basis = poly.stein_poly_basis
 
-        def recording_basis(states, *args, **kwargs):
-            calls.append(states.shape[0])
-            return basis(states, *args, **kwargs)
+        def recording_basis(states, scores, mi, theta=None):
+            calls.append((states.shape[0], theta is None))
+            return basis(states, scores, mi, theta)
 
         monkeypatch.setattr(poly, "stein_poly_basis", recording_basis)
         report = sgd_train(fam, train, TrainConfig(epochs=2, seed=0))
-        assert calls == [200]
+        assert calls == [(200, True), (200, False)]
         feats = fam.feature_matrix(train.states, train.scores)
         assert report.resolved_beta == 1.0 / design_matrix_spectrum(feats)[0]
 
