@@ -24,7 +24,6 @@ from .core import (
     _check_config_keys,
     _check_integer_fields,
     _derived_seed,
-    _eval_in_blocks,
     estimate_mc,
     estimate_with_cv,
     split_samples,
@@ -61,10 +60,11 @@ class BenchmarkConfig:
     construction then uses instead of parsing (and reading a file) again.
     ``nn_hidden`` are the hidden widths of nn_sgd's network [d, *nn_hidden, 1],
     whose input and output widths the problem fixes; a tuple is stored as a
-    list. Under the ``same_set`` split, which trains on all n rows, m is n. A
-    field that only some methods read (their rows of ``_METHOD_TABLE``) fails
-    when set away from its default for any other method; ``train`` and the rest
-    are shared by all."""
+    list. Under the ``same_set`` split, which trains on all n rows, m is n;
+    the other splits evaluate on the n - m rows they do not train on, so they
+    need m < n. A field that only some methods read (their rows of
+    ``_METHOD_TABLE``) fails when set away from its default for any other
+    method; ``train`` and the rest are shared by all."""
 
     problem: dict
     method: str
@@ -98,6 +98,11 @@ class BenchmarkConfig:
             object.__setattr__(self, "m", self.n)
         if not 1 <= self.m <= self.n:
             raise ValueError("need 1 <= m <= n")
+        if self.split != "same_set" and self.m == self.n:
+            raise ValueError(
+                f"m={self.m} leaves no evaluation rows of n={self.n} under split "
+                f"{self.split}; it needs m < n"
+            )
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.base_seed < 0:
@@ -274,7 +279,7 @@ def run_repetition(config: BenchmarkConfig, rep: int) -> RepetitionResult:
             model, offset = _fit_model(config, train, rep)
             train_seconds = time.perf_counter() - t0
             t0 = time.perf_counter()
-            g_eval = _eval_in_blocks(model, eval_set.states, eval_set.scores)
+            g_eval = model(eval_set.states, eval_set.scores)
             est = estimate_with_cv(eval_set.f_values, g_eval)
             estimate_seconds = time.perf_counter() - t0
         abs_error = None if truth is None else abs(est.value - float(truth))

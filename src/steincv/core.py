@@ -22,8 +22,10 @@ __all__ = [
 
 SPLIT_POLICIES = ("first_m", "random", "same_set")
 
-# Rows per block of _eval_in_blocks: bounds the temporaries of a network pass
-# and of the polynomial basis at O(_EVAL_BLOCK) rows. A kernel Gram's are
+# Rows per evaluation block. A network evaluation (``mlp.cv_values``) refills
+# one pass of this many rows per block, and ``LinearCV.__call__`` takes its
+# family's values over blocks of it (``_eval_in_blocks``), which bounds the
+# polynomial basis at O(_EVAL_BLOCK) rows; a kernel Gram's temporaries are
 # bounded inside its contraction with theta (``kernels.stein_kernel_gram``).
 _EVAL_BLOCK = 256
 
@@ -186,7 +188,8 @@ class LinearCV:
     ``feature_matrix(states, scores) -> (n, n_params)``, whose columns are the
     Langevin images of a fixed basis (polynomial, kernel or ensemble), and
     ``values(states, scores, theta) -> (n,)``, the product of that matrix with
-    theta computed without forming it, which evaluation calls.
+    theta computed without forming it, which evaluation calls over blocks of
+    ``_EVAL_BLOCK`` rows.
     ``offset`` is the fitted constant, reported beside the estimate.
     """
 
@@ -205,7 +208,9 @@ class LinearCV:
         object.__setattr__(self, "theta", theta)
 
     def __call__(self, states: np.ndarray, scores: np.ndarray) -> np.ndarray:
-        return self.family.values(states, scores, self.theta)
+        return _eval_in_blocks(
+            lambda x, s: self.family.values(x, s, self.theta), states, scores
+        )
 
 
 def _sample_variance(values: np.ndarray) -> float:

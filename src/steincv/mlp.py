@@ -23,8 +23,15 @@ refills it in place, so a training step allocates only its outputs, and the
 previous results in it are overwritten. A training step takes its rows
 straight into the cache's input buffers (``_Pass.take``). A call without a
 cache builds a new one, so a cache that a caller keeps is never overwritten.
-``cv_values`` builds a pass that keeps nothing for a reverse pass: its layer
-stacks alternate between two buffers. Every entry point that takes scores
+
+``cv_values`` and ``forward_with_derivatives`` run any number of rows through
+an evaluation pass, which keeps nothing for a reverse pass: its layer stacks
+alternate between two buffers, and it starts from the states alone. Its
+input layer takes h = X W^T + b, and its partials and Laplacian follow from
+W's columns, so it holds no identity or zero input rows (a network without a
+hidden layer keeps its stacked input). One pass is refilled for each block of
+``core._EVAL_BLOCK`` rows; only a short last block gets a second pass, and
+both are freed when the call returns. Every entry point that takes scores
 requires them to have the states' shape.
 """
 
@@ -34,6 +41,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .core import _EVAL_BLOCK
 
 __all__ = [
     "MlpControlFunction",
@@ -160,11 +169,17 @@ class _Pass:
     which are s2 J and q = s2 L + s3 |J|^2, where s3 = s1 (6 t^2 - 2) is the
     third derivative of tanh; from the new rows they are -2 t J' and
     -2 t L' + s1 u. A hidden layer's s1 is the block just before its stack,
-    so -2 (s1, t) is one product of equal shapes. Without ``keep`` the layer
-    stacks alternate between two buffers, the input stack in the first, so
-    the pass serves one call. Either way the input stack's derivative blocks
-    (identity rows, a zero Laplacian) are filled once, and the elementwise
-    temporaries are shared by the layers.
+    so -2 (s1, t) is one product of equal shapes. The input stack's
+    derivative blocks (identity rows, a zero Laplacian) are filled once.
+
+    Without ``keep`` the pass evaluates: the layer stacks alternate between
+    two buffers and the elementwise temporaries are shared by the layers. It
+    has no input stack, as the input layer's partials are the columns of W:
+    with |J|^2 = sum_k W[:, k]^2 per unit, added in order of k, its
+    activation gives z'[1+k] = s1 W[:, k] and z'[d+1] = t u
+    (``_forward_first``), as the stacked GEMM over identity rows would. Only a
+    network without a hidden layer keeps the input stack: its one product is
+    a matrix-vector product, whose rounding of a row depends on the row count.
 
     At a training batch's (d+2, 8, w) stacks the fixed cost of a numpy call
     is most of its time. So the calls are locally bound ufuncs and ``np.dot``
@@ -186,9 +201,18 @@ class _Pass:
         else:
             pair = [np.empty((d + 2) * n * max(widths[j::2])) for j in (0, 1)]
             stacks = [_view(pair[j % 2], d + 2, n, w) for j, w in enumerate(widths)]
-        stacks[0][1 : d + 1] = np.eye(d)[:, None, :]
-        stacks[0][d + 1] = 0.0
-        self.states, self.out = stacks[0][0], stacks[-1][:, :, 0]
+        if keep or not hidden:
+            stacks[0][1 : d + 1] = np.eye(d)[:, None, :]
+            stacks[0][d + 1] = 0.0
+            self.states = stacks[0][0]
+        else:
+            # no input stack: the input layer reads the states alone. numpy
+            # takes one row by a matrix-vector product, which rounds otherwise,
+            # so a single row is padded with a row of zeros
+            stacks[0] = None
+            states = np.zeros((max(n, 2), d))
+            self.states = states[:n]
+        self.out = stacks[-1][:, :, 0]
         self.out_jac, self.out_lap = self.out[1:-1], self.out[-1]
         # the scores, transposed, over a row of ones: (scores, 1) * upstream
         # seeds the adjoint's (grad, lap) blocks
@@ -204,9 +228,22 @@ class _Pass:
             m2_flat = np.empty(2 * n * wide)
         else:
             s1_flat, sq_flat = np.empty(n * wide), np.empty((d + 1) * n * wide)
-        self.layers, coefs = [], []
+        self.first, self.layers, coefs = None, [], []
         for i, (k, o) in enumerate(zip(widths[:-1], widths[1:])):
             z_in, z, act = stacks[i], stacks[i + 1], None
+            if z_in is None:
+                # the input layer of an evaluation pass: its partials are the
+                # columns of W scaled by s1, and its Laplacian is t u; W's
+                # columns and |J|^2 are tiled over the rows (``set_first``), so
+                # that each product runs over n o contiguous entries
+                s1 = _view(s1_flat, n, o)
+                cols, jac_sq = np.empty((d, n * o)), np.empty((n, o))
+                # a padded row's product lands in z[1], which the partials then fill
+                h_rows = z[0] if n > 1 else z[:2].reshape(2, o)
+                self.first = (states, h_rows, z[0], s1, s1.reshape(1, -1), _view(sq_flat, n, o),
+                              cols, z[1 : d + 1].reshape(d, -1), jac_sq, _view(u_flat, n, o),
+                              z[d + 1])
+                continue
             if i < len(hidden):
                 coef = np.empty((d + 1, n, o)) if keep else None
                 coefs.append(coef)
@@ -282,11 +319,42 @@ class _Pass:
         states.take(idx, 0, self.states)
         scores_t.take(idx, 1, self.scores_t)
 
+    def set_first(self, w: np.ndarray) -> None:
+        """Tile the input layer's constants over the rows of an evaluation pass:
+        W's columns, and |J|^2 = sum_k W[:, k]^2 per unit, added in order of k
+        as ``_block_sum`` adds the partials' squares. A pass serves one call,
+        over which the weights hold, so this runs once per pass."""
+        *_, cols, _, jac_sq, _, _ = self.first
+        n, (o, d) = self.n, w.shape
+        np.copyto(cols.reshape(d, n, o), w.T[:, None, :])
+        w_sq = np.square(w.T)
+        for sq in w_sq[1:]:
+            np.add(w_sq[0], sq, w_sq[0])
+        np.copyto(jac_sq, w_sq[0])
+
+    def _forward_first(self, w: np.ndarray, b: np.ndarray) -> None:
+        """The input layer of an evaluation pass, from the states alone:
+        h = X W^T + b, partials s1 W[:, k] and Laplacian t u."""
+        states, h_rows, h, s1, s1_row, t_sq, cols, jac, jac_sq, u, lap = self.first
+        np.dot(states, w.T, h_rows)
+        np.add(h, b, h)
+        t = np.tanh(h, h)
+        np.square(t, t_sq)
+        np.subtract(1.0, t_sq, s1)
+        np.multiply(cols, s1_row, jac)
+        np.multiply(-2.0, s1, u)
+        np.multiply(u, jac_sq, u)
+        np.multiply(t, u, lap)
+
     def forward(self, net: MlpControlFunction) -> np.ndarray:
         """The output rows (d+2, n) of the network at the loaded states."""
         dot, add, multiply, subtract = np.dot, np.add, np.multiply, np.subtract
         square, tanh = np.square, np.tanh
-        for w, b, (rows_in, rows, h, t_jac, lap, act) in zip(net.weights, net.biases, self.layers):
+        weights, biases = net.weights, net.biases
+        if self.first is not None:
+            self._forward_first(weights[0], biases[0])
+            weights, biases = weights[1:], biases[1:]
+        for w, b, (rows_in, rows, h, t_jac, lap, act) in zip(weights, biases, self.layers):
             dot(rows_in, w.T, rows)
             add(h, b, h)
             if act is None:
@@ -317,13 +385,13 @@ class _Pass:
             add(coef_lap, tmp, coef_lap)
         return self.out
 
-    def langevin(self) -> np.ndarray:
+    def langevin(self, out: np.ndarray | None = None) -> np.ndarray:
         """lap u + grad u . score at the loaded rows, from the output rows of
-        ``forward``: a new array."""
+        ``forward``: written into ``out``, or a new array."""
         np.multiply(self.out_jac, self.scores_t, self.g_terms)
         if len(self.g_terms) > 1:
             _block_sum(self.g_terms, self.g_sum)
-        return np.add(self.out_lap, self.g_sum)
+        return np.add(self.out_lap, self.g_sum, out)
 
     def reverse(self, net: MlpControlFunction, upstream: np.ndarray,
                 per_row: bool = False) -> np.ndarray:
@@ -383,21 +451,31 @@ def _scored_rows(net: MlpControlFunction, states: np.ndarray, scores: np.ndarray
     return states, scores
 
 
-def _forward(net: MlpControlFunction, states: np.ndarray,
-             scores: np.ndarray | None = None) -> _Pass:
-    """One pass that keeps nothing for a reverse pass, run at checked rows;
-    the scores are needed only for its Langevin output."""
-    one = _Pass(net.widths, states.shape[0], keep=False)
-    one.load(states, scores)
-    one.forward(net)
-    return one
+def _eval_blocks(net: MlpControlFunction, states: np.ndarray, scores: np.ndarray | None = None):
+    """(pass, rows) of each block of at most ``_EVAL_BLOCK`` checked rows, run
+    through one evaluation pass that is refilled per block; only a short last
+    block gets a pass of its own. The scores are needed only for ``langevin``."""
+    one = None
+    for lo in range(0, states.shape[0], _EVAL_BLOCK):
+        rows = slice(lo, lo + _EVAL_BLOCK)
+        block = states[rows]
+        if one is None or one.n != block.shape[0]:
+            one = _Pass(net.widths, block.shape[0], keep=False)
+            if one.first is not None:
+                one.set_first(net.weights[0])
+        one.load(block, None if scores is None else scores[rows])
+        one.forward(net)
+        yield one, rows
 
 
 def forward_with_derivatives(
     net: MlpControlFunction, states: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Network value, input gradient and input Laplacian at each sample row."""
-    out = _forward(net, _input_rows(net, states)).out
+    states = _input_rows(net, states)
+    out = np.empty((net.dim + 2, states.shape[0]))
+    for one, rows in _eval_blocks(net, states):
+        out[:, rows] = one.out
     return out[0], out[1:-1].T, out[-1]
 
 
@@ -406,7 +484,11 @@ def cv_values(
 ) -> np.ndarray:
     """Langevin operator output lap u + grad u . score at each sample row;
     ``scores`` must have the shape of ``states``."""
-    return _forward(net, *_scored_rows(net, states, scores)).langevin()
+    states, scores = _scored_rows(net, states, scores)
+    g = np.empty(states.shape[0])
+    for one, rows in _eval_blocks(net, states, scores):
+        one.langevin(g[rows])
+    return g
 
 
 def cv_values_with_cache(

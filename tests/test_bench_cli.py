@@ -47,6 +47,17 @@ def _small_config(method, **kw):
 _SMALL_NET = {"nn_sgd": {"nn_hidden": [6]}}
 
 
+def _fail_every_fit(monkeypatch):
+    """Make every fit raise, with an error text that holds commas, as numpy's
+    shape errors do: a config that loads can still fail each repetition."""
+    from steincv import bench
+
+    def failing(config, train, rep):
+        raise ValueError(f"no fit of {config.method}, rep {rep}, shape {train.states.shape}")
+
+    monkeypatch.setattr(bench, "_fit_model", failing)
+
+
 def _csv_rows_without_timing(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -99,18 +110,23 @@ class TestRunBenchmark:
         assert est.value == res.estimate
         assert abs(est.value - truth) == res.abs_error
 
-    def test_failures_recorded_and_run_continues(self):
-        # n = m with a disjoint split leaves no eval rows, so every repetition fails
-        report = run_benchmark(_small_config("mc", n=60, m=60, repetitions=3))
+    def test_failures_recorded_and_run_continues(self, monkeypatch):
+        _fail_every_fit(monkeypatch)
+        report = run_benchmark(_small_config("poly_exact", repetitions=3))
         assert report.n_failures == 3
         assert report.mae is None
-        assert all("non-empty" in r.error for r in report.results)
+        assert [r.error for r in report.results] == [
+            f"ValueError: no fit of poly_exact, rep {rep}, shape (60, 1)" for rep in range(3)
+        ]
 
     @pytest.mark.parametrize("method", ["kernel_exact", "nn_sgd"])
     def test_evaluation_runs_in_row_blocks(self, method, monkeypatch):
+        # evaluation memory stays bounded: a kernel's Gram calls, and a
+        # network's passes and the rows loaded into them, each span at most
+        # 256 of the 1,100 evaluation rows
         from steincv import bench, kernels, mlp
 
-        rows, in_eval = [], [False]
+        rows, passes, in_eval = [], [], [False]
         fit = bench._fit_model
 
         def fit_then_flag(*args):
@@ -118,22 +134,26 @@ class TestRunBenchmark:
             in_eval[0] = True
             return model
 
-        def recording(fn, rows_arg):
+        def recording(fn, rows_arg, into):
             def wrapped(*args, **kwargs):
                 if in_eval[0]:
-                    rows.append(np.shape(args[rows_arg])[0])
+                    into.append(args[2] if rows_arg is None else np.shape(args[rows_arg])[0])
                 return fn(*args, **kwargs)
 
             return wrapped
 
         monkeypatch.setattr(bench, "_fit_model", fit_then_flag)
-        monkeypatch.setattr(kernels, "stein_kernel_gram", recording(kernels.stein_kernel_gram, 0))
-        monkeypatch.setattr(mlp, "cv_values", recording(mlp.cv_values, 1))
+        monkeypatch.setattr(kernels, "stein_kernel_gram", recording(kernels.stein_kernel_gram, 0, rows))
+        # a pass's row count is its third argument, (self, widths, n, keep)
+        monkeypatch.setattr(mlp._Pass, "__init__", recording(mlp._Pass.__init__, None, passes))
+        monkeypatch.setattr(mlp._Pass, "load", recording(mlp._Pass.load, 1, rows))
         config = _small_config(method, n=1200, m=100, **_SMALL_NET.get(method, {}))
         result = run_repetition(config, 0)
         assert result.error is None
         assert sum(rows) == 1100
         assert max(rows) <= 256
+        # one pass, refilled per block, and one for the short last block
+        assert passes == ([256, 76] if method == "nn_sgd" else [])
 
     def test_parallel_matches_serial(self):
         cfg = _small_config("poly_exact", repetitions=3)
@@ -470,10 +490,9 @@ class TestReports:
         rows = path.read_text().strip().splitlines()[1:]
         assert [row.split(",")[8] for row in rows] == ["True"] * 2
 
-    def test_csv_error_text_stays_one_cell(self, tmp_path):
-        # n = m with a disjoint split leaves no eval rows, so every repetition
-        # fails with "indices must be a non-empty 1-D array, got shape (0,)"
-        report = run_benchmark(_small_config("poly_exact", n=60, m=60))
+    def test_csv_error_text_stays_one_cell(self, tmp_path, monkeypatch):
+        _fail_every_fit(monkeypatch)
+        report = run_benchmark(_small_config("poly_exact"))
         assert report.n_failures == 2
         path = tmp_path / "out.csv"
         emit_report(report, path)
@@ -564,13 +583,30 @@ class TestCli:
         assert code == 0
         assert "mae=n/a" in capsys.readouterr().out
 
-    def test_failure_exit_code(self, tmp_path, capsys):
-        # n = m leaves no eval rows, so the repetition fails
-        cfg = _small_config("mc", n=10, m=10, repetitions=1)
+    def test_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        _fail_every_fit(monkeypatch)
+        cfg = _small_config("poly_exact", n=10, m=5, repetitions=1)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg.to_dict()))
         assert main(["bench", "--config", str(cfg_path)]) == 2
         assert "failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["first_m", "random"])
+    def test_a_split_without_evaluation_rows_fails_at_load(self, split, capsys):
+        # m = n under a disjoint split left no evaluation rows, so the config
+        # loaded and then every repetition failed, mc included
+        message = f"m=100 leaves no evaluation rows of n=100 under split {split}; it needs m < n"
+        for method in METHODS:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                BenchmarkConfig(GENZ1, method, n=100, m=100, split=split)
+        code = main(["run", "--problem", json.dumps(GENZ1), "--method", "mc", "--n", "100",
+                     "--m", "100", "--split", split])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"steincv run: {message}\n"
+        # one row to evaluate is enough
+        assert BenchmarkConfig(GENZ1, "mc", n=100, m=99, split=split).m == 99
 
     def test_split_choices_are_the_policies(self, capsys):
         for policy in SPLIT_POLICIES:

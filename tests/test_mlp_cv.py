@@ -346,6 +346,82 @@ class TestPassBuffers:
         assert deep_peak <= shallow_peak
 
 
+class TestEvaluationPass:
+    """cv_values and forward_with_derivatives run their rows through one pass
+    that starts from the states alone, refilled per block of _EVAL_BLOCK rows;
+    their numbers are those of the training pass, which starts from the
+    stacked input with its identity rows."""
+
+    @staticmethod
+    def _net_and_rows(d, hidden, n):
+        rng = np.random.default_rng(1000 * d + n)
+        net = MlpControlFunction.initialize([d, *hidden, 1], seed=d)
+        net.set_params(net.get_params() + 0.3 * rng.normal(size=net.n_params))
+        return net, rng.normal(size=(n, d)), rng.normal(size=(n, d))
+
+    @pytest.mark.parametrize("n", [1, 37, 256, 257, 1100])
+    @pytest.mark.parametrize("hidden", [[], [20] * 6], ids=["no_hidden", "six_of_20"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_evaluation_is_bitwise_the_training_pass(self, d, hidden, n):
+        # compared block by block: a product over more rows may round a row
+        # otherwise (one of 257 rows at d = 1 here, with or without the shortcut)
+        from steincv.mlp import _EVAL_BLOCK
+
+        net, x, s = self._net_and_rows(d, hidden, n)
+        g, u, grad, lap = cv_values(net, x, s), *forward_with_derivatives(net, x)
+        for lo in range(0, n, _EVAL_BLOCK):
+            rows = slice(lo, lo + _EVAL_BLOCK)
+            ref_g, cache = cv_values_with_cache(net, x[rows], s[rows])
+            np.testing.assert_array_equal(g[rows], ref_g)
+            np.testing.assert_array_equal(u[rows], cache.out[0])
+            np.testing.assert_array_equal(grad[rows], cache.out[1:-1].T)
+            np.testing.assert_array_equal(lap[rows], cache.out[-1])
+
+    @pytest.mark.parametrize("n,sizes", [(1, [1]), (37, [37]), (256, [256]), (257, [256, 1]),
+                                         (1100, [256, 76])])
+    def test_one_pass_per_evaluation(self, n, sizes, monkeypatch):
+        # one pass for every full block, and a second only for a short last one
+        from steincv import mlp
+
+        built = []
+
+        class Recording(mlp._Pass):
+            def __init__(self, widths, rows, keep):
+                built.append((rows, keep))
+                super().__init__(widths, rows, keep)
+
+        monkeypatch.setattr(mlp, "_Pass", Recording)
+        net, x, s = self._net_and_rows(3, [5, 4], n)
+        for evaluate in (lambda: cv_values(net, x, s), lambda: forward_with_derivatives(net, x)):
+            built.clear()
+            evaluate()
+            assert built == [(rows, False) for rows in sizes]
+            assert max(rows for rows, _ in built) <= mlp._EVAL_BLOCK
+
+    def test_a_long_evaluation_holds_about_two_passes(self):
+        # 20,000 rows at d = 10: the traced peak, less the returned g, stays
+        # below two block passes' buffers (a full block's and the short last
+        # block's), far below one pass over every row
+        from steincv import mlp
+
+        net, x, s = self._net_and_rows(10, [20] * 6, 20000)
+        cv_values(net, x[:300], s[:300])  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            one = mlp._Pass(net.widths, mlp._EVAL_BLOCK, keep=False)
+            pass_bytes = tracemalloc.get_traced_memory()[0] - start
+            del one
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            g = cv_values(net, x, s)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak - g.nbytes < 2 * pass_bytes
+        assert pass_bytes < 4 * 2**20
+
+
 # Central differences of the network value u with step h err by about
 # h^2 |u'''| / 6 in each gradient term and h^2 |u''''| / 12 in each Laplacian
 # term, plus a rounding error of about 4 eps |u| / h^2. For these weights

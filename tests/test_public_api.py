@@ -5,6 +5,7 @@ import pkgutil
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import steincv
@@ -75,6 +76,69 @@ def _src_names():
     return used
 
 
+# Public names that builtin containers and ndarrays also carry (``values``,
+# ``keys``, ``items``, ``copy``, ...): src/ code that reads such a name may be
+# reading a dict's or an array's, so that read shows nothing
+CONTAINER_NAMES = {
+    name
+    for cls in (dict, list, tuple, set, frozenset, str, np.ndarray)
+    for name in dir(cls)
+    if not name.startswith("_")
+}
+
+# Public methods with such a name, each with the src/ functions that call it
+# (module.function or module.Class.method); every one of them must still call
+# an attribute of that name
+CALL_SITES = {
+    "poly.PolynomialFamily.values": ("core.LinearCV.__call__", "ensemble.EnsembleFamily.values"),
+    "kernels.KernelFamily.values": ("core.LinearCV.__call__", "ensemble.EnsembleFamily.values"),
+    "ensemble.EnsembleFamily.values": ("core.LinearCV.__call__", "training.LinearFeatureModel.values"),
+}
+
+
+def _src_functions():
+    """Every function and method of src/, by qualified name (module.function or
+    module.Class.method), with its AST node."""
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if isinstance(child, ast.FunctionDef):
+                    found[name] = child
+                visit(child, name)
+
+    for path in Path(steincv.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def _calls_attribute(node, attr):
+    """Whether the code under ``node`` calls an attribute named ``attr``."""
+    return any(
+        isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == attr
+        for call in ast.walk(node)
+    )
+
+
+def _reached(qualified, used, spans):
+    """Whether the public name ``qualified`` (module.name or module.Class.method)
+    is reached: the layer trace names it, or its name is in ``used``, unless
+    containers carry that name too; then it needs a CALL_SITES entry, and each
+    call site named there must still call it."""
+    name = qualified.rsplit(".", 1)[1]
+    if qualified in spans:
+        return True
+    if name not in CONTAINER_NAMES:
+        return name in used
+    sites = CALL_SITES.get(qualified, ())
+    functions = _src_functions()
+    return bool(sites) and all(
+        site in functions and _calls_attribute(functions[site], name) for site in sites
+    )
+
+
 def _span_names():
     """The qualified names that perfbench/layertrace.py traces as spans."""
     trace = _layertrace()
@@ -85,13 +149,13 @@ def test_every_exported_name_is_used_or_traced():
     # a public name that only tests reach belongs in the tests; a name counts
     # as used when src/ code uses it (``_src_names``), or when
     # perfbench/layertrace.py names it as a span
-    traced = {name.split(".")[-1] for name in _span_names()}
+    spans = {f"{name.split('.')[0]}.{name.split('.')[-1]}" for name in _span_names()}
     used = _src_names()
     unreached = sorted(
         f"{name}.{attr}"
         for name in MODULES
         for attr in getattr(importlib.import_module(f"steincv.{name}"), "__all__", ())
-        if attr not in used | traced | set(FORMAT_EXPORTS)
+        if attr not in FORMAT_EXPORTS and not _reached(f"{name}.{attr}", used, spans)
     )
     assert not unreached, f"exported but used by no code path: {unreached}"
 
@@ -108,17 +172,20 @@ def _public_methods(cls):
 
 def test_every_public_method_of_an_exported_class_is_used_or_traced():
     # as for exported names: a method counts as reached when src/ code uses
-    # its name, or when the layer trace names it as a span (module.Class.method)
+    # its name, or when the layer trace names it as a span (module.Class.method);
+    # a method named like a container's is reached only through its call sites
     used, spans = _src_names(), _span_names()
-    unreached = []
+    methods = []
     for name in MODULES:
         module = importlib.import_module(f"steincv.{name}")
         for attr in getattr(module, "__all__", ()):
             cls = getattr(module, attr)
             if inspect.isclass(cls):
-                qualified = (f"{name}.{attr}.{method}" for method in _public_methods(cls))
-                unreached += [q for q in qualified if q.rsplit(".", 1)[1] not in used and q not in spans]
+                methods += [f"{name}.{attr}.{method}" for method in _public_methods(cls)]
+    unreached = [q for q in methods if not _reached(q, used, spans)]
     assert not unreached, f"public methods used by no code path: {unreached}"
+    # an entry for a method that is gone, or not named like a container's, is stale
+    assert set(CALL_SITES) <= {q for q in methods if q.rsplit(".", 1)[1] in CONTAINER_NAMES}
 
 
 # The functions of src/ that may handle np.linalg.LinAlgError: the one helper
