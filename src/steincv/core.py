@@ -22,22 +22,6 @@ __all__ = [
 
 SPLIT_POLICIES = ("first_m", "random", "same_set")
 
-# Rows per evaluation block. A network evaluation (``mlp.cv_values``) refills
-# one pass of this many rows per block, and ``LinearCV.__call__`` takes its
-# family's values over blocks of it (``_eval_in_blocks``), which bounds the
-# polynomial basis at O(_EVAL_BLOCK) rows; a kernel Gram's temporaries are
-# bounded inside its contraction with theta (``kernels.stein_kernel_gram``).
-_EVAL_BLOCK = 256
-
-
-def _eval_in_blocks(fn, *arrays) -> np.ndarray:
-    """g over many rows: ``fn`` over consecutive row blocks of ``arrays``, concatenated."""
-    return np.concatenate([
-        fn(*(a[lo : lo + _EVAL_BLOCK] for a in arrays))
-        for lo in range(0, arrays[0].shape[0], _EVAL_BLOCK)
-    ])
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -188,8 +172,7 @@ class LinearCV:
     ``feature_matrix(states, scores) -> (n, n_params)``, whose columns are the
     Langevin images of a fixed basis (polynomial, kernel or ensemble), and
     ``values(states, scores, theta) -> (n,)``, the product of that matrix with
-    theta computed without forming it, which evaluation calls over blocks of
-    ``_EVAL_BLOCK`` rows.
+    theta, which the family computes in row blocks of its own, never forming it.
     ``offset`` is the fitted constant, reported beside the estimate.
     """
 
@@ -208,9 +191,7 @@ class LinearCV:
         object.__setattr__(self, "theta", theta)
 
     def __call__(self, states: np.ndarray, scores: np.ndarray) -> np.ndarray:
-        return _eval_in_blocks(
-            lambda x, s: self.family.values(x, s, self.theta), states, scores
-        )
+        return self.family.values(states, scores, self.theta)
 
 
 def _sample_variance(values: np.ndarray) -> float:

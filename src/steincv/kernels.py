@@ -44,14 +44,14 @@ class BaseKernelParams:
             raise ValueError(f"alpha2 (length-scale) must be finite and > 0, got {self.alpha2}")
 
 
-# Entries per row block of the Gram, and per chunk of SGD feature rows: 128 KiB
-# of float64. Every temporary of a block (its five products) stays at or below
-# the size up to which glibc malloc recycles arrays from its heap instead of
-# mapping, and page-faulting, fresh memory for each one, and far below the
-# 4 MiB at which numpy asks for hugepages, whatever the row count. The products
-# stay separate arrays: one stacked product was slower on 8-row blocks. A
-# block's shape fixes the BLAS rounding of its products, so the estimates
-# depend on this value at rounding level.
+# Entries per row block of the Gram and of the polynomial basis, and per chunk
+# of SGD feature rows: 128 KiB of float64. Every temporary of a block (its five
+# products) stays at or below the size up to which glibc malloc recycles arrays
+# from its heap instead of mapping, and page-faulting, fresh memory for each
+# one, and far below the 4 MiB at which numpy asks for hugepages, whatever the
+# row count. The products stay separate arrays: one stacked product was slower
+# on 8-row blocks. A block's shape fixes the BLAS rounding of its products, so
+# the estimates depend on this value at rounding level.
 _BLOCK_ENTRIES = 16384
 
 
@@ -107,7 +107,8 @@ def stein_kernel_gram(
     ``_BLOCK_ENTRIES`` entries (one row when a row is longer). Each block takes
     one product of its augmented rows [x, s, |x|^2, x.s, 1] with each of the
     five center matrices of ``_CenterTerms`` and then runs the elementwise
-    epilogue (clamp, reciprocal, Horner in p, exp, multiply) in place, so the
+    epilogue (clamp, reciprocal, Horner in p, exp, multiply) in place: beside
+    the output and the (n_a, 2d + 3) augmented rows, built once per call, the
     temporary memory is O(_BLOCK_ENTRIES) whatever the row count.
     ``center_terms`` are the center-side terms of (xb, sb) under ``params``,
     built here when not given; a kernel family builds them once.

@@ -30,7 +30,7 @@ alternate between two buffers, and it starts from the states alone. Its
 input layer takes h = X W^T + b, and its partials and Laplacian follow from
 W's columns, so it holds no identity or zero input rows (a network without a
 hidden layer keeps its stacked input). One pass is refilled for each block of
-``core._EVAL_BLOCK`` rows; only a short last block gets a second pass, and
+``_EVAL_BLOCK`` rows; only a short last block gets a second pass, and
 both are freed when the call returns. Every entry point that takes scores
 requires them to have the states' shape.
 """
@@ -42,8 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _EVAL_BLOCK
-
 __all__ = [
     "MlpControlFunction",
     "forward_with_derivatives",
@@ -51,6 +49,8 @@ __all__ = [
     "cv_values_with_cache",
     "cv_param_vjp",
 ]
+
+_EVAL_BLOCK = 256  # rows per evaluation pass, which bounds an evaluation's memory
 
 
 @dataclass

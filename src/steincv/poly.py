@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .core import LinearCV, ScoredSampleSet, _freeze
-from .kernels import _factor_spd
+from .kernels import _BLOCK_ENTRIES, _factor_spd
 
 __all__ = [
     "MultiIndexSet",
@@ -117,7 +117,9 @@ def stein_poly_basis(
 
     starting from x^0 = 1 and L 1 = 0; every term on the right is a column of
     lower degree. Returns a C-contiguous (n, p) array in the order of mi.alpha,
-    or, given a length-p ``theta``, the (n,) vector of b . theta.
+    or, given a length-p ``theta``, the (n,) vector of b . theta. Either is
+    filled by row blocks of at most ``_BLOCK_ENTRIES`` entries of b and the
+    constant, so beside it no temporary grows with the row count.
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
@@ -130,20 +132,23 @@ def stein_poly_basis(
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (mi.p,):
             raise ValueError(f"theta must have shape ({mi.p},), got {theta.shape}")
-    xt, st = np.ascontiguousarray(states.T), np.ascontiguousarray(scores.T)
-    # one row per monomial below the top degree and per L x^alpha, both led by x^0
-    mono = np.ones((mi._levels[-1][0].start if mi.p else 1, n))
-    stein = np.zeros((mi.p + 1, n))
-    for rows, parent, coord, grand, two_beta in mi._levels:
-        x, m, out = xt[coord], mono[parent], stein[rows]
-        np.multiply(x, stein[parent], out=out)
-        out += st[coord] * m
-        out += two_beta * mono[grand]
-        if rows.stop <= len(mono):
-            np.multiply(x, m, out=mono[rows])
-    if theta is not None:
-        return theta @ stein[1:]
-    return np.ascontiguousarray(stein[1:].T)
+    out = np.empty((n, mi.p) if theta is None else n)
+    step = max(1, _BLOCK_ENTRIES // (mi.p + 1))
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        xt, st = np.ascontiguousarray(states[rows].T), np.ascontiguousarray(scores[rows].T)
+        # one row per monomial below the top degree and per L x^alpha, both led by x^0
+        mono = np.ones((mi._levels[-1][0].start if mi.p else 1, xt.shape[1]))
+        stein = np.zeros((mi.p + 1, xt.shape[1]))
+        for level, parent, coord, grand, two_beta in mi._levels:
+            x, m, block = xt[coord], mono[parent], stein[level]
+            np.multiply(x, stein[parent], out=block)
+            block += st[coord] * m
+            block += two_beta * mono[grand]
+            if level.stop <= len(mono):
+                np.multiply(x, m, out=mono[level])
+        out[rows] = stein[1:].T if theta is None else theta @ stein[1:]
+    return out
 
 
 class PolynomialFamily:

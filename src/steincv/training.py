@@ -17,7 +17,6 @@ from .core import (
     _changed_fields,
     _check_config_keys,
     _check_integer_fields,
-    _eval_in_blocks,
 )
 from .kernels import _BLOCK_ENTRIES
 from .mlp import (
@@ -176,7 +175,7 @@ class LinearFeatureModel:
     each part into its columns of one row buffer. SGD takes the rows of a
     chunk of steps at once (``batch_rows``), at most ``_BLOCK_ENTRIES``
     entries or one batch: a step costs O(batch * n_params) and never forms
-    the m x m Gram. ``values`` goes through the family's own ``values``.
+    the m x m Gram. ``values`` is one call of the family's own over all m rows.
     """
 
     probe_size = 256
@@ -218,8 +217,8 @@ class LinearFeatureModel:
     def initial_params(self) -> np.ndarray:
         return np.zeros(self.n_params)
 
-    def values(self, theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return self.family.values(self.train.states[idx], self.train.scores[idx], theta)
+    def values(self, theta: np.ndarray) -> np.ndarray:
+        return self.family.values(self.train.states, self.train.scores, theta)
 
     def batch_eval(self, theta: np.ndarray, idx: np.ndarray):
         feats = self.rows(idx)
@@ -260,10 +259,10 @@ class MlpModel:
         # a network's rows depend on its parameters: each step takes its own pass
         return ((idx, None) for idx in batches)
 
-    def values(self, theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def values(self, theta: np.ndarray) -> np.ndarray:
         if theta is not self._theta:
             np.copyto(self._theta, theta)
-        return self.net(self.train.states[idx], self.train.scores[idx])
+        return self.net(self.train.states, self.train.scores)
 
     def batch_eval(self, theta: np.ndarray, idx: np.ndarray):
         if theta is not self._theta:
@@ -398,7 +397,7 @@ def sgd_train(model, train: ScoredSampleSet, config: TrainConfig) -> TrainReport
         # end of epoch: the trace entry, and any check on a whole epoch, go here
         trace[epoch] = epoch_obj / steps_per_epoch
     wall = time.perf_counter() - start
-    g_full = _eval_in_blocks(lambda idx: wrapped.values(theta, idx), np.arange(m))
+    g_full = wrapped.values(theta)
     if is_ls:
         final = objective_least_squares(f - g_full - c)
     else:

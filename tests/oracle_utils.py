@@ -1,4 +1,5 @@
-"""Independent numerical oracles shared by the unit and acceptance tests."""
+"""Independent numerical oracles, and recorders of how the library splits its
+work, shared by the unit and acceptance tests."""
 
 import itertools
 
@@ -113,7 +114,7 @@ def genz_unit_cube_quadrature(problem, nodes=80):
 def per_step_sgd(model, train, config):
     """Reference SGD loop for ``training.sgd_train``: one ``rng.integers`` draw
     per step and the batch objective through ``np.mean``, with the same
-    schedule, offset update and row-blocked final objective. Returns
+    schedule, offset update and one-call final objective. Returns
     (theta, offset, objective_trace, final_objective)."""
     from steincv import training
 
@@ -159,9 +160,7 @@ def per_step_sgd(model, train, config):
         trace[epoch] = epoch_obj / steps_per_epoch
     # g of the final parameters, as the fitted control variate evaluates it:
     # through ``values``, whose agreement with the feature rows is tested apart
-    g_full = np.concatenate([
-        wrapped.values(theta, np.arange(lo, min(lo + 256, m))) for lo in range(0, m, 256)
-    ])
+    g_full = wrapped.values(theta)
     if is_ls:
         final = float(np.mean((f - g_full - c) ** 2))
     else:
@@ -242,3 +241,25 @@ def stacked_pass_reference(net, states, scores, upstream):
         return np.concatenate(grads, axis=-1)
 
     return g, reverse(upstream, False), reverse(np.ones(n), True)
+
+
+class GramBlockRecorder:
+    """Stands in for the first center matrix of a ``kernels._CenterTerms``
+    and appends the row count of each Gram block multiplied by it to ``rows``.
+    A block's products are ``block @ matrix``, and numpy hands a product with
+    an object that opts out of ufuncs to that object's ``__rmatmul__``; the
+    product itself is unchanged."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, matrix, rows):
+        self.matrix, self.rows = matrix, rows
+
+    def __rmatmul__(self, block):
+        self.rows.append(block.shape[0])
+        return block @ self.matrix
+
+    @classmethod
+    def install(cls, terms, rows):
+        """Record the blocks of every Gram built from the center terms ``terms``."""
+        terms.products = (cls(terms.products[0], rows), *terms.products[1:])

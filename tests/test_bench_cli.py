@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from oracle_utils import GramBlockRecorder
 from steincv.bench import (
     BenchmarkConfig,
     METHODS,
@@ -121,7 +122,7 @@ class TestRunBenchmark:
 
     @pytest.mark.parametrize("method", ["kernel_exact", "nn_sgd"])
     def test_evaluation_runs_in_row_blocks(self, method, monkeypatch):
-        # evaluation memory stays bounded: a kernel's Gram calls, and a
+        # evaluation memory stays bounded: a kernel's Gram blocks, and a
         # network's passes and the rows loaded into them, each span at most
         # 256 of the 1,100 evaluation rows
         from steincv import bench, kernels, mlp
@@ -130,9 +131,11 @@ class TestRunBenchmark:
         fit = bench._fit_model
 
         def fit_then_flag(*args):
-            model = fit(*args)
+            model, offset = fit(*args)
             in_eval[0] = True
-            return model
+            if method == "kernel_exact":
+                GramBlockRecorder.install(model.family._center_terms, rows)
+            return model, offset
 
         def recording(fn, rows_arg, into):
             def wrapped(*args, **kwargs):
@@ -143,7 +146,8 @@ class TestRunBenchmark:
             return wrapped
 
         monkeypatch.setattr(bench, "_fit_model", fit_then_flag)
-        monkeypatch.setattr(kernels, "stein_kernel_gram", recording(kernels.stein_kernel_gram, 0, rows))
+        grams = []
+        monkeypatch.setattr(kernels, "stein_kernel_gram", recording(kernels.stein_kernel_gram, 0, grams))
         # a pass's row count is its third argument, (self, widths, n, keep)
         monkeypatch.setattr(mlp._Pass, "__init__", recording(mlp._Pass.__init__, None, passes))
         monkeypatch.setattr(mlp._Pass, "load", recording(mlp._Pass.load, 1, rows))
@@ -152,6 +156,9 @@ class TestRunBenchmark:
         assert result.error is None
         assert sum(rows) == 1100
         assert max(rows) <= 256
+        # one Gram call over every evaluation row, in blocks of
+        # _BLOCK_ENTRIES // 100 rows against the 100 centers
+        assert grams == ([1100] if method == "kernel_exact" else [])
         # one pass, refilled per block, and one for the short last block
         assert passes == ([256, 76] if method == "nn_sgd" else [])
 

@@ -25,6 +25,11 @@ class TestScoredSampleSet:
         with pytest.raises(ValueError, match="non-finite"):
             ScoredSampleSet(states, states, [1.0, np.inf])
 
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0)], ids=["no_rows", "no_columns"])
+    def test_empty_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"^states must be a non-empty \(n, d\) matrix$"):
+            ScoredSampleSet(np.zeros(shape), np.zeros(shape))
+
     def test_f_length_checked(self):
         with pytest.raises(ValueError, match="length"):
             ScoredSampleSet(np.zeros((3, 1)), np.zeros((3, 1)), [1.0, 2.0])
@@ -107,6 +112,10 @@ class TestEstimateWithCv:
         with pytest.raises(ValueError, match="mismatch"):
             estimate_with_cv([1, 2], [1])
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="^cannot estimate from an empty sample$"):
+            estimate_with_cv([], [])
+
     def test_linearity_against_mc(self):
         rng = np.random.default_rng(4)
         f = rng.normal(size=50)
@@ -156,6 +165,10 @@ class TestSplitSamples:
     def test_random_requires_seed(self):
         with pytest.raises(ValueError, match="seed"):
             split_samples(10, 5, "random")
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError, match="^unknown split policy: 'last_m'; choose from"):
+            split_samples(10, 5, "last_m")
 
     def test_m_out_of_range(self):
         with pytest.raises(ValueError):

@@ -144,6 +144,11 @@ class TestSemiExactSolve:
         with pytest.raises(ValueError, match="rank-deficient"):
             fit_semi_exact(train, enumerate_multi_indices(1, 2), BaseKernelParams(0.1, 1.0))
 
+    def test_requires_f_values(self):
+        train = sample_target(GaussianTarget(np.zeros(2), 1.0), 20, seed=17)
+        with pytest.raises(ValueError, match="^training set must carry f_values$"):
+            fit_semi_exact(train, enumerate_multi_indices(2, 2), BaseKernelParams(0.1, 1.0))
+
     def test_needs_enough_samples(self):
         train = _train_set(2, 5, 17, lambda x: x.sum(axis=1))
         with pytest.raises(ValueError, match="p \\+ 2"):

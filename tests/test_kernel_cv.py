@@ -8,6 +8,7 @@ from scipy.linalg import lapack
 import steincv.kernels as kernels
 
 from oracle_utils import (
+    GramBlockRecorder,
     base_kernel,
     base_kernel_derivatives,
     fd_base_kernel_derivatives,
@@ -295,6 +296,15 @@ class TestControlFunctional:
         )
         assert cv.offset == pytest.approx(cv_perm.offset, abs=1e-8)
 
+    def test_requires_f_and_two_samples(self):
+        target = GaussianTarget(np.zeros(1), 1.0)
+        params = BaseKernelParams(0.1, 1.0)
+        with pytest.raises(ValueError, match="^training set must carry f_values$"):
+            fit_control_functional(sample_target(target, 5, seed=0), params)
+        one = sample_target(target, 1, seed=0).with_f_values([1.0])
+        with pytest.raises(ValueError, match="^control functional needs at least 2 training samples$"):
+            fit_control_functional(one, params)
+
     def test_failure_advises_jitter(self):
         target = GaussianTarget(np.zeros(1), 1.0)
         one = sample_target(target, 2, seed=5)
@@ -477,13 +487,17 @@ class TestKernelFamily:
     def test_sgd_never_forms_the_m_by_m_gram(self, monkeypatch, m, b):
         # SGD takes the Gram rows of a chunk of steps per call: at most
         # _BLOCK_ENTRIES entries or one batch, n_steps * b rows over the run,
-        # and one batch per call once a batch alone fills the budget
+        # and one batch per call once a batch alone fills the budget. Every
+        # Gram, the final objective's over all m rows too, is built in blocks
+        # of at most _BLOCK_ENTRIES entries (or one row against m centers)
         from steincv import kernels, training
 
         target = GaussianTarget(np.zeros(1), 1.0)
         ss = sample_target(target, m, seed=16)
         train = ss.with_f_values(np.cos(ss.states[:, 0]))
         fam = KernelFamily(BaseKernelParams(0.1, 1.0), train)
+        blocks = []
+        GramBlockRecorder.install(fam._center_terms, blocks)
         outside_steps = [False]
         step_rows = []
         gram = kernels.stein_kernel_gram
@@ -506,9 +520,11 @@ class TestKernelFamily:
 
         monkeypatch.setattr(kernels, "stein_kernel_gram", recording_gram)
         monkeypatch.setattr(training, "_resolve_beta", flagged(training._resolve_beta))
-        monkeypatch.setattr(training, "_eval_in_blocks", flagged(training._eval_in_blocks))
+        final = training.LinearFeatureModel.values
+        monkeypatch.setattr(training.LinearFeatureModel, "values", flagged(final))
         cfg = TrainConfig(batch_size=b, epochs=2 if m < 1000 else 1, seed=0)
         report = training.sgd_train(fam, train, cfg)
+        assert max(blocks) * m <= max(kernels._BLOCK_ENTRIES, m)
         assert sum(step_rows) == report.n_steps * b
         assert max(step_rows) <= max(b, kernels._BLOCK_ENTRIES // fam.n_params)
         if kernels._BLOCK_ENTRIES // m < b:
@@ -574,13 +590,15 @@ class TestKernelFamily:
             stein_kernel_gram(a.states, a.scores, a.states, a.scores, params, terms)
 
     def test_sgd_fit_never_forms_more_than_256_feature_rows(self, monkeypatch):
-        # the final objective over all m training points is evaluated in row
-        # blocks, so no call builds the m x m Gram
+        # the final objective over all m training points is one call of the
+        # family's values, whose Gram goes in row blocks, so no call builds
+        # the m x m Gram
         target = GaussianTarget(np.zeros(1), 1.0)
         ss = sample_target(target, 1000, seed=17)
         train = ss.with_f_values(np.cos(ss.states[:, 0]))
         fam = KernelFamily(BaseKernelParams(0.1, 1.0), train)
-        rows, value_rows = [], []
+        rows, value_rows, blocks = [], [], []
+        GramBlockRecorder.install(fam._center_terms, blocks)
         features, values = KernelFamily.feature_matrix, KernelFamily.values
 
         def recording_features(self, states, scores):
@@ -589,12 +607,16 @@ class TestKernelFamily:
 
         def recording_values(self, states, scores, theta):
             value_rows.append(states.shape[0])
+            blocks.clear()  # from here on, the blocks of this call alone
             return values(self, states, scores, theta)
 
         monkeypatch.setattr(KernelFamily, "feature_matrix", recording_features)
         monkeypatch.setattr(KernelFamily, "values", recording_values)
         report = sgd_train(fam, train, TrainConfig(epochs=1, seed=0))
         assert max(rows) <= 256
-        # the final objective takes g over all 1,000 training points in row blocks
-        assert value_rows == [256, 256, 256, 232]
+        # the final objective takes g over all 1,000 training points in one
+        # call, whose Gram blocks hold 16 rows of 1,000 entries each
+        assert value_rows == [1000]
+        assert sum(blocks) == 1000
+        assert max(blocks) == kernels._BLOCK_ENTRIES // 1000
         assert np.isfinite(report.final_objective)

@@ -1,7 +1,7 @@
 """A linear family's ``values(states, scores, theta)`` is its feature matrix
-times theta, computed without forming the matrix: the polynomial basis is
-contracted with theta as a whole, and the kernel Gram block by block as each
-block is formed. Only the summation order differs from the product, so the
+times theta, computed without forming the matrix: the polynomial basis and
+the kernel Gram are each contracted with theta block by block as each block
+is formed. Only the summation order differs from the product, so the
 two agree to rounding, within 1e-12 of |Phi| |theta| (Frobenius and 2-norm).
 """
 
@@ -83,3 +83,34 @@ def test_evaluation_never_allocates_a_rows_by_params_block(kind):
     finally:
         tracemalloc.stop()
     assert peak < rows * family.n_params * 8 / 4
+
+
+def test_polynomial_values_hold_a_few_blocks_beside_their_output():
+    # the degree recursion runs over row blocks of at most _BLOCK_ENTRIES
+    # basis entries, each contracted with theta into the output: 50,000 rows
+    # at d = 10 (p = 65) hold the (n,) output and a few blocks, not the
+    # (p + 1, n) basis, 66 times the output
+    rows, d = 50_000, 10
+    family = PolynomialFamily(enumerate_multi_indices(d, 2))
+    states, scores = _points(6, rows, d)
+    theta = np.random.default_rng(7).normal(size=family.n_params)
+    family.values(states[:300], scores[:300], theta)  # one-time set-up, unmeasured
+    tracemalloc.start()
+    try:
+        g = family.values(states, scores, theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * g.nbytes
+
+
+@pytest.mark.parametrize("d", [1, 10])
+def test_polynomial_basis_blocks_are_bitwise_a_call_per_row(d):
+    # 600 rows are several blocks at d = 10 (248 rows each at p = 65); the
+    # recursion is elementwise, so how rows are grouped changes no bit
+    mi = enumerate_multi_indices(d, 2)
+    states, scores = _points(8, 600, d)
+    np.testing.assert_array_equal(
+        stein_poly_basis(states, scores, mi),
+        np.vstack([stein_poly_basis(states[i : i + 1], scores[i : i + 1], mi) for i in range(600)]),
+    )

@@ -236,6 +236,16 @@ class TestParamGradient:
 
 
 class TestParameterStorage:
+    def test_weights_of_other_shapes_rejected(self):
+        weights = [np.zeros((3, 2)), np.zeros((1, 2))]  # the output layer reads 3 units
+        with pytest.raises(ValueError, match="^weight/bias shapes inconsistent with widths$"):
+            MlpControlFunction([2, 3, 1], weights, [np.zeros(3), np.zeros(1)])
+
+    def test_set_params_of_another_length_rejected(self):
+        net = MlpControlFunction.initialize([2, 3, 1], seed=0)
+        with pytest.raises(ValueError, match=r"^expected 13 parameters, got \(14,\)$"):
+            net.set_params(np.zeros(14))
+
     def test_set_params_keeps_its_own_copy(self):
         # the weights are views of one copy of the flat vector, not of the caller's
         net = MlpControlFunction.initialize([2, 5, 4, 1], seed=1)

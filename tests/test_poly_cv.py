@@ -94,6 +94,11 @@ class TestBasis:
         with pytest.raises(ValueError, match="scores"):
             stein_poly_basis(x, np.ones(shape), enumerate_multi_indices(3, 2))
 
+    def test_states_of_another_dimension_rejected(self):
+        x = np.zeros((4, 3))
+        with pytest.raises(ValueError, match="^multi-index dimension 2 != state dimension 3$"):
+            stein_poly_basis(x, x, enumerate_multi_indices(2, 2))
+
     def test_zero_score_low_degree_vanishes(self):
         mi = enumerate_multi_indices(2, 1)
         b = stein_poly_basis(np.array([[1.3, -0.4]]), np.zeros((1, 2)), mi)

@@ -137,8 +137,9 @@ class TestGenzEvaluation:
             ([float("nan")], [0.5], "^a must be finite"),
             ([float("inf")], [0.5], "^a must be finite"),
             ([5.0], [float("nan")], r"^u must lie in \[0,1\]"),
+            ([5.0, 5.0], [0.5], "^a and u must have the same length$"),
         ],
-        ids=["nan_a", "inf_a", "nan_u"],
+        ids=["nan_a", "inf_a", "nan_u", "a_u_lengths"],
     )
     def test_non_finite_parameters_rejected(self, a, u, match):
         # a NaN a or u would give a NaN integral

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -170,6 +172,12 @@ class TestMixtureScore:
         x = np.linspace(-3, 5, 9)[:, None]
         np.testing.assert_array_equal(a.score(x), b.score(x))
 
+    @pytest.mark.parametrize("w", [[-0.5, 1.5], [0.0, 0.0]], ids=["negative", "zero_sum"])
+    def test_unusable_unnormalized_weights_rejected(self, w):
+        covs = np.stack([np.eye(1)] * 2)
+        with pytest.raises(ValueError, match="^unnormalized weights must be non-negative with positive sum$"):
+            MixtureTarget.from_unnormalized(w, np.zeros((2, 1)), covs)
+
     def test_far_tail_stable(self):
         mix = random_mixture(2, 3, seed=0)
         score = mix.score(np.full(2, 40.0))
@@ -257,6 +265,31 @@ class TestScoredSampleCsv:
         path.write_text(f"{header}\n1.0,0.1,2.0,0.2,3.0\n")
         with pytest.raises(ValueError, match="header .* is not 'x_1,x_2,score_1,score_2,f'"):
             load_scored_samples(path)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "empty file"),
+            ("x_1,score_1,f\n", "no data rows"),
+            ("x_1,score_1,f\n\n\n", "no data rows"),
+            ("x_1,score_1,f\n1.0,0.1,2.0\n1.0,abc,2.0\n",
+             "line 3: could not convert string to float: 'abc'"),
+        ],
+        ids=["empty", "header_only", "header_and_blank_lines", "non_numeric"],
+    )
+    def test_unreadable_file_rejected_by_name(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_scored_samples(path)
+
+    def test_blank_lines_between_rows_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("x_1,score_1,f\n1.0,0.1,2.0\n\n  \n-1.0,0.3,4.0\n")
+        loaded = load_scored_samples(path)
+        np.testing.assert_array_equal(loaded.states[:, 0], [1.0, -1.0])
+        np.testing.assert_array_equal(loaded.scores[:, 0], [0.1, 0.3])
+        np.testing.assert_array_equal(loaded.f_values, [2.0, 4.0])
 
     def test_without_f_column(self, tmp_path):
         path = tmp_path / "nof.csv"

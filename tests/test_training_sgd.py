@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracle_utils import per_step_sgd
+from steincv.core import ScoredSampleSet
 from steincv.ensemble import EnsembleFamily
 from steincv.kernels import BaseKernelParams, KernelFamily
 from steincv.mlp import MlpControlFunction, cv_param_vjp, cv_values_with_cache
@@ -56,6 +57,10 @@ class TestObjectives:
             objective_variance(r), 2.0 * np.var(r, ddof=1), atol=1e-12, rtol=1e-12
         )
 
+    def test_least_squares_needs_a_residual(self):
+        with pytest.raises(ValueError, match="^empty batch$"):
+            objective_least_squares([])
+
     def test_variance_needs_pairs(self):
         with pytest.raises(ValueError):
             objective_variance([1.0])
@@ -73,6 +78,17 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(lam=-1e-3)
+
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            ("objective", "huber", r"^objective must be one of \('least_squares', 'variance'\)$"),
+            ("regularizer", "l1", r"^regularizer must be one of \('l2_theta', 'mean_g_squared'\)$"),
+        ],
+    )
+    def test_unknown_choice_rejected_by_name(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize(
@@ -172,6 +188,31 @@ class TestSgdTrain:
         monkeypatch.setattr(training, "design_matrix_spectrum", recording_spectrum)
         sgd_train(fam, train, TrainConfig(epochs=2, seed=0))
         assert calls == [(200, fam.n_params)]
+
+    def test_requires_f_values(self):
+        train = sample_target(GaussianTarget(np.zeros(2), 1.0), 20, seed=1)
+        with pytest.raises(ValueError, match="^training set must carry f_values$"):
+            sgd_train(PolynomialFamily(enumerate_multi_indices(2, 1)), train, TrainConfig(epochs=1))
+
+    def test_dependent_poly_basis_takes_beta_from_the_probe(self):
+        # x_2 = x_1 makes two basis columns equal, so the moment matrix is
+        # singular, the spectrum refuses it and beta falls back to
+        # 1.5 (gamma + 1) / sigma_max of the probe rows
+        one = sample_target(GaussianTarget(np.zeros(1), 1.0), 300, seed=0)
+        train = ScoredSampleSet(
+            np.repeat(one.states, 2, axis=1), np.repeat(one.scores, 2, axis=1), one.states[:, 0]
+        )
+        fam = PolynomialFamily(enumerate_multi_indices(2, 2))
+        wrapped = wrap_model(fam, train)
+        with pytest.raises(ValueError, match="^basis functions are linearly dependent on this sample$"):
+            design_matrix_spectrum(wrapped.full)
+        cfg = TrainConfig(epochs=2, seed=0)
+        probe = np.random.default_rng(cfg.seed ^ 0x5EED).choice(300, size=256, replace=False)
+        design = np.concatenate([np.ones((256, 1)), wrapped.full[probe]], axis=1)
+        sigma_max = np.linalg.eigvalsh(design @ design.T / 256)[-1]
+        report = sgd_train(fam, train, cfg)
+        assert report.resolved_beta == 1.5 * (cfg.gamma + 1.0) / sigma_max
+        assert np.all(np.isfinite(report.theta))
 
     def test_huge_l2_shrinks_network(self):
         # dominant regularizer contracts theta (step chosen inside 1/(2 lam))
@@ -394,10 +435,19 @@ class TestEpochLoop:
     def test_network_final_objective_runs_the_plain_pass(self, monkeypatch):
         from steincv import mlp, training
 
+        # the final objective is one evaluation call over all 300 training
+        # rows, which runs them through the network's own evaluation passes:
+        # one of 256 rows and one for the short last block
         train = _toy_train(d=2, n=300, seed=12)
         net = MlpControlFunction.initialize([2, 5, 1], seed=6)
-        cached, plain_rows = [0], []
+        cached, plain_rows, passes = [0], [], []
         with_cache, plain = training.cv_values_with_cache, mlp.cv_values
+
+        class Recording(mlp._Pass):
+            def __init__(self, widths, rows, keep):
+                if not keep:
+                    passes.append(rows)
+                super().__init__(widths, rows, keep)
 
         def counting_with_cache(*args, **kwargs):
             cached[0] += 1
@@ -409,9 +459,11 @@ class TestEpochLoop:
 
         monkeypatch.setattr(training, "cv_values_with_cache", counting_with_cache)
         monkeypatch.setattr(mlp, "cv_values", recording_plain)
+        monkeypatch.setattr(mlp, "_Pass", Recording)
         report = sgd_train(net, train, TrainConfig(epochs=2, seed=0))
         assert cached[0] == report.n_steps + 1  # every step, and the beta probe
-        assert plain_rows == [256, 44]
+        assert plain_rows == [300]
+        assert passes == [256, 44]
 
     @pytest.mark.parametrize("family", ["poly", "network"])
     def test_one_batch_objective_call_per_step(self, family, monkeypatch):
