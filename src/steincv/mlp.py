@@ -173,8 +173,11 @@ class _Pass:
     derivative blocks (identity rows, a zero Laplacian) are filled once.
 
     Without ``keep`` the pass evaluates: the layer stacks alternate between
-    two buffers and the elementwise temporaries are shared by the layers. It
-    has no input stack, as the input layer's partials are the columns of W:
+    two buffers and the elementwise temporaries are shared by the layers.
+    Every layer's bias is tiled over the rows (``set_weights``), so that its
+    add runs over n w contiguous entries, not a (w,) vector broadcast over
+    the rows. The pass has no input stack, as the input layer's partials are
+    the columns of W:
     with |J|^2 = sum_k W[:, k]^2 per unit, added in order of k, its
     activation gives z'[1+k] = s1 W[:, k] and z'[d+1] = t u
     (``_forward_first``), as the stacked GEMM over identity rows would. Only a
@@ -228,13 +231,15 @@ class _Pass:
             m2_flat = np.empty(2 * n * wide)
         else:
             s1_flat, sq_flat = np.empty(n * wide), np.empty((d + 1) * n * wide)
+        # an evaluation pass's biases, tiled over its rows (``set_weights``)
+        self.biases = None if keep else [np.empty((n, o)) for o in widths[1:]]
         self.first, self.layers, coefs = None, [], []
         for i, (k, o) in enumerate(zip(widths[:-1], widths[1:])):
             z_in, z, act = stacks[i], stacks[i + 1], None
             if z_in is None:
                 # the input layer of an evaluation pass: its partials are the
                 # columns of W scaled by s1, and its Laplacian is t u; W's
-                # columns and |J|^2 are tiled over the rows (``set_first``), so
+                # columns and |J|^2 are tiled over the rows (``set_weights``), so
                 # that each product runs over n o contiguous entries
                 s1 = _view(s1_flat, n, o)
                 cols, jac_sq = np.empty((d, n * o)), np.empty((n, o))
@@ -319,11 +324,18 @@ class _Pass:
         states.take(idx, 0, self.states)
         scores_t.take(idx, 1, self.scores_t)
 
-    def set_first(self, w: np.ndarray) -> None:
-        """Tile the input layer's constants over the rows of an evaluation pass:
-        W's columns, and |J|^2 = sum_k W[:, k]^2 per unit, added in order of k
-        as ``_block_sum`` adds the partials' squares. A pass serves one call,
-        over which the weights hold, so this runs once per pass."""
+    def set_weights(self, net: MlpControlFunction) -> None:
+        """Tile the constants of an evaluation pass over its rows: every
+        layer's bias and, when the pass has no input stack, the columns of
+        the input layer's W and |J|^2 = sum_k W[:, k]^2 per unit, added in
+        order of k as ``_block_sum`` adds the partials' squares. A pass
+        serves one call, over which the weights hold, so this runs once per
+        pass."""
+        for tile, b in zip(self.biases, net.biases):
+            np.copyto(tile, b)
+        if self.first is None:
+            return
+        w = net.weights[0]
         *_, cols, _, jac_sq, _, _ = self.first
         n, (o, d) = self.n, w.shape
         np.copyto(cols.reshape(d, n, o), w.T[:, None, :])
@@ -350,7 +362,8 @@ class _Pass:
         """The output rows (d+2, n) of the network at the loaded states."""
         dot, add, multiply, subtract = np.dot, np.add, np.multiply, np.subtract
         square, tanh = np.square, np.tanh
-        weights, biases = net.weights, net.biases
+        weights = net.weights
+        biases = net.biases if self.biases is None else self.biases
         if self.first is not None:
             self._forward_first(weights[0], biases[0])
             weights, biases = weights[1:], biases[1:]
@@ -461,8 +474,7 @@ def _eval_blocks(net: MlpControlFunction, states: np.ndarray, scores: np.ndarray
         block = states[rows]
         if one is None or one.n != block.shape[0]:
             one = _Pass(net.widths, block.shape[0], keep=False)
-            if one.first is not None:
-                one.set_first(net.weights[0])
+            one.set_weights(net)
         one.load(block, None if scores is None else scores[rows])
         one.forward(net)
         yield one, rows

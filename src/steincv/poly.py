@@ -33,8 +33,18 @@ _MAX_BASIS_SIZE = 2_000_000
 class MultiIndexSet:
     """All d-dimensional multi-indices with total degree between 1 and k,
     in graded-lexicographic order (ascending degree, then ascending lex). Rows
-    must be downward closed in graded order: one less in a row's first nonzero
-    coordinate is zero or an earlier row, the parent of its basis column."""
+    must be downward closed in graded order: one less in any positive
+    coordinate of a row is zero or an earlier row. One less in its first
+    nonzero coordinate is the parent of its basis column.
+
+    Beside the degree recursion the set holds its derivative table, the
+    index arrays (src, dst, weight) of ``stein_poly_basis``'s theta branch.
+    Its rows of the (d + 1, q) coefficient matrix are the gradient's d and the
+    Laplacian's one, its columns the q monomials below the top degree (led by
+    x^0). For each alpha_j and each k with alpha_jk > 0 the table has an entry
+    src = j, dst = (k, row of alpha_j - e_k), weight alpha_jk, and, where
+    alpha_jk >= 2, one more, src = j, dst = (d, row of alpha_j - 2 e_k),
+    weight alpha_jk (alpha_jk - 1)."""
 
     alpha: np.ndarray
     degree: int
@@ -42,7 +52,9 @@ class MultiIndexSet:
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=np.int64)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "_levels", _degree_recursion(alpha))
+        levels, derivatives = _degree_recursion(alpha)
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_derivatives", derivatives)
 
     @property
     def p(self) -> int:
@@ -54,29 +66,47 @@ class MultiIndexSet:
 
 
 def _degree_recursion(alpha: np.ndarray) -> tuple:
-    """The table of ``stein_poly_basis``: per run of rows of equal degree,
-    (rows, parent, coord, grand, two_beta). Row 0 of the stacked layout is the
-    constant monomial and row j + 1 is alpha[j] = beta + e_i, i its first
-    nonzero coordinate; parent is the row of beta, grand the row of beta - e_i,
-    or row 0 when beta_i = 0, whose coefficient 2 beta_i is then 0."""
-    index = {(0,) * alpha.shape[1]: 0}
-    table = []
+    """The tables of ``stein_poly_basis``: the degree recursion and the
+    derivative table of ``MultiIndexSet``, (q, src, dst, weight) with dst
+    flattened over the (d + 1, q) coefficient matrix.
+
+    The recursion has, per run of rows of equal degree, (rows, parent, coord,
+    grand, two_beta). Row 0 of the stacked layout is the constant monomial and
+    row j + 1 is alpha[j] = beta + e_i, i its first nonzero coordinate; parent
+    is the row of beta, grand the row of beta - e_i, or row 0 when beta_i = 0,
+    whose coefficient 2 beta_i is then 0. The q rows before the last run are
+    the monomials below the top degree, and each alpha - e_k is one of them: it
+    is an earlier row of another degree."""
+    d = alpha.shape[1]
+    index = {(0,) * d: 0}
+    table, derivatives = [], []
     for j, row in enumerate(alpha.tolist(), start=1):
         i = next((z for z, a in enumerate(row) if a), 0)
-        beta, grand = (tuple(row[:i] + [row[i] - c] + row[i + 1 :]) for c in (1, 2))
-        if beta not in index:
-            raise ValueError(
-                f"multi-index row {j - 1} {row} is not downward closed in graded "
-                f"order: {list(beta)} is neither zero nor an earlier row"
-            )
+        down = [tuple(row[:k] + [row[k] - 1] + row[k + 1 :]) for k in range(d)]
+        grand = tuple(row[:i] + [row[i] - 2] + row[i + 1 :])
+        for beta in [down[i]] + [down[k] for k, a in enumerate(row) if a > 0]:
+            if beta not in index:
+                raise ValueError(
+                    f"multi-index row {j - 1} {row} is not downward closed in graded "
+                    f"order: {list(beta)} is neither zero nor an earlier row"
+                )
+        for k, a in enumerate(row):
+            if a > 0:
+                derivatives.append((j - 1, k, index[down[k]], a))
+            if a > 1:
+                twice = tuple(row[:k] + [a - 2] + row[k + 1 :])
+                derivatives.append((j - 1, d, index[twice], a * (a - 1)))
         index[tuple(row)] = j
-        table.append((sum(row), j, index[beta], i, index.get(grand, 0), 2.0 * beta[i]))
+        table.append((sum(row), j, index[down[i]], i, index.get(grand, 0), 2.0 * down[i][i]))
     levels = []
     for _, level in itertools.groupby(table, key=lambda t: t[0]):
         _, rows, *index_cols, two_beta = map(np.array, zip(*level))
         tables = (*index_cols, two_beta[:, None])
         levels.append((slice(rows[0], rows[-1] + 1), *map(_freeze, tables)))
-    return tuple(levels)
+    q = levels[-1][0].start if levels else 1
+    src, coord, row, weight = np.array(derivatives, dtype=np.int64).reshape(-1, 4).T
+    arrays = (src, coord * q + row, weight.astype(np.float64))
+    return tuple(levels), (q, *map(_freeze, map(np.ascontiguousarray, arrays)))
 
 
 def enumerate_multi_indices(d: int, k: int) -> MultiIndexSet:
@@ -117,9 +147,21 @@ def stein_poly_basis(
 
     starting from x^0 = 1 and L 1 = 0; every term on the right is a column of
     lower degree. Returns a C-contiguous (n, p) array in the order of mi.alpha,
-    or, given a length-p ``theta``, the (n,) vector of b . theta. Either is
     filled by row blocks of at most ``_BLOCK_ENTRIES`` entries of b and the
-    constant, so beside it no temporary grows with the row count.
+    constant.
+
+    Given a length-p ``theta``, returns the (n,) vector b . theta = L u for
+    u = sum_j theta_j x^alpha_j without forming b:
+
+        b . theta = sum_k score_k (C[k] . m) + C[d] . m
+
+    where m holds the q monomials below the top degree, the rows of the
+    recursion before its last degree, and C is the (d + 1, q) matrix of the
+    coefficients of grad u (rows k < d) and of lap u (row d) on them, summed
+    from theta by ``mi``'s derivative table. Each row block then builds only
+    m and takes one product C m; its blocks hold at most ``_BLOCK_ENTRIES``
+    entries of m and of C m. Either way, beside the output no temporary grows
+    with the row count.
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
@@ -128,26 +170,35 @@ def stein_poly_basis(
         raise ValueError(f"multi-index dimension {mi.d} != state dimension {d}")
     if scores.shape != states.shape:
         raise ValueError(f"scores must have the states' shape {states.shape}, got {scores.shape}")
-    if theta is not None:
+    q, src, dst, weight = mi._derivatives
+    if theta is None:
+        out, step = np.empty((n, mi.p)), max(1, _BLOCK_ENTRIES // (mi.p + 1))
+    else:
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (mi.p,):
             raise ValueError(f"theta must have shape ({mi.p},), got {theta.shape}")
-    out = np.empty((n, mi.p) if theta is None else n)
-    step = max(1, _BLOCK_ENTRIES // (mi.p + 1))
+        coef = np.bincount(dst, theta[src] * weight, (d + 1) * q).reshape(d + 1, q)
+        out, step = np.empty(n), max(1, _BLOCK_ENTRIES // max(q, d + 1))
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
         xt, st = np.ascontiguousarray(states[rows].T), np.ascontiguousarray(scores[rows].T)
-        # one row per monomial below the top degree and per L x^alpha, both led by x^0
-        mono = np.ones((mi._levels[-1][0].start if mi.p else 1, xt.shape[1]))
+        # one row per monomial below the top degree, led by x^0
+        mono = np.ones((q, xt.shape[1]))
+        for level, parent, coord, *_ in mi._levels[:-1]:
+            np.multiply(xt[coord], mono[parent], out=mono[level])
+        if theta is not None:
+            terms = coef @ mono
+            terms[:d] *= st
+            np.add.reduce(terms, 0, out=out[rows])
+            continue
+        # one row per L x^alpha, led by L 1 = 0
         stein = np.zeros((mi.p + 1, xt.shape[1]))
         for level, parent, coord, grand, two_beta in mi._levels:
-            x, m, block = xt[coord], mono[parent], stein[level]
-            np.multiply(x, stein[parent], out=block)
-            block += st[coord] * m
+            block = stein[level]
+            np.multiply(xt[coord], stein[parent], out=block)
+            block += st[coord] * mono[parent]
             block += two_beta * mono[grand]
-            if level.stop <= len(mono):
-                np.multiply(x, m, out=mono[level])
-        out[rows] = stein[1:].T if theta is None else theta @ stein[1:]
+        out[rows] = stein[1:].T
     return out
 
 

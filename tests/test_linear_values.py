@@ -1,8 +1,10 @@
 """A linear family's ``values(states, scores, theta)`` is its feature matrix
-times theta, computed without forming the matrix: the polynomial basis and
-the kernel Gram are each contracted with theta block by block as each block
-is formed. Only the summation order differs from the product, so the
-two agree to rounding, within 1e-12 of |Phi| |theta| (Frobenius and 2-norm).
+times theta, computed without forming the matrix: the polynomial family
+evaluates lap u + grad u . score from theta's derivative coefficients on the
+monomials below the top degree, and the kernel Gram is contracted with theta
+block by block as each block is formed. Only the summation order differs
+from the product, so the two agree to rounding, within 1e-12 of
+|Phi| |theta| (Frobenius and 2-norm).
 """
 
 import tracemalloc
@@ -15,7 +17,12 @@ from hypothesis import strategies as st
 from steincv.core import LinearCV, ScoredSampleSet
 from steincv.ensemble import EnsembleFamily
 from steincv.kernels import BaseKernelParams, KernelFamily, stein_kernel_gram
-from steincv.poly import PolynomialFamily, enumerate_multi_indices, stein_poly_basis
+from steincv.poly import (
+    MultiIndexSet,
+    PolynomialFamily,
+    enumerate_multi_indices,
+    stein_poly_basis,
+)
 
 PARAMS = (BaseKernelParams(0.1, 1.0), BaseKernelParams(0.1, 1.4))
 
@@ -26,10 +33,23 @@ def _points(seed, n, d):
     return x, -x + 0.1 * rng.normal(size=(n, d))
 
 
-def _family(kind, d, centers):
-    mi = enumerate_multi_indices(d, 2)
+def _lower_set(d, degree):
+    """A downward-closed set that is not a total-degree one (at d >= 2): the
+    unit vectors, then per degree t = 2..degree+1 the rows (t-1, 0, ..., 0, 1)
+    and (t, 0, ..., 0), so that gradient and Laplacian terms land on rows of
+    every lower degree."""
+    unit = np.eye(d, dtype=np.int64)
+    rows = list(unit[::-1])
+    for t in range(2, degree + 2):
+        rows += ([unit[0] * (t - 1) + unit[-1]] if d > 1 else []) + [unit[0] * t]
+    return MultiIndexSet(np.array(rows), degree + 1)
+
+
+def _family(kind, d, centers, degree=2):
+    mi = enumerate_multi_indices(d, degree)
     return {
         "poly": lambda: PolynomialFamily(mi),
+        "poly_lower_set": lambda: PolynomialFamily(_lower_set(d, degree)),
         "kernel": lambda: KernelFamily(PARAMS[0], centers),
         "ensemble": lambda: EnsembleFamily(mi, PARAMS[:1], centers),
         "ensemble_two_kernels": lambda: EnsembleFamily(mi, PARAMS, centers),
@@ -39,14 +59,15 @@ def _family(kind, d, centers):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(["poly", "kernel", "ensemble", "ensemble_two_kernels"]),
+    kind=st.sampled_from(["poly", "poly_lower_set", "kernel", "ensemble", "ensemble_two_kernels"]),
     d=st.sampled_from([1, 2, 10]),
     rows=st.sampled_from([1, 65, 257]),
     n_centers=st.sampled_from([3, 250]),
+    degree=st.sampled_from([1, 2, 3, 4]),
 )
-def test_values_equal_the_feature_matrix_times_theta(seed, kind, d, rows, n_centers):
+def test_values_equal_the_feature_matrix_times_theta(seed, kind, d, rows, n_centers, degree):
     centers = ScoredSampleSet(*_points(seed + 1, n_centers, d))
-    family = _family(kind, d, centers)
+    family = _family(kind, d, centers, degree)
     states, scores = _points(seed, rows, d)
     theta = np.random.default_rng(seed + 2).normal(size=family.n_params)
     phi = family.feature_matrix(states, scores)
@@ -85,13 +106,14 @@ def test_evaluation_never_allocates_a_rows_by_params_block(kind):
     assert peak < rows * family.n_params * 8 / 4
 
 
-def test_polynomial_values_hold_a_few_blocks_beside_their_output():
-    # the degree recursion runs over row blocks of at most _BLOCK_ENTRIES
-    # basis entries, each contracted with theta into the output: 50,000 rows
-    # at d = 10 (p = 65) hold the (n,) output and a few blocks, not the
-    # (p + 1, n) basis, 66 times the output
+@pytest.mark.parametrize("degree", [2, 4])
+def test_polynomial_values_hold_a_few_blocks_beside_their_output(degree):
+    # the monomials below the top degree are built over row blocks of at most
+    # _BLOCK_ENTRIES entries, each reduced into the output: 50,000 rows at
+    # d = 10 (p = 65 at degree 2, 1000 at degree 4) hold the (n,) output and
+    # a few blocks, not the (p + 1, n) basis, 66 or 1001 times the output
     rows, d = 50_000, 10
-    family = PolynomialFamily(enumerate_multi_indices(d, 2))
+    family = PolynomialFamily(enumerate_multi_indices(d, degree))
     states, scores = _points(6, rows, d)
     theta = np.random.default_rng(7).normal(size=family.n_params)
     family.values(states[:300], scores[:300], theta)  # one-time set-up, unmeasured

@@ -184,6 +184,7 @@ class TestRecursion:
         "alpha,row",
         [
             ([[1, 0], [1, 1]], 1),  # parent (0, 1) missing
+            ([[0, 1], [1, 1]], 1),  # parent present, but (1, 0) = (1, 1) - e_2 missing
             ([[2], [1]], 0),  # parent listed after its child
             ([[0, 0], [1, 0]], 0),  # the constant is not a basis row
             ([[1, 0], [-1, 2]], 1),
