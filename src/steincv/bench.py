@@ -58,13 +58,13 @@ class BenchmarkConfig:
     ``problems.parse_problem``, an estimation method, sizes and seeds.
     ``parsed``, not stored, is the spec already parsed by the caller, which
     construction then uses instead of parsing (and reading a file) again.
-    ``nn_hidden`` are the hidden widths of nn_sgd's network [d, *nn_hidden, 1],
-    whose input and output widths the problem fixes; a tuple is stored as a
-    list. Under the ``same_set`` split, which trains on all n rows, m is n;
-    the other splits evaluate on the n - m rows they do not train on, so they
-    need m < n. A field that only some methods read (their rows of
-    ``_METHOD_TABLE``) fails when set away from its default for any other
-    method; ``train`` and the rest are shared by all."""
+    ``nn_hidden`` are the hidden widths, at least one, of nn_sgd's network
+    [d, *nn_hidden, 1], whose input and output widths the problem fixes; a
+    tuple is stored as a list. Under the ``same_set`` split, which trains on
+    all n rows, m is n; the other splits evaluate on the n - m rows they do
+    not train on, so they need m < n. A field that only some methods read
+    (their rows of ``_METHOD_TABLE``) fails when set away from its default
+    for any other method; ``train`` and the rest are shared by all."""
 
     problem: dict
     method: str
@@ -120,11 +120,13 @@ class BenchmarkConfig:
                 raise ValueError(f"{key} must be finite and >= 0, got {value}")
         # the kernel checks alpha1 and alpha2 (None: the median heuristic)
         BaseKernelParams(self.alpha1, 1.0 if self.alpha2 is None else self.alpha2)
-        if not isinstance(self.nn_hidden, (list, tuple)) or not all(
+        if not isinstance(self.nn_hidden, (list, tuple)) or not self.nn_hidden or not all(
             isinstance(w, numbers.Integral) and not isinstance(w, bool) and w >= 1
             for w in self.nn_hidden
         ):
-            raise ValueError(f"nn_hidden must be a list of integers >= 1, got {self.nn_hidden!r}")
+            raise ValueError(
+                f"nn_hidden must be a non-empty list of integers >= 1, got {self.nn_hidden!r}"
+            )
         object.__setattr__(self, "nn_hidden", list(self.nn_hidden))
         reads = _METHOD_TABLE[self.method].reads
         method = self.method

@@ -28,11 +28,10 @@ cache builds a new one, so a cache that a caller keeps is never overwritten.
 an evaluation pass, which keeps nothing for a reverse pass: its layer stacks
 alternate between two buffers, and it starts from the states alone. Its
 input layer takes h = X W^T + b, and its partials and Laplacian follow from
-W's columns, so it holds no identity or zero input rows (a network without a
-hidden layer keeps its stacked input). One pass is refilled for each block of
-``_EVAL_BLOCK`` rows; only a short last block gets a second pass, and
-both are freed when the call returns. Every entry point that takes scores
-requires them to have the states' shape.
+W's columns, so it holds no identity or zero input rows. One pass is
+refilled for each block of ``_EVAL_BLOCK`` rows; only a short last block gets
+a second pass, and both are freed when the call returns. Every entry point
+that takes scores requires them to have the states' shape.
 """
 
 from __future__ import annotations
@@ -57,9 +56,10 @@ _EVAL_BLOCK = 256  # rows per evaluation pass, which bounds an evaluation's memo
 class MlpControlFunction:
     """Fully connected network R^d -> R with a linear output layer.
 
-    ``widths`` is the full layer list [d, h_1, ..., h_L, 1]; activations are
-    applied after every affine layer except the last. The activation is tanh,
-    since the Langevin operator needs a twice-differentiable network.
+    ``widths`` is the full layer list [d, h_1, ..., h_L, 1] with L >= 1;
+    activations are applied after every affine layer except the last. The
+    activation is tanh, since the Langevin operator needs a
+    twice-differentiable network.
     """
 
     widths: list[int]
@@ -67,7 +67,9 @@ class MlpControlFunction:
     biases: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
-        if len(self.widths) < 2 or self.widths[-1] != 1 or min(self.widths) < 1:
+        if len(self.widths) < 3:
+            raise ValueError(f"widths {list(self.widths)}: at least one hidden layer is required")
+        if self.widths[-1] != 1 or min(self.widths) < 1:
             raise ValueError("widths must be [d, h_1, ..., 1] with every width >= 1")
         if not self.weights:
             self.weights = [
@@ -180,9 +182,7 @@ class _Pass:
     the columns of W:
     with |J|^2 = sum_k W[:, k]^2 per unit, added in order of k, its
     activation gives z'[1+k] = s1 W[:, k] and z'[d+1] = t u
-    (``_forward_first``), as the stacked GEMM over identity rows would. Only a
-    network without a hidden layer keeps the input stack: its one product is
-    a matrix-vector product, whose rounding of a row depends on the row count.
+    (``_forward_first``), as the stacked GEMM over identity rows would.
 
     At a training batch's (d+2, 8, w) stacks the fixed cost of a numpy call
     is most of its time. So the calls are locally bound ufuncs and ``np.dot``
@@ -201,18 +201,16 @@ class _Pass:
             leads = [np.empty((d + 3, n, w)) for w in hidden]
             stacks = [np.empty((d + 2, n, d)), *(lead[1:] for lead in leads),
                       np.empty((d + 2, n, 1))]
-        else:
-            pair = [np.empty((d + 2) * n * max(widths[j::2])) for j in (0, 1)]
-            stacks = [_view(pair[j % 2], d + 2, n, w) for j, w in enumerate(widths)]
-        if keep or not hidden:
             stacks[0][1 : d + 1] = np.eye(d)[:, None, :]
             stacks[0][d + 1] = 0.0
             self.states = stacks[0][0]
         else:
-            # no input stack: the input layer reads the states alone. numpy
-            # takes one row by a matrix-vector product, which rounds otherwise,
-            # so a single row is padded with a row of zeros
-            stacks[0] = None
+            # layer j's stack is a view of pair[j % 2]; there is no input
+            # stack, as the input layer reads the states alone. numpy takes
+            # one row by a matrix-vector product, which rounds otherwise, so a
+            # single row is padded with a row of zeros
+            pair = [np.empty((d + 2) * n * max(widths[j::2])) for j in (2, 1)]
+            stacks = [None, *(_view(pair[j % 2], d + 2, n, w) for j, w in enumerate(widths) if j)]
             states = np.zeros((max(n, 2), d))
             self.states = states[:n]
         self.out = stacks[-1][:, :, 0]
@@ -224,7 +222,7 @@ class _Pass:
         self.scores = self.scores_t.T
         self.g_terms = np.empty((d, n))
         self.g_sum = self.g_terms[0] if d == 1 else np.empty(n)
-        wide = max(hidden, default=1)
+        wide = max(hidden)
         jsq_flat, u_flat, tmp_flat = (np.empty(n * wide) for _ in range(3))
         if keep:
             one_flat, neg2_flat = np.ones(n * wide), np.full(2 * n * wide, -2.0)
@@ -283,7 +281,7 @@ class _Pass:
         self.seed = _split(self.score_ones, bars[-1][1:, :, 0])
         self.grad = np.empty(self.n_params)
         self.finite = np.empty(self.n_params, dtype=bool)
-        wide = max(widths[1:-1], default=1)
+        wide = max(widths[1:-1])
         prod_flat, hq_flat = np.empty((d + 1) * n * wide), np.empty((d + 1) * n * wide)
         self.steps = []
         end = self.n_params
@@ -326,15 +324,12 @@ class _Pass:
 
     def set_weights(self, net: MlpControlFunction) -> None:
         """Tile the constants of an evaluation pass over its rows: every
-        layer's bias and, when the pass has no input stack, the columns of
-        the input layer's W and |J|^2 = sum_k W[:, k]^2 per unit, added in
-        order of k as ``_block_sum`` adds the partials' squares. A pass
-        serves one call, over which the weights hold, so this runs once per
-        pass."""
+        layer's bias, the columns of the input layer's W and |J|^2 =
+        sum_k W[:, k]^2 per unit, added in order of k as ``_block_sum`` adds
+        the partials' squares. A pass serves one call, over which the weights
+        hold, so this runs once per pass."""
         for tile, b in zip(self.biases, net.biases):
             np.copyto(tile, b)
-        if self.first is None:
-            return
         w = net.weights[0]
         *_, cols, _, jac_sq, _, _ = self.first
         n, (o, d) = self.n, w.shape

@@ -47,7 +47,6 @@ class MultiIndexSet:
     weight alpha_jk (alpha_jk - 1)."""
 
     alpha: np.ndarray
-    degree: int
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=np.int64)
@@ -130,7 +129,7 @@ def _multi_index_set(d: int, k: int) -> MultiIndexSet:
     for _ in range(k):
         level = sorted({r[:i] + (r[i] + 1,) + r[i + 1 :] for r in level for i in range(d)})
         rows += level
-    return MultiIndexSet(_freeze(np.asarray(rows, dtype=np.int64)), k)
+    return MultiIndexSet(_freeze(np.asarray(rows, dtype=np.int64)))
 
 
 def stein_poly_basis(

@@ -318,25 +318,28 @@ def batch_objective_and_gradient(
 
 
 def _resolve_beta(config: TrainConfig, wrapped) -> float:
-    """beta of the inverse-time step: ``config.beta`` if given; else 1/sigma_min
-    of the design spectrum of the wrapper's ``full`` feature matrix, when it
-    has one on which the basis is independent (it satisfies the stability lower
-    bound beta > 1/(2 sigma_min)); else 1.5 (gamma + 1) / sigma_max, with
-    sigma_max estimated from ``probe_size`` rows of the wrapper."""
+    """beta of the inverse-time step: ``config.beta`` if given; else, when the
+    wrapper has a ``full`` feature matrix on which the basis is independent,
+    min(1/sigma_min, (gamma + 1)/sigma_max) of its design spectrum; else
+    1.5 (gamma + 1) / sigma_max, sigma_max estimated on ``probe_size`` rows.
+
+    1/sigma_min meets the stability lower bound beta > 1/(2 sigma_min). The
+    least-squares objective has Hessian 2M, M the second-moment matrix, so a
+    step is stable only for alpha_t sigma_max < 1: the cap holds alpha_1
+    sigma_max <= 1 on a nearly dependent basis, whose 1/sigma_min is huge."""
     if config.beta is not None:
         return config.beta
     if wrapped.full is not None:
         try:
-            return 1.0 / design_matrix_spectrum(wrapped.full)[0]
+            sigma_min, sigma_max = design_matrix_spectrum(wrapped.full)
+            return min(1.0 / sigma_min, (config.gamma + 1.0) / sigma_max)
         except ValueError:
             pass
-    # This beta makes alpha_1 * sigma_max = 1.5, M the second-moment matrix.
-    # The least-squares objective has Hessian 2M, so a step is stable only for
-    # alpha_t * sigma_max < 1: this default starts above that limit, and at
-    # gamma = 10, alpha_t * sigma_max = 16.5 / (10 + t) stays above it for
-    # steps 1-6. The nonzero eigenvalues of (1/s) R R^T match those of the
-    # subsampled moment matrix, so only an s x s Gram is ever formed and the
-    # cost stays O(s * n_params).
+    # This beta makes alpha_1 * sigma_max = 1.5: it starts above the stable
+    # limit, and at gamma = 10, alpha_t * sigma_max = 16.5 / (10 + t) stays
+    # above it for steps 1-6. The nonzero eigenvalues of (1/s) R R^T match
+    # those of the subsampled moment matrix, so only an s x s Gram is ever
+    # formed and the cost stays O(s * n_params).
     m = wrapped.train.n
     rng = np.random.default_rng(config.seed ^ 0x5EED)
     probe = rng.choice(m, size=min(wrapped.probe_size, m), replace=False)

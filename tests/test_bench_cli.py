@@ -225,6 +225,7 @@ class TestRunBenchmark:
             ("nn_hidden", [2.5]),
             ("nn_hidden", 20),
             ("nn_hidden", [0]),
+            ("nn_hidden", []),
             ("problem", {"problem": "genz", "kind": "continuous", "a": []}),
             ("problem", {"problem": "ingest", "path": "no/such/file.csv"}),
         ],

@@ -42,7 +42,7 @@ def _lower_set(d, degree):
     rows = list(unit[::-1])
     for t in range(2, degree + 2):
         rows += ([unit[0] * (t - 1) + unit[-1]] if d > 1 else []) + [unit[0] * t]
-    return MultiIndexSet(np.array(rows), degree + 1)
+    return MultiIndexSet(np.array(rows))
 
 
 def _family(kind, d, centers, degree=2):

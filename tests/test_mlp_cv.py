@@ -82,14 +82,17 @@ class TestForwardWithDerivatives:
         np.testing.assert_array_equal(grad, np.zeros((5, 2)))
         np.testing.assert_array_equal(lap, np.zeros(5))
 
-    def test_single_affine_layer(self):
-        w = np.array([[1.5, -2.0, 0.5]])
-        net = MlpControlFunction([3, 1], [w], [np.array([0.25])])
-        x = np.array([[1.0, 2.0, 3.0]])
+    def test_one_hidden_unit(self):
+        # u = v tanh(w.x + b) + c, grad u = v (1 - t^2) w, lap u = -2 v t (1 - t^2) |w|^2
+        w, b, v, c = np.array([1.5, -2.0, 0.5]), 0.25, 0.8, -0.3
+        net = MlpControlFunction([3, 1, 1], [w[None, :], np.array([[v]])],
+                                 [np.array([b]), np.array([c])])
+        x = np.array([[1.0, 2.0, 3.0], [-0.4, 0.1, 0.7]])
+        t = np.tanh(x @ w + b)
         u, grad, lap = forward_with_derivatives(net, x)
-        assert u[0] == pytest.approx(1.5 - 4.0 + 1.5 + 0.25)
-        np.testing.assert_array_equal(grad[0], w[0])
-        assert lap[0] == 0.0
+        np.testing.assert_allclose(u, v * t + c, rtol=1e-14)
+        np.testing.assert_allclose(grad, (v * (1 - t * t))[:, None] * w, rtol=1e-14)
+        np.testing.assert_allclose(lap, -2 * v * t * (1 - t * t) * (w @ w), rtol=1e-14)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_tanh_matches_finite_differences(self, seed):
@@ -108,12 +111,15 @@ class TestForwardWithDerivatives:
 
 
 class TestCvValues:
-    def test_linear_map_under_gaussian_score(self):
-        w = np.array([[0.7, -1.2]])
-        net = MlpControlFunction([2, 1], [w], [np.zeros(1)])
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(5, 2))
-        np.testing.assert_allclose(cv_values(net, x, -x), -(x @ w[0]))
+    def test_one_hidden_unit_under_gaussian_score(self):
+        # g = lap u + grad u . (-x) = -v (1 - t^2) (2 t |w|^2 + w.x) for u = v tanh(w.x + b)
+        w, b, v = np.array([0.7, -1.2]), 0.1, 1.3
+        net = MlpControlFunction([2, 1, 1], [w[None, :], np.array([[v]])],
+                                 [np.array([b]), np.zeros(1)])
+        x = np.random.default_rng(2).normal(size=(5, 2))
+        t = np.tanh(x @ w + b)
+        expected = -v * (1 - t * t) * (2 * t * (w @ w) + x @ w)
+        np.testing.assert_allclose(cv_values(net, x, -x), expected, rtol=1e-13)
 
     def test_zero_network(self):
         net = MlpControlFunction([2, 3, 1])
@@ -370,7 +376,7 @@ class TestEvaluationPass:
         return net, rng.normal(size=(n, d)), rng.normal(size=(n, d))
 
     @pytest.mark.parametrize("n", [1, 37, 256, 257, 1100])
-    @pytest.mark.parametrize("hidden", [[], [20] * 6], ids=["no_hidden", "six_of_20"])
+    @pytest.mark.parametrize("hidden", [[20] * 6], ids=["six_of_20"])
     @pytest.mark.parametrize("d", [1, 2, 3, 10])
     def test_evaluation_is_bitwise_the_training_pass(self, d, hidden, n):
         # compared block by block: a product over more rows may round a row
@@ -475,10 +481,18 @@ class TestCheckpoint:
     def test_construction_validated(self):
         with pytest.raises(ValueError):
             MlpControlFunction([3, 4, 2])  # output width must be 1
-        with pytest.raises(ValueError):
-            MlpControlFunction([2, 1], [np.array([[np.inf, 0.0]])], [np.zeros(1)])
+        with pytest.raises(ValueError, match="must be finite"):
+            MlpControlFunction([2, 3, 1], [np.array([[np.inf, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+                                           np.zeros((1, 3))], [np.zeros(3), np.zeros(1)])
         with pytest.raises(ValueError, match="width >= 1"):
             MlpControlFunction.initialize([1, 0, 1])  # an empty hidden layer
+
+    def test_a_hidden_layer_is_required(self):
+        # a network without one is u = w.x + b, whose g lies in the degree-1 polynomial span
+        with pytest.raises(ValueError, match=r"^widths \[2, 1\]: at least one hidden layer is required$"):
+            MlpControlFunction([2, 1])
+        with pytest.raises(ValueError, match=r"^widths \[3, 1\]: at least one hidden layer is required$"):
+            MlpControlFunction.initialize([3, 1])
 
     def test_initialize_deterministic(self):
         a = MlpControlFunction.initialize([2, 5, 1], seed=7)

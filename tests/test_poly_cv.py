@@ -177,7 +177,7 @@ class TestRecursion:
         alpha = np.array([[0, 1], [1, 0], [0, 2], [1, 1]])
         rng = np.random.default_rng(3)
         x, s = rng.normal(size=(9, 2)), rng.normal(size=(9, 2))
-        b = stein_poly_basis(x, s, MultiIndexSet(alpha, 2))
+        b = stein_poly_basis(x, s, MultiIndexSet(alpha))
         np.testing.assert_array_equal(b, _prefix_suffix_basis(x, s, alpha))
 
     @pytest.mark.parametrize(
@@ -192,7 +192,7 @@ class TestRecursion:
     )
     def test_missing_parent_rejected(self, alpha, row):
         with pytest.raises(ValueError, match=f"row {row} .*not downward closed"):
-            MultiIndexSet(np.array(alpha), 2)
+            MultiIndexSet(np.array(alpha))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(

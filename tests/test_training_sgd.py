@@ -169,8 +169,9 @@ class TestSgdTrain:
         monkeypatch.setattr(poly, "stein_poly_basis", recording_basis)
         report = sgd_train(fam, train, TrainConfig(epochs=2, seed=0))
         assert calls == [(200, True), (200, False)]
-        feats = fam.feature_matrix(train.states, train.scores)
-        assert report.resolved_beta == 1.0 / design_matrix_spectrum(feats)[0]
+        sigma_min, sigma_max = design_matrix_spectrum(fam.feature_matrix(train.states, train.scores))
+        gamma = TrainConfig().gamma
+        assert report.resolved_beta == min(1.0 / sigma_min, (gamma + 1.0) / sigma_max)
 
     def test_poly_default_beta_goes_through_the_spectrum_function(self, monkeypatch):
         # one call of the exported function, so a trace of it sees the spectrum
@@ -213,6 +214,24 @@ class TestSgdTrain:
         report = sgd_train(fam, train, cfg)
         assert report.resolved_beta == 1.5 * (cfg.gamma + 1.0) / sigma_max
         assert np.all(np.isfinite(report.theta))
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    def test_nearly_dependent_poly_basis_trains(self, eps):
+        # x_2 = x_1 + eps N(0, 1) leaves the moment matrix non-singular but
+        # with sigma_min / sigma_max near 1e-10 or below, so 1/sigma_min
+        # diverged within 20 steps; the cap (gamma + 1) / sigma_max binds
+        rng = np.random.default_rng(0)
+        x1 = rng.normal(size=300)
+        x = np.stack([x1, x1 + eps * rng.normal(size=300)], axis=1)
+        train = ScoredSampleSet(x, -x, np.sin(x1))
+        fam = PolynomialFamily(enumerate_multi_indices(2, 2))
+        sigma_min, sigma_max = design_matrix_spectrum(wrap_model(fam, train).full)
+        assert sigma_min < 1e-9 * sigma_max
+        cfg = TrainConfig(seed=0)
+        report = sgd_train(fam, train, cfg)
+        assert report.resolved_beta == (cfg.gamma + 1.0) / sigma_max
+        assert np.all(np.isfinite(report.theta))
+        assert report.final_objective < np.var(train.f_values)
 
     def test_huge_l2_shrinks_network(self):
         # dominant regularizer contracts theta (step chosen inside 1/(2 lam))
