@@ -376,7 +376,7 @@ class TestEvaluationPass:
         return net, rng.normal(size=(n, d)), rng.normal(size=(n, d))
 
     @pytest.mark.parametrize("n", [1, 37, 256, 257, 1100])
-    @pytest.mark.parametrize("hidden", [[20] * 6], ids=["six_of_20"])
+    @pytest.mark.parametrize("hidden", [[5], [20] * 6], ids=["one_of_5", "six_of_20"])
     @pytest.mark.parametrize("d", [1, 2, 3, 10])
     def test_evaluation_is_bitwise_the_training_pass(self, d, hidden, n):
         # compared block by block: a product over more rows may round a row
