@@ -363,34 +363,25 @@ def report_from_dict(obj: dict) -> BenchmarkReport:
     )
 
 
-def _csv_cell(value) -> str:
-    return "" if value is None else repr(float(value))
+def _csv_cell(value):
+    """A CSV cell: empty for None, a float (numpy's too) by its repr, anything else as is."""
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, float) else value
 
 
 def emit_report(report: BenchmarkReport, path) -> None:
     """Write the report as JSON when ``path`` ends in ``.json``, otherwise as
-    plot-ready CSV (one row per repetition)."""
+    plot-ready CSV (one row per repetition, its fields in ``CSV_COLUMNS``)."""
     if str(path).endswith(".json"):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(report_to_dict(report), fh, indent=2)
         return
     cfg = report.config
+    shared = dict(method=cfg.method, problem=report.problem_label, d=report.d, n=cfg.n, m=cfg.m)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for r in report.results:
-            writer.writerow([
-                cfg.method,
-                report.problem_label,
-                report.d,
-                cfg.n,
-                cfg.m,
-                r.rep,
-                _csv_cell(r.estimate),
-                _csv_cell(r.abs_error),
-                r.same_set,
-                _csv_cell(r.train_seconds),
-                _csv_cell(r.estimate_seconds),
-                _csv_cell(r.residual_variance),
-                r.error or "",
-            ])
+            row = {**shared, **_fields_dict(r, skip=("model",))}
+            writer.writerow([_csv_cell(row[key]) for key in CSV_COLUMNS])

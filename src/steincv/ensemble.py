@@ -36,12 +36,9 @@ class EnsembleFamily:
     ):
         if centers.d != multi_indices.d:
             raise ValueError("all ensemble parts must share the dimension d")
-        self.multi_indices = multi_indices
-        self.kernel_params = tuple(kernel_params)
-        self.centers = centers
-        self.n_params = multi_indices.p + centers.n * len(self.kernel_params)
-        self._kernels = tuple(KernelFamily(params, centers) for params in self.kernel_params)
+        self._kernels = tuple(KernelFamily(params, centers) for params in kernel_params)
         p, n = multi_indices.p, centers.n
+        self.n_params = p + n * len(self._kernels)
         self._parts = ((PolynomialFamily(multi_indices), slice(0, p)),) + tuple(
             (kernel, slice(p + i * n, p + (i + 1) * n)) for i, kernel in enumerate(self._kernels)
         )

@@ -117,6 +117,9 @@ def stein_kernel_gram(
     formed and the (n_a,) vector K theta is returned: no (n_a, n_b) array is
     allocated."""
     xa, sa, xb, sb = (np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (xa, sa, xb, sb))
+    for name, x, s in (("sa", xa, sa), ("sb", xb, sb)):
+        if s.shape != x.shape:
+            raise ValueError(f"{name} must have the states' shape {x.shape}, got {s.shape}")
     terms = _CenterTerms(xb, sb, params) if center_terms is None else center_terms
     if terms.n != xb.shape[0] or terms.params != params:
         raise ValueError("center_terms were built for other centers or kernel parameters")

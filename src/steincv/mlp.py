@@ -130,15 +130,6 @@ class MlpControlFunction:
         return cv_values(self, states, scores)
 
 
-def _block_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sum of a stack (k, ...) of k >= 2 blocks over its blocks, added in
-    order, into ``out``. Two blocks take one add, which costs less than a
-    reduction at small n."""
-    if len(a) == 2:
-        return np.add(a[0], a[1], out)
-    return np.add.reduce(a, 0, None, out)
-
-
 def _view(flat: np.ndarray, *shape: int) -> np.ndarray:
     """The leading entries of a flat buffer as a C-ordered array of ``shape``."""
     return flat[: math.prod(shape)].reshape(shape)
@@ -325,7 +316,7 @@ class _Pass:
     def set_weights(self, net: MlpControlFunction) -> None:
         """Tile the constants of an evaluation pass over its rows: every
         layer's bias, the columns of the input layer's W and |J|^2 =
-        sum_k W[:, k]^2 per unit, added in order of k as ``_block_sum`` adds
+        sum_k W[:, k]^2 per unit, added in order of k as ``forward`` reduces
         the partials' squares. A pass serves one call, over which the weights
         hold, so this runs once per pass."""
         for tile, b in zip(self.biases, net.biases):
@@ -372,7 +363,7 @@ class _Pass:
             t = tanh(h, h)
             square(t_jac, sq)
             if len(jac_sqs) > 1:
-                _block_sum(jac_sqs, jac_sq)
+                add.reduce(jac_sqs, 0, None, jac_sq)
             subtract(one, t_sq, s1)
             for block, out in scaled:
                 multiply(block, s1, out)
@@ -398,7 +389,7 @@ class _Pass:
         ``forward``: written into ``out``, or a new array."""
         np.multiply(self.out_jac, self.scores_t, self.g_terms)
         if len(self.g_terms) > 1:
-            _block_sum(self.g_terms, self.g_sum)
+            np.add.reduce(self.g_terms, 0, None, self.g_sum)
         return np.add(self.out_lap, self.g_sum, out)
 
     def reverse(self, net: MlpControlFunction, upstream: np.ndarray,

@@ -9,7 +9,6 @@ score is exactly mu - x.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,8 +251,6 @@ def load_scored_samples(path) -> ScoredSampleSet:
 
 def mixture_from_json(obj) -> MixtureTarget:
     """Build a mixture from {"weights": [...], "means": [[...]], "covariances": [[[...]]]}."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     return MixtureTarget(
         np.asarray(obj["weights"], dtype=np.float64),
         np.asarray(obj["means"], dtype=np.float64),

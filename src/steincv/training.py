@@ -3,8 +3,6 @@ constant or inverse-time step size, and the design-matrix spectrum diagnostic.""
 
 from __future__ import annotations
 
-import copy
-import functools
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -50,7 +48,8 @@ class TrainConfig:
     The step size is the constant ``alpha`` when it is given and
     alpha_t = beta / (gamma + t) otherwise; ``beta`` left as None is resolved
     from the data (``_resolve_beta``). ``beta`` or ``gamma`` set with
-    ``alpha`` fails, as the constant step reads neither.
+    ``alpha`` fails, as the constant step reads neither, and so does a
+    ``regularizer`` set with ``lam`` = 0, which reads none.
     """
 
     objective: str = "least_squares"
@@ -71,6 +70,8 @@ class TrainConfig:
         # the bounds are written so that NaN and +-inf fail them
         if not 0 <= self.lam < math.inf:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if self.lam == 0 and self.regularizer != TrainConfig.regularizer:
+            raise ValueError(f"regularizer={self.regularizer!r} is read only when lam > 0")
         _check_integer_fields(self, ("batch_size", "epochs", "seed"))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -220,9 +221,13 @@ class LinearFeatureModel:
     def values(self, theta: np.ndarray) -> np.ndarray:
         return self.family.values(self.train.states, self.train.scores, theta)
 
-    def batch_eval(self, theta: np.ndarray, idx: np.ndarray):
-        feats = self.rows(idx)
-        return feats @ theta, functools.partial(np.matmul, feats.T)
+    def batch_eval(self, theta: np.ndarray, idx: np.ndarray, rows: Optional[np.ndarray] = None):
+        """g on the batch ``idx`` and the map from an upstream vector to the
+        parameter gradient; ``rows`` are the batch's feature rows, taken here
+        when not given."""
+        if rows is None:
+            rows = self.rows(idx)
+        return rows @ theta, rows.T.__matmul__
 
 
 class MlpModel:
@@ -264,7 +269,8 @@ class MlpModel:
             np.copyto(self._theta, theta)
         return self.net(self.train.states, self.train.scores)
 
-    def batch_eval(self, theta: np.ndarray, idx: np.ndarray):
+    def batch_eval(self, theta: np.ndarray, idx: np.ndarray, rows=None):
+        # ``rows`` is always None: batch_rows gives a network none
         if theta is not self._theta:
             np.copyto(self._theta, theta)
         cache = self._cache
@@ -295,7 +301,7 @@ def batch_objective_and_gradient(
     regularizer, whose gradient is folded into grad_theta.
     """
     b = idx.size
-    g, vjp = wrapped.batch_eval(theta, idx) if rows is None else (rows @ theta, rows.T.__matmul__)
+    g, vjp = wrapped.batch_eval(theta, idx, rows)
     if config.objective == "least_squares":
         resid = f[idx] - g - c
         obj = float(resid @ resid) / b

@@ -9,7 +9,9 @@ import pytest
 from oracle_utils import GramBlockRecorder
 from steincv.bench import (
     BenchmarkConfig,
+    BenchmarkReport,
     METHODS,
+    RepetitionResult,
     emit_report,
     report_from_dict,
     report_to_dict,
@@ -497,6 +499,34 @@ class TestReports:
         emit_report(same_set, path)
         rows = path.read_text().strip().splitlines()[1:]
         assert [row.split(",")[8] for row in rows] == ["True"] * 2
+
+    def test_csv_text(self, tmp_path):
+        # every cell of a hand-built report, timings included: a float cell
+        # is its repr, numpy's float64 too, and None is an empty cell
+        results = [
+            RepetitionResult(
+                rep=0, estimate=np.float64(0.1), abs_error=None, train_seconds=0.25,
+                estimate_seconds=0.125, n_eval=60, residual_variance=np.float64(2.5e-3),
+            ),
+            RepetitionResult(rep=1, error='ValueError: bad "x", y'),
+            RepetitionResult(
+                rep=2, estimate=0.3, abs_error=1e-17, train_seconds=1.5, estimate_seconds=0.0,
+                n_eval=120, same_set=True, residual_variance=0.0,
+            ),
+        ]
+        report = BenchmarkReport(
+            config=_small_config("mc"), results=results, mae=None, mean_estimate=0.2,
+            mean_train_seconds=0.875, n_failures=1, problem_label="genz:product_peak", d=1,
+        )
+        path = tmp_path / "out.csv"
+        emit_report(report, path)
+        assert path.read_text() == (
+            "method,problem,d,n,m,rep,estimate,abs_error,same_set,train_seconds,"
+            "estimate_seconds,residual_variance,error\n"
+            "mc,genz:product_peak,1,120,60,0,0.1,,False,0.25,0.125,0.0025,\n"
+            'mc,genz:product_peak,1,120,60,1,,,False,0.0,0.0,0.0,"ValueError: bad ""x"", y"\n'
+            "mc,genz:product_peak,1,120,60,2,0.3,1e-17,True,1.5,0.0,0.0,\n"
+        )
 
     def test_csv_error_text_stays_one_cell(self, tmp_path, monkeypatch):
         _fail_every_fit(monkeypatch)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -206,6 +207,23 @@ class TestSteinKernel:
         finally:
             tracemalloc.stop()
         assert peak - gram.nbytes < 4 * 2**20
+
+    @pytest.mark.parametrize(
+        "name,shape",
+        [("sa", (4, 2)), ("sa", (5, 1)), ("sb", (2, 2)), ("sb", (3, 1))],
+    )
+    def test_gram_rejects_scores_of_another_shape(self, name, shape):
+        # an sb of shape (n_b, 1) would broadcast over the centers' d columns
+        rng = np.random.default_rng(3)
+        args = {
+            "xa": rng.normal(size=(5, 2)), "sa": rng.normal(size=(5, 2)),
+            "xb": rng.normal(size=(3, 2)), "sb": rng.normal(size=(3, 2)),
+        }
+        states = args["xa" if name == "sa" else "xb"]
+        args[name] = rng.normal(size=shape)
+        message = f"{name} must have the states' shape {states.shape}, got {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            stein_kernel_gram(**args, params=BaseKernelParams(0.1, 1.0))
 
     def test_gram_psd_with_jitter(self):
         rng = np.random.default_rng(7)

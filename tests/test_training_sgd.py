@@ -141,6 +141,18 @@ class TestTrainConfig:
         # its default, given explicitly, is the same run as leaving it out
         assert TrainConfig(alpha=0.02, gamma=10.0) == TrainConfig(alpha=0.02)
 
+    def test_regularizer_without_lam_rejected_at_load(self):
+        # with lam = 0 no regularizer is read, so one set away from the
+        # default would load and train exactly like it
+        match = r"^regularizer='mean_g_squared' is read only when lam > 0$"
+        with pytest.raises(ValueError, match=match):
+            TrainConfig(regularizer="mean_g_squared")
+        with pytest.raises(ValueError, match=match):
+            TrainConfig.from_dict({"regularizer": "mean_g_squared", "lam": 0.0})
+        # the default given explicitly, or any regularizer with lam > 0, loads
+        assert TrainConfig(regularizer="l2_theta") == TrainConfig()
+        assert TrainConfig(regularizer="mean_g_squared", lam=0.1).lam == 0.1
+
 
 class TestSgdTrain:
     def test_reaches_tiny_objective_on_exact_problem(self):
@@ -602,7 +614,8 @@ class TestGradientAssembly:
         idx = np.arange(8)
 
         def grad_at(lam, reg):
-            cfg = TrainConfig(lam=lam, regularizer=reg, seed=0)
+            # lam = 0 reads no regularizer: the baseline is the default one
+            cfg = TrainConfig(lam=lam, regularizer=reg if lam > 0 else "l2_theta", seed=0)
             _, g, _ = batch_objective_and_gradient(
                 wrapped, train.f_values, idx, theta, 0.0, cfg
             )
