@@ -99,6 +99,47 @@ class _CenterTerms:
         )
 
 
+def _augmented_rows(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The (n, 2d + 3) augmented rows [x, s, |x|^2, x.s, 1] of the points
+    (x, s), the row side of every Gram product (``_CenterTerms``)."""
+    sq, xs = np.einsum("id,id->i", x, x), np.einsum("id,id->i", x, s)
+    return np.column_stack([x, s, sq, xs, np.ones(x.shape[0])])
+
+
+def _gram_blocks(
+    rows_z: np.ndarray, terms: _CenterTerms, theta: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The Gram of the points with augmented rows ``rows_z`` against the
+    centers of ``terms``, or its product with ``theta``, in row blocks of at
+    most ``_BLOCK_ENTRIES`` entries (one row when a row is longer), written
+    into ``out`` (any (n, terms.n) view when given) or a new array. Nothing
+    is checked here: ``stein_kernel_gram`` checks its arguments, and SGD its
+    training set once per fit (``training.LinearFeatureModel``)."""
+    n = rows_z.shape[0]
+    if out is None:
+        out = np.empty((n, terms.n) if theta is None else n)
+    step = max(1, _BLOCK_ENTRIES // terms.n)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        exponent, p, k, b, c = (rows_z[rows] @ m for m in terms.products)
+        # |x-y|^2 >= 0, which its expanded form can miss by rounding
+        np.minimum(exponent, 0.0, out=exponent)
+        np.reciprocal(p, out=p)
+        k *= p  # A p
+        k += b
+        k *= p
+        k += c  # (A p + B) p + C
+        k *= p
+        np.exp(exponent, out=exponent)
+        if theta is None:
+            np.multiply(k, exponent, out=out[rows])
+        else:
+            k *= exponent
+            np.dot(k, theta, out=out[rows])
+    return out
+
+
 def stein_kernel_gram(
     xa: np.ndarray, sa: np.ndarray, xb: np.ndarray, sb: np.ndarray, params: BaseKernelParams,
     center_terms: Optional[_CenterTerms] = None, theta: Optional[np.ndarray] = None,
@@ -120,6 +161,8 @@ def stein_kernel_gram(
     for name, x, s in (("sa", xa, sa), ("sb", xb, sb)):
         if s.shape != x.shape:
             raise ValueError(f"{name} must have the states' shape {x.shape}, got {s.shape}")
+    if xa.shape[1] != xb.shape[1]:
+        raise ValueError(f"xa and xb must have the same d, got {xa.shape[1]} and {xb.shape[1]}")
     terms = _CenterTerms(xb, sb, params) if center_terms is None else center_terms
     if terms.n != xb.shape[0] or terms.params != params:
         raise ValueError("center_terms were built for other centers or kernel parameters")
@@ -127,28 +170,7 @@ def stein_kernel_gram(
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (terms.n,):
             raise ValueError(f"theta must have shape ({terms.n},), got {theta.shape}")
-    sq, xs = np.einsum("id,id->i", xa, xa), np.einsum("id,id->i", xa, sa)
-    rows_z = np.column_stack([xa, sa, sq, xs, np.ones(xa.shape[0])])
-    out = np.empty((xa.shape[0], terms.n) if theta is None else xa.shape[0])
-    step = max(1, _BLOCK_ENTRIES // terms.n)
-    for lo in range(0, xa.shape[0], step):
-        rows = slice(lo, lo + step)
-        exponent, p, k, b, c = (rows_z[rows] @ m for m in terms.products)
-        # |x-y|^2 >= 0, which its expanded form can miss by rounding
-        np.minimum(exponent, 0.0, out=exponent)
-        np.reciprocal(p, out=p)
-        k *= p  # A p
-        k += b
-        k *= p
-        k += c  # (A p + B) p + C
-        k *= p
-        np.exp(exponent, out=exponent)
-        if theta is None:
-            np.multiply(k, exponent, out=out[rows])
-        else:
-            k *= exponent
-            np.dot(k, theta, out=out[rows])
-    return out
+    return _gram_blocks(_augmented_rows(xa, sa), terms, theta)
 
 
 def _pair_sq_distances(states: np.ndarray) -> np.ndarray:
@@ -194,8 +216,8 @@ class KernelFamily:
     """Feature map psi_i(x) = k0(x, x_i) of the kernel family: the zero-mean
     kernel against each stored center x_i, one column per center. When the
     centers are as many as the training points, SGD computes the rows of a few
-    batches at a time (``training.LinearFeatureModel``): O(batch * centers) a step.
-    The center side of the Gram is built once, here.
+    batches at a time (``training.LinearFeatureModel``, through ``feature_rows``):
+    O(batch * centers) a step. The center side of the Gram is built once, here.
     """
 
     def __init__(self, params: BaseKernelParams, centers: ScoredSampleSet):
@@ -216,6 +238,13 @@ class KernelFamily:
         return stein_kernel_gram(
             states, scores, centers.states, centers.scores, self.params, self._center_terms, theta
         )
+
+    def feature_rows(self, rows_z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """feature_matrix of the points whose augmented rows (``_augmented_rows``)
+        are ``rows_z``, written into ``out`` when given, by the row blocks of
+        ``stein_kernel_gram`` without its checks: SGD builds the augmented rows
+        of its training set and checks their d once per fit."""
+        return _gram_blocks(rows_z, self._center_terms, out=out)
 
 
 # Columns per block of ``_BlockCholesky``: of the widths 16 to 64 tried, 32

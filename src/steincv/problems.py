@@ -416,6 +416,8 @@ def _parse_gp(spec: dict) -> Problem:
         d, components = _positive(spec, "d", 1, int), _positive(spec, "components", 3, int)
     elif "components" in spec:
         raise ValueError("components cannot be given with a fixed mixture, which sets them")
+    elif not isinstance(mixture, dict):
+        raise ValueError(f"mixture must be a JSON object, got {type(mixture).__name__}")
     else:
         mixture = mixture_from_json(mixture)
         d, components = mixture.dim, mixture.n_components

@@ -16,7 +16,7 @@ from .core import (
     _check_config_keys,
     _check_integer_fields,
 )
-from .kernels import _BLOCK_ENTRIES
+from .kernels import _BLOCK_ENTRIES, KernelFamily, _augmented_rows
 from .mlp import (
     MlpControlFunction,
     _cv_param_rows,
@@ -170,13 +170,18 @@ class LinearFeatureModel:
     read whole for the spectrum (polynomials, kernels on a few fixed centers).
     Otherwise the family grows with m, ``full`` is None and the same rule
     applies to each of its parts (an ensemble's polynomial and kernel blocks,
-    its ``_parts``): a part with at most m - 1 columns is computed once over
-    the training set and gathered, and a part that grows with m (kernel
-    translates on the training points) is computed for the rows asked for,
-    each part into its columns of one row buffer. SGD takes the rows of a
-    chunk of steps at once (``batch_rows``), at most ``_BLOCK_ENTRIES``
-    entries or one batch: a step costs O(batch * n_params) and never forms
-    the m x m Gram. ``values`` is one call of the family's own over all m rows.
+    its ``_parts``, or the family itself): a part with at most m - 1 columns
+    is computed once over the training set and gathered, and a part that
+    grows with m (kernel translates on the training points) is computed for
+    the rows asked for, each part into its columns of one row buffer. Such a
+    kernel part gathers the rows' augmented rows [x, s, |x|^2, x.s, 1] from
+    those of the training set, built (O(m * d) memory) and checked once here
+    and shared by every kernel, and runs the Gram's row blocks on them
+    straight into its columns (``KernelFamily.feature_rows``). SGD takes the
+    rows of a chunk of steps at once (``batch_rows``), at most
+    ``_BLOCK_ENTRIES`` entries or one batch: a step costs
+    O(batch * n_params) and never forms the m x m Gram. ``values`` is one
+    call of the family's own over all m rows.
     """
 
     probe_size = 256
@@ -188,22 +193,32 @@ class LinearFeatureModel:
         m = train.n
         self.full = family.feature_matrix(train.states, train.scores) if self.n_params < m else None
         # (family, columns, training block or None) of each part of a family too large for full
-        parts = () if self.full is not None else getattr(family, "_parts", ())
+        whole = ((family, slice(0, self.n_params)),)
+        parts = () if self.full is not None else getattr(family, "_parts", whole)
         self._parts = tuple(
             (part, cols, part.feature_matrix(train.states, train.scores) if part.n_params < m else None)
             for part, cols in parts
         )
+        grown = [p for p, _, full in self._parts if full is None and isinstance(p, KernelFamily)]
+        for part in grown:
+            if part.centers.d != train.d:
+                message = f"the training states have d = {train.d} but the kernel centers d = {part.centers.d}"
+                raise ValueError(message)
+        self._rows_z = _augmented_rows(train.states, train.scores) if grown else None
 
     def rows(self, idx: np.ndarray) -> np.ndarray:
         """Feature rows of the training points ``idx``."""
         if self.full is not None:
             return self.full[idx]
-        states, scores = self.train.states[idx], self.train.scores[idx]
-        if not self._parts:
-            return self.family.feature_matrix(states, scores)
-        out = np.empty((states.shape[0], self.n_params))
+        out = np.empty((len(idx), self.n_params))
+        rows_z = None if self._rows_z is None else self._rows_z[idx]
         for part, cols, full in self._parts:
-            out[:, cols] = part.feature_matrix(states, scores) if full is None else full[idx]
+            if full is not None:
+                out[:, cols] = full[idx]
+            elif isinstance(part, KernelFamily):
+                part.feature_rows(rows_z, out[:, cols])
+            else:
+                out[:, cols] = part.feature_matrix(self.train.states[idx], self.train.scores[idx])
         return out
 
     def batch_rows(self, batches: np.ndarray):
@@ -307,11 +322,11 @@ def batch_objective_and_gradient(
         obj = float(resid @ resid) / b
         upstream = (-2.0 / b) * resid
         # add.reduce over b, as np.mean takes it: grad_c is bit-identical to -2 mean
-        grad_c = -2.0 * (float(resid.sum()) / b)
+        grad_c = -2.0 * (float(np.add.reduce(resid)) / b)
     else:
         resid = f[idx] - g
         # objective_variance, from the two sums without its checks and copies
-        s1 = float(resid.sum())
+        s1 = float(np.add.reduce(resid))
         obj = 2.0 * (b * float(resid @ resid) - s1 * s1) / (b * (b - 1))
         upstream = (-4.0 / (b - 1)) * (resid - s1 / b)
         grad_c = 0.0

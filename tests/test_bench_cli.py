@@ -305,6 +305,12 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match=r"^problem gp: d=2 disagrees.*dimension 3"):
             BenchmarkConfig(problem={**spec, "d": 2}, method="mc")
 
+    @pytest.mark.parametrize("mixture,kind", [([1, 2], "list"), ("{}", "str")])
+    def test_gp_mixture_that_is_not_an_object_rejected_and_named(self, mixture, kind):
+        message = f"problem gp: mixture must be a JSON object, got {kind}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BenchmarkConfig(problem={"problem": "gp", "mixture": mixture}, method="mc")
+
     def test_unknown_spec_key_rejected_and_named(self):
         with pytest.raises(ValueError, match=r"^problem gp: unknown key\(s\) \['dim'\]"):
             BenchmarkConfig(problem={"problem": "gp", "dim": 3}, method="mc")

@@ -225,6 +225,15 @@ class TestSteinKernel:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             stein_kernel_gram(**args, params=BaseKernelParams(0.1, 1.0))
 
+    @pytest.mark.parametrize("d_b", [1, 3])
+    def test_gram_rejects_centers_of_another_dimension(self, d_b):
+        rng = np.random.default_rng(4)
+        xa, sa = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+        xb, sb = rng.normal(size=(3, d_b)), rng.normal(size=(3, d_b))
+        message = f"xa and xb must have the same d, got 2 and {d_b}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            stein_kernel_gram(xa, sa, xb, sb, BaseKernelParams(0.1, 1.0))
+
     def test_gram_psd_with_jitter(self):
         rng = np.random.default_rng(7)
         params = BaseKernelParams(0.05, 1.0)
@@ -501,9 +510,38 @@ class TestKernelFamily:
         rows = wrapped.rows(np.array([4, 1, 1]))
         np.testing.assert_array_equal(rows, feats[[4, 1, 1]])
 
+    @pytest.mark.parametrize("d", [1, 10])
+    @pytest.mark.parametrize("n_kernels", [0, 1, 2])
+    def test_sgd_rows_are_the_feature_matrix_rows(self, d, n_kernels):
+        # the kernel columns of a chunk come from the training set's augmented
+        # rows, built once per fit, in the Gram's own row blocks: 500 rows
+        # against 500 centers are 16 blocks of at most 32 rows, and one
+        # product over all 500 rows rounds some entries otherwise
+        from steincv import kernels
+
+        target = GaussianTarget(np.zeros(d), 1.0)
+        train = sample_target(target, 500, seed=20)
+        params = (BaseKernelParams(0.1, 1.0), BaseKernelParams(0.1, 1.4))
+        if n_kernels == 0:
+            fam = KernelFamily(params[0], train)
+        else:
+            fam = EnsembleFamily(enumerate_multi_indices(d, 2), params[:n_kernels], train)
+        idx = np.random.default_rng(21).integers(0, train.n, size=500)
+        assert idx.size > kernels._BLOCK_ENTRIES // train.n
+        rows = wrap_model(fam, train).rows(idx)
+        np.testing.assert_array_equal(rows, fam.feature_matrix(train.states[idx], train.scores[idx]))
+
+    def test_sgd_rejects_kernel_centers_of_another_dimension(self):
+        target = GaussianTarget(np.zeros(1), 1.0)
+        train = sample_target(target, 20, seed=22)
+        centers = sample_target(GaussianTarget(np.zeros(2), 1.0), 30, seed=23)
+        fam = KernelFamily(BaseKernelParams(0.1, 1.0), centers)
+        with pytest.raises(ValueError, match="^the training states have d = 1 but the kernel centers d = 2$"):
+            wrap_model(fam, train)
+
     @pytest.mark.parametrize("m, b", [(40, 4), (40, 3), (3000, 8)])
     def test_sgd_never_forms_the_m_by_m_gram(self, monkeypatch, m, b):
-        # SGD takes the Gram rows of a chunk of steps per call: at most
+        # SGD takes the Gram rows of a chunk of steps per ``feature_rows`` call: at most
         # _BLOCK_ENTRIES entries or one batch, n_steps * b rows over the run,
         # and one batch per call once a batch alone fills the budget. Every
         # Gram, the final objective's over all m rows too, is built in blocks
@@ -518,12 +556,12 @@ class TestKernelFamily:
         GramBlockRecorder.install(fam._center_terms, blocks)
         outside_steps = [False]
         step_rows = []
-        gram = kernels.stein_kernel_gram
+        feature_rows = KernelFamily.feature_rows
 
-        def recording_gram(xa, *args, **kwargs):
+        def recording_rows(self, rows_z, out=None):
             if not outside_steps[0]:
-                step_rows.append(np.atleast_2d(xa).shape[0])
-            return gram(xa, *args, **kwargs)
+                step_rows.append(rows_z.shape[0])
+            return feature_rows(self, rows_z, out)
 
         def flagged(fn):
             # the beta probe and the final objective are not steps
@@ -536,7 +574,7 @@ class TestKernelFamily:
 
             return run
 
-        monkeypatch.setattr(kernels, "stein_kernel_gram", recording_gram)
+        monkeypatch.setattr(KernelFamily, "feature_rows", recording_rows)
         monkeypatch.setattr(training, "_resolve_beta", flagged(training._resolve_beta))
         final = training.LinearFeatureModel.values
         monkeypatch.setattr(training.LinearFeatureModel, "values", flagged(final))
@@ -617,18 +655,18 @@ class TestKernelFamily:
         fam = KernelFamily(BaseKernelParams(0.1, 1.0), train)
         rows, value_rows, blocks = [], [], []
         GramBlockRecorder.install(fam._center_terms, blocks)
-        features, values = KernelFamily.feature_matrix, KernelFamily.values
+        features, values = KernelFamily.feature_rows, KernelFamily.values
 
-        def recording_features(self, states, scores):
-            rows.append(states.shape[0])
-            return features(self, states, scores)
+        def recording_features(self, rows_z, out=None):
+            rows.append(rows_z.shape[0])
+            return features(self, rows_z, out)
 
         def recording_values(self, states, scores, theta):
             value_rows.append(states.shape[0])
             blocks.clear()  # from here on, the blocks of this call alone
             return values(self, states, scores, theta)
 
-        monkeypatch.setattr(KernelFamily, "feature_matrix", recording_features)
+        monkeypatch.setattr(KernelFamily, "feature_rows", recording_features)
         monkeypatch.setattr(KernelFamily, "values", recording_values)
         report = sgd_train(fam, train, TrainConfig(epochs=1, seed=0))
         assert max(rows) <= 256
